@@ -1,25 +1,28 @@
 """ctact: constant-time activation functions and a timing-leakage bench.
 
 The package has two halves.  The construction half provides branchless
-binary32 selection primitives (:mod:`ctact.ctselect`), a shared fixed-shape
-rational core (:mod:`ctact.pade`), and five activation kernels built on them
-(:mod:`ctact.activations`).  The evaluation half checks what the
-construction claims: operation-trace uniformity and host timing
-(:mod:`ctact.harness`), a profiled Gaussian-template timing attack against
-a modeled device (:mod:`ctact.attack`), and accuracy plus threshold
-analysis (:mod:`ctact.analysis`).  ``ctact.cli`` exposes all of it as the
-``ctact`` command.
+binary32 selection primitives and the one binary32 input check
+(:mod:`ctact.ctselect`), a shared fixed-shape rational core
+(:mod:`ctact.pade`), and five activation kernels built on them
+(:mod:`ctact.activations`), whose ``SPECS`` registry defines each kind in
+one place: kernel, libm reference, trace model, threshold and sweep
+candidates.  The evaluation half checks what the construction claims:
+operation-trace uniformity and host timing (:mod:`ctact.harness`), a
+profiled Gaussian-template timing attack against a modeled device
+(:mod:`ctact.attack`), and accuracy plus threshold analysis
+(:mod:`ctact.analysis`).  ``ctact.cli`` exposes all of it as the ``ctact``
+command.
 """
 
 from .activations import (
+    SPECS,
     ActivationKind,
-    DEFAULT_THRESHOLDS,
     GELU_THRESHOLD,
     SIGMOID_THRESHOLD,
     SWISH_BETA,
     SWISH_THRESHOLD,
     TANH_THRESHOLD,
-    Thresholds,
+    KindSpec,
     evaluate,
     gelu_protected,
     gelu_ref,
@@ -59,20 +62,6 @@ from .attack import (
     profile_phase,
     run_attack,
     score_increment,
-    simulate_latency,
-)
-from .ctselect import (
-    MASK_ALL_ONES,
-    MASK_ALL_ZEROS,
-    Mask32,
-    bits_to_float32,
-    ct_clamp,
-    ct_gt_mask,
-    ct_lt_mask,
-    ct_select_f32,
-    ct_sign,
-    float32_bits,
-    mask_from_bool,
 )
 from .grids import GRID_DENSE, GRID_WIDE, GridSpec, inclusive_grid
 from .harness import (
@@ -88,10 +77,10 @@ from .harness import (
     welch_t_test,
 )
 from .pade import (
-    DEFAULT_COEFFICIENTS,
     DENOMINATOR_EXACT,
+    DENOMINATOR_F32,
     NUMERATOR_EXACT,
-    PadeCoefficients,
+    NUMERATOR_F32,
     rational_tanh,
 )
 
@@ -101,8 +90,8 @@ __all__ = [
     "__version__",
     # kinds and kernels
     "ActivationKind",
-    "Thresholds",
-    "DEFAULT_THRESHOLDS",
+    "KindSpec",
+    "SPECS",
     "TANH_THRESHOLD",
     "SIGMOID_THRESHOLD",
     "GELU_THRESHOLD",
@@ -119,23 +108,11 @@ __all__ = [
     "gelu_ref",
     "swish_ref",
     "evaluate",
-    # selection primitives
-    "Mask32",
-    "MASK_ALL_ZEROS",
-    "MASK_ALL_ONES",
-    "mask_from_bool",
-    "ct_select_f32",
-    "ct_gt_mask",
-    "ct_lt_mask",
-    "ct_clamp",
-    "ct_sign",
-    "float32_bits",
-    "bits_to_float32",
     # rational core
-    "PadeCoefficients",
-    "DEFAULT_COEFFICIENTS",
     "NUMERATOR_EXACT",
     "DENOMINATOR_EXACT",
+    "NUMERATOR_F32",
+    "DENOMINATOR_F32",
     "rational_tanh",
     # grids
     "GridSpec",
@@ -167,7 +144,6 @@ __all__ = [
     "calibrated_delay",
     "default_desync_model",
     "constant_time_model",
-    "simulate_latency",
     "fit_template",
     "score_increment",
     "profile_phase",

@@ -18,6 +18,17 @@ Saturation thresholds:
 The unprotected references compute with double-precision libm and round the
 result to binary32 once.  relu_ref, and relu_protected, return +0.0 for
 every non-positive input, including -0.0.
+
+A libm call has no op sequence to record, so each reference comes with a
+small instrumented model of how such a function executes (an argument-
+reduction exponential with an input-dependent number of halving and
+squaring steps, plus a fixed polynomial).  The trace harness runs the model
+for its opcodes and discards its value.
+
+SPECS is the one registry of what each kind is: its constant-time core, its
+reference, the reference's trace model, its saturation threshold and the
+candidates a threshold sweep scans.  evaluate, the trace harness, the
+accuracy analysis and the CLI all read it.
 """
 
 from __future__ import annotations
@@ -25,17 +36,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from ._ops import f_add, f_mul
-from .ctselect import _abs, _clamp, _gt_mask, _lt_mask, _select, _sign
+from ._ops import cond_move, f_add, f_div, f_gt, f_mul, f_neg, take_branch
+from .ctselect import _abs, _clamp, _gt_mask, _lt_mask, _select, _sign, as_f32
 from .pade import _rational_tanh
 
 __all__ = [
     "ActivationKind",
-    "Thresholds",
-    "DEFAULT_THRESHOLDS",
+    "KindSpec",
+    "SPECS",
     "TANH_THRESHOLD",
     "SIGMOID_THRESHOLD",
     "GELU_THRESHOLD",
@@ -89,29 +101,6 @@ SQRT_2_OVER_PI = np.float32(math.sqrt(2.0 / math.pi))
 
 _PAD_SCALE = np.float32(1.25)
 _PAD_SHIFT = np.float32(0.5)
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """The four saturation thresholds as binary32 values."""
-
-    tanh: np.float32 = TANH_THRESHOLD
-    sigmoid: np.float32 = SIGMOID_THRESHOLD
-    gelu: np.float32 = GELU_THRESHOLD
-    swish: np.float32 = SWISH_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if not (np.float32(4.90) <= self.tanh <= np.float32(5.05)):
-            raise ValueError(f"tanh threshold out of range: {self.tanh!r}")
-        if self.sigmoid != np.float32(2.0) * self.tanh:
-            raise ValueError("sigmoid threshold must be exactly twice the tanh threshold")
-        for name in ("gelu", "swish"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} threshold must be finite and positive: {v!r}")
-
-
-DEFAULT_THRESHOLDS = Thresholds()
 
 
 def _burn(v, count: int):
@@ -185,29 +174,12 @@ def _relu_core(x):
     return y
 
 
-_PROTECTED_CORES = {
-    ActivationKind.RELU: _relu_core,
-    ActivationKind.SIGMOID: _sigmoid_core,
-    ActivationKind.TANH: _tanh_core,
-    ActivationKind.GELU: _gelu_core,
-    ActivationKind.SWISH: _swish_core,
-}
-
-
-def _as_f32(x) -> np.float32:
-    with np.errstate(over="ignore"):  # doubles past 3.4e38 cast to inf, caught below
-        v = np.float32(x)
-    if not np.isfinite(v):
-        raise ValueError(f"input must be finite in binary32, got {v!r}")
-    return v
-
-
 def relu_protected(x) -> np.float32:
     """max(0, x), computed with the same op budget as the smooth kernels.
 
     Bit-exact x for x > 0, +0.0 otherwise (also for -0.0).
     """
-    return _relu_core(_as_f32(x))
+    return _relu_core(as_f32(x))
 
 
 def sigmoid_protected(x) -> np.float32:
@@ -215,7 +187,7 @@ def sigmoid_protected(x) -> np.float32:
 
     Saturates to exactly 0.0 / 1.0 beyond +/-SIGMOID_THRESHOLD.
     """
-    return _sigmoid_core(_as_f32(x))
+    return _sigmoid_core(as_f32(x))
 
 
 def tanh_protected(x) -> np.float32:
@@ -224,7 +196,7 @@ def tanh_protected(x) -> np.float32:
     Odd bit-exactly: tanh_protected(-x) encodes as the negation of
     tanh_protected(x) for every finite x.
     """
-    return _tanh_core(_as_f32(x))
+    return _tanh_core(as_f32(x))
 
 
 def gelu_protected(x) -> np.float32:
@@ -234,23 +206,23 @@ def gelu_protected(x) -> np.float32:
     +GELU_THRESHOLD.  The cubic is computed after clamping, so no
     intermediate can overflow whatever the input magnitude.
     """
-    return _gelu_core(_as_f32(x))
+    return _gelu_core(as_f32(x))
 
 
 def swish_protected(x) -> np.float32:
     """x * sigmoid(x) through the shared core; 0.0 / x beyond +/-SWISH_THRESHOLD."""
-    return _swish_core(_as_f32(x))
+    return _swish_core(as_f32(x))
 
 
 # -- unprotected references (double-precision libm, rounded once) -----------
 
 def relu_ref(x) -> np.float32:
-    v = _as_f32(x)
+    v = as_f32(x)
     return v if v > 0 else np.float32(0.0)
 
 
 def sigmoid_ref(x) -> np.float32:
-    v = float(_as_f32(x))
+    v = float(as_f32(x))
     if v >= 0.0:
         return np.float32(1.0 / (1.0 + math.exp(-v)))
     e = math.exp(v)  # stable form for large negative arguments
@@ -258,16 +230,16 @@ def sigmoid_ref(x) -> np.float32:
 
 
 def tanh_ref(x) -> np.float32:
-    return np.float32(math.tanh(float(_as_f32(x))))
+    return np.float32(math.tanh(float(as_f32(x))))
 
 
 def gelu_ref(x) -> np.float32:
-    v = float(_as_f32(x))
+    v = float(as_f32(x))
     return np.float32(0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))))
 
 
 def swish_ref(x) -> np.float32:
-    v = float(_as_f32(x))
+    v = float(as_f32(x))
     if v >= 0.0:
         gate = 1.0 / (1.0 + math.exp(-v))
     else:
@@ -276,12 +248,106 @@ def swish_ref(x) -> np.float32:
     return np.float32(v * gate)
 
 
-_REFERENCES = {
-    ActivationKind.RELU: relu_ref,
-    ActivationKind.SIGMOID: sigmoid_ref,
-    ActivationKind.TANH: tanh_ref,
-    ActivationKind.GELU: gelu_ref,
-    ActivationKind.SWISH: swish_ref,
+# -- instrumented models of the references (trace shape only) --------------
+
+_EXP_C = tuple(np.float32(c) for c in (1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0))
+_ERF_SLOPE = np.float32(0.3275911)
+_ERF_C = tuple(np.float32(c) for c in
+               (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
+_INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
+
+
+def _model_exp(t):
+    # Halve the argument until it is small (data-dependent trip count),
+    # evaluate a fixed polynomial, then square once per halving.
+    halvings = 0
+    while True:
+        reduce_more = f_gt(_abs(t), _HALF)
+        take_branch()
+        if not reduce_more:
+            break
+        t = f_mul(t, _HALF)
+        halvings += 1
+    p = _EXP_C[4]
+    for c in (_EXP_C[3], _EXP_C[2], _EXP_C[1], _EXP_C[0]):
+        p = f_add(f_mul(p, t), c)
+    for _ in range(halvings):
+        p = f_mul(p, p)
+        take_branch()
+    return p
+
+
+def _model_relu(x):
+    # A compiler lowers the short ternary to one predicated move.
+    return cond_move(f_gt(x, _ZERO), x, _ZERO)
+
+
+def _model_sigmoid(x):
+    e = _model_exp(f_neg(x))
+    return f_div(_ONE, f_add(_ONE, e))
+
+
+def _model_tanh(x):
+    grow = _model_exp(x)
+    decay = _model_exp(f_neg(x))
+    return f_div(f_add(grow, f_neg(decay)), f_add(grow, decay))
+
+
+def _model_erf(u):
+    a = _abs(u)
+    t = f_div(_ONE, f_add(_ONE, f_mul(_ERF_SLOPE, a)))
+    poly = _ERF_C[4]
+    for c in (_ERF_C[3], _ERF_C[2], _ERF_C[1], _ERF_C[0]):
+        poly = f_add(f_mul(poly, t), c)
+    poly = f_mul(poly, t)
+    tail = f_mul(poly, _model_exp(f_neg(f_mul(a, a))))
+    return f_mul(f_add(_ONE, f_neg(tail)), _sign(u))
+
+
+def _model_gelu(x):
+    cdf = f_mul(_HALF, f_add(_ONE, _model_erf(f_mul(x, _INV_SQRT2))))
+    return f_mul(x, cdf)
+
+
+def _model_swish(x):
+    return f_mul(x, _model_sigmoid(x))
+
+
+# -- the per-kind registry ------------------------------------------------------
+
+@dataclass(frozen=True)
+class KindSpec:
+    """Everything that defines one activation kind.
+
+    ``core`` is the constant-time kernel on binary32 scalars or arrays; a
+    core with a saturation threshold also takes it as the ``threshold``
+    keyword.  ``reference`` is the libm reference at a scalar and ``model``
+    the instrumented model of its execution.  ``threshold`` is None for a
+    kind that does not saturate (relu).  ``sweep`` holds the candidate
+    thresholds analysis.threshold_sweep scans, and is empty for kinds whose
+    threshold is solved rather than chosen empirically.
+    """
+
+    core: Callable
+    reference: Callable
+    model: Callable
+    threshold: np.float32 | None = None
+    sweep: tuple = ()
+
+
+SPECS = {
+    ActivationKind.RELU: KindSpec(_relu_core, relu_ref, _model_relu),
+    ActivationKind.SIGMOID: KindSpec(_sigmoid_core, sigmoid_ref, _model_sigmoid,
+                                     SIGMOID_THRESHOLD),
+    ActivationKind.TANH: KindSpec(_tanh_core, tanh_ref, _model_tanh, TANH_THRESHOLD),
+    ActivationKind.GELU: KindSpec(
+        _gelu_core, gelu_ref, _model_gelu, GELU_THRESHOLD,
+        sweep=tuple(round(3.0 + 0.1 * i, 1) for i in range(15)),     # 3.0 .. 4.4
+    ),
+    ActivationKind.SWISH: KindSpec(
+        _swish_core, swish_ref, _model_swish, SWISH_THRESHOLD,
+        sweep=tuple(round(6.5 + 0.25 * i, 2) for i in range(13)),    # 6.5 .. 9.5
+    ),
 }
 
 
@@ -291,7 +357,7 @@ def evaluate(kind: ActivationKind, x, protected: bool = True) -> np.float32:
     Dispatches to the constant-time kernel or the libm reference.  The
     dispatch itself is a dict lookup on the kind, never on the value.
     """
-    kind = ActivationKind(kind)
+    spec = SPECS[ActivationKind(kind)]
     if protected:
-        return _PROTECTED_CORES[kind](_as_f32(x))
-    return _REFERENCES[kind](x)
+        return spec.core(as_f32(x))
+    return spec.reference(x)

@@ -21,17 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .activations import (
-    ActivationKind,
-    _gelu_core,
-    _sigmoid_core,
-    _swish_core,
-    _tanh_core,
-    gelu_ref,
-    sigmoid_ref,
-    swish_ref,
-    tanh_ref,
-)
+from .activations import SPECS, ActivationKind
+from .ctselect import as_f32
 from .grids import inclusive_grid
 from .pade import DENOMINATOR_EXACT, NUMERATOR_EXACT
 
@@ -46,21 +37,6 @@ __all__ = [
 
 _P64 = tuple(float(c) for c in NUMERATOR_EXACT)
 _Q64 = tuple(float(c) for c in DENOMINATOR_EXACT)
-
-_CORES = {
-    ActivationKind.SIGMOID: _sigmoid_core,
-    ActivationKind.TANH: _tanh_core,
-    ActivationKind.GELU: _gelu_core,
-    ActivationKind.SWISH: _swish_core,
-}
-_REFS = {
-    ActivationKind.SIGMOID: sigmoid_ref,
-    ActivationKind.TANH: tanh_ref,
-    ActivationKind.GELU: gelu_ref,
-    ActivationKind.SWISH: swish_ref,
-}
-
-_SWEEPABLE = (ActivationKind.GELU, ActivationKind.SWISH)
 
 
 @dataclass(frozen=True)
@@ -88,17 +64,19 @@ class ThresholdSolution:
 def error_metrics(kind, lo: float, hi: float, step: float) -> ErrorReport:
     """MSE, RMSE and max-abs error of a protected kernel over a grid.
 
-    relu is rejected: it is exact by construction (a bit-equality check, not
-    an approximation error, is the meaningful statement about it).
+    Kinds without a saturation threshold (relu) are rejected: they are exact
+    by construction (a bit-equality check, not an approximation error, is
+    the meaningful statement about them).
     """
     kind = ActivationKind(kind)
-    if kind == ActivationKind.RELU:
+    spec = SPECS[kind]
+    if spec.threshold is None:
         raise ValueError(
-            "relu carries no approximation error; verify bit-exactness instead"
+            f"{kind} carries no approximation error; verify bit-exactness instead"
         )
     grid = inclusive_grid(lo, hi, step)
-    protected = _CORES[kind](grid).astype(np.float64)
-    reference = np.array([_REFS[kind](x) for x in grid], dtype=np.float64)
+    protected = spec.core(grid).astype(np.float64)
+    reference = np.array([spec.reference(x) for x in grid], dtype=np.float64)
     diff = protected - reference
     mse = float(np.mean(diff * diff))
     abs_diff = np.abs(diff)
@@ -187,21 +165,23 @@ def threshold_sweep(kind, candidates: Sequence[float],
                     lo: float, hi: float, step: float) -> list:
     """Max-abs error as a function of the saturation threshold.
 
-    Supported for the empirically thresholded kinds (gelu, swish); the
-    sigmoid/tanh thresholds come from the balancing solve instead.  Returns
-    (threshold, max_abs) pairs over the given grid.
+    Supported for the empirically thresholded kinds, those whose spec lists
+    sweep candidates (gelu, swish); the sigmoid/tanh thresholds come from
+    the balancing solve instead.  Returns (threshold, max_abs) pairs over
+    the given grid.
     """
     kind = ActivationKind(kind)
-    if kind not in _SWEEPABLE:
-        raise ValueError(f"threshold sweep applies to gelu and swish, not {kind}")
+    spec = SPECS[kind]
+    if not spec.sweep:
+        sweepable = " and ".join(k.value for k, other in SPECS.items() if other.sweep)
+        raise ValueError(f"threshold sweep applies to {sweepable}, not {kind}")
     grid = inclusive_grid(lo, hi, step)
-    reference = np.array([_REFS[kind](x) for x in grid], dtype=np.float64)
-    core = _CORES[kind]
+    reference = np.array([spec.reference(x) for x in grid], dtype=np.float64)
     results = []
     for candidate in candidates:
-        t32 = np.float32(candidate)
-        if not (np.isfinite(t32) and t32 > 0):
+        t32 = as_f32(candidate)
+        if not t32 > 0:
             raise ValueError(f"candidate threshold must be positive, got {candidate}")
-        values = core(grid, threshold=t32).astype(np.float64)
+        values = spec.core(grid, threshold=t32).astype(np.float64)
         results.append((float(t32), float(np.max(np.abs(values - reference)))))
     return results

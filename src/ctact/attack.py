@@ -47,7 +47,6 @@ __all__ = [
     "calibrated_delay",
     "default_desync_model",
     "constant_time_model",
-    "simulate_latency",
     "fit_template",
     "score_increment",
     "profile_phase",
@@ -252,12 +251,6 @@ def constant_time_model(delay: DelaySpec | None = None) -> DeviceTimingModel:
     )
 
 
-def simulate_latency(model: DeviceTimingModel, kind, x,
-                     rng: np.random.Generator) -> float:
-    """One latency observation in microseconds for a call with input x."""
-    return float(model.latencies_us(kind, np.asarray([float(x)]), rng)[0])
-
-
 @dataclass(frozen=True)
 class GaussianTemplate:
     """Gaussian timing profile of one activation class."""
@@ -287,14 +280,12 @@ def fit_template(kind, samples: Sequence[float]) -> GaussianTemplate:
     return GaussianTemplate(ActivationKind(kind), mean, var, int(values.size))
 
 
-def score_increment(template: GaussianTemplate, observed_us: float) -> float:
-    """Log-likelihood contribution of one observation under a template."""
+def score_increment(template: GaussianTemplate, observed_us):
+    """Log-likelihood contribution of observations under a template.
+
+    Takes one observation (a float) or an array of them (elementwise).
+    """
     residual = observed_us - template.mean_us
-    return -(math.log(template.var_us2) + residual * residual / template.var_us2)
-
-
-def _score_increments(template: GaussianTemplate, observed: np.ndarray) -> np.ndarray:
-    residual = observed - template.mean_us
     return -(math.log(template.var_us2) + residual * residual / template.var_us2)
 
 
@@ -348,7 +339,7 @@ def run_attack(model: DeviceTimingModel, templates: Mapping, true_kind,
     inputs = rng.uniform(INPUT_RANGE[0], INPUT_RANGE[1], n_measurements)
     observed = model.latencies_us(true_kind, inputs, rng)
     history = {
-        kind: np.cumsum(_score_increments(template, observed))
+        kind: np.cumsum(score_increment(template, observed))
         for kind, template in templates.items()
     }
     rivals = np.max([history[k] for k in history if k != true_kind], axis=0)

@@ -35,10 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .activations import (
-    ActivationKind,
-    DEFAULT_THRESHOLDS,
-)
+from .activations import SPECS, ActivationKind
 from .analysis import error_metrics, balancing_errors, solve_tanh_threshold, threshold_sweep
 from .attack import (
     BASE_CYCLES_DESYNC,
@@ -62,8 +59,6 @@ EXIT_RUNTIME = 3
 OUT_DIR_ENV = "CTACT_OUT_DIR"
 
 _ALL_KINDS = tuple(ActivationKind)
-_SMOOTH_KINDS = (ActivationKind.SIGMOID, ActivationKind.TANH,
-                 ActivationKind.GELU, ActivationKind.SWISH)
 
 
 class UsageError(Exception):
@@ -108,6 +103,18 @@ class ExperimentConfig:
     assert_rmse: dict | None = None
 
     def validate(self) -> None:
+        for field in dataclasses.fields(self):
+            _check_type(field.name, getattr(self, field.name), field.type)
+        if self.interval is not None and not (
+                isinstance(self.interval, (list, tuple)) and len(self.interval) == 2
+                and all(_is_number(v) for v in self.interval)):
+            raise UsageError(f"interval must be two numbers: lo hi, got {self.interval!r}")
+        for name in ("assert_max_abs", "assert_rmse"):
+            for kind_name, bound in (getattr(self, name) or {}).items():
+                _parse_kind_list([kind_name], (), label=f"{name} kind")
+                if not _is_number(bound):
+                    raise UsageError(f"{name} bound for {kind_name} must be a number, "
+                                     f"got {bound!r}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {self.format!r}")
         if self.grid is not None and self.grid not in ("dense", "wide", "both"):
@@ -119,17 +126,35 @@ class ExperimentConfig:
         if self.delay_distribution not in ("uniform", "truncated-gaussian"):
             raise UsageError(f"bad delay distribution: {self.delay_distribution!r}")
         for name in ("repetitions", "n_attack_max", "trials"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
         if self.n_prof < 2:
             raise UsageError("n_prof must be >= 2")
-        if self.history_trials < 0:
-            raise UsageError("history_trials must be >= 0")
+        for name in ("seed", "history_trials"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0")
         if self.clock_hz <= 0:
             raise UsageError("clock_hz must be positive")
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+# Annotation (without "| None") -> accepted types.  bool is an int subclass,
+# so _check_type keeps it out of the numeric fields explicitly.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(name: str, value, annotation: str) -> None:
+    base, _, optional = annotation.partition(" | ")
+    if base not in _FIELD_TYPES or (value is None and optional == "None"):
+        return
+    if not isinstance(value, _FIELD_TYPES[base]) or (
+            isinstance(value, bool) and base != "bool"):
+        raise UsageError(f"{name} must be of type {base}, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -167,6 +192,8 @@ def _parse_kind_list(value, default, label: str = "kind"):
     items = value
     if isinstance(value, str):
         items = [part.strip() for part in value.split(",") if part.strip()]
+    elif not isinstance(value, list):
+        raise UsageError(f"{label} list must be a comma string or a list, got {value!r}")
     if not items:
         raise UsageError(f"empty {label} list")
     kinds = []
@@ -188,10 +215,7 @@ def _resolve_grids(cfg: ExperimentConfig, default_named: str) -> list:
             raise UsageError(f"step must be positive, got {cfg.step}")
         if cfg.interval is None or cfg.step is None:
             raise UsageError("a custom grid needs both --interval and --step")
-        interval = list(cfg.interval)
-        if len(interval) != 2:
-            raise UsageError("interval must be two numbers: lo hi")
-        spec = GridSpec(float(interval[0]), float(interval[1]), float(cfg.step))
+        spec = GridSpec(float(cfg.interval[0]), float(cfg.interval[1]), float(cfg.step))
         try:
             inclusive_grid(*spec)  # validates bounds and step
         except ValueError as exc:
@@ -242,9 +266,11 @@ _ERRORS_CSV_HEADER = ("kind", "lo", "hi", "step", "n_points",
 
 
 def cmd_errors(cfg: ExperimentConfig) -> int:
-    kinds = _parse_kind_list(cfg.kinds, _SMOOTH_KINDS)
-    if ActivationKind.RELU in kinds:
-        raise UsageError("relu is exact; error metrics apply to the smooth kinds")
+    smooth = [kind for kind, spec in SPECS.items() if spec.threshold is not None]
+    kinds = _parse_kind_list(cfg.kinds, smooth)
+    exact = [kind.value for kind in kinds if kind not in smooth]
+    if exact:
+        raise UsageError(f"{', '.join(exact)} is exact; error metrics apply to the smooth kinds")
     path = _output_path(cfg, f"errors.{cfg.format}")
     reports = [
         error_metrics(kind, spec.lo, spec.hi, spec.step)
@@ -524,53 +550,48 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
 
 # -- thresholds --------------------------------------------------------------------
 
-_GELU_SWEEP = tuple(round(3.0 + 0.1 * i, 1) for i in range(15))   # 3.0 .. 4.4
-_SWISH_SWEEP = tuple(round(6.5 + 0.25 * i, 2) for i in range(13))  # 6.5 .. 9.5
-
-
 def cmd_thresholds(cfg: ExperimentConfig) -> int:
     if cfg.tolerance <= 0:
         raise UsageError(f"tolerance must be positive, got {cfg.tolerance}")
     path = _output_path(cfg, f"thresholds.{cfg.format}")
     solution = solve_tanh_threshold(float(cfg.tolerance))
     approx_err, sat_err = balancing_errors(solution.threshold)
-    payload = {
-        "solved": {
-            "tanh_threshold": solution.threshold,
-            "residual": solution.residual,
-            "iterations": solution.iterations,
-            "approximation_error": approx_err,
-            "saturation_error": sat_err,
-            "provenance": "balanced-error bisection",
-        },
-        "derived": {
-            "sigmoid_threshold": 2.0 * solution.threshold,
-            "provenance": "doubled tanh threshold",
-        },
-        "stored_constants": {
-            "tanh": {"value": _f32_num(DEFAULT_THRESHOLDS.tanh),
-                     "provenance": "binary32 nearest the solved threshold"},
-            "sigmoid": {"value": _f32_num(DEFAULT_THRESHOLDS.sigmoid),
-                        "provenance": "exactly twice the tanh constant"},
-            "gelu": {"value": _f32_num(DEFAULT_THRESHOLDS.gelu),
-                     "provenance": "empirical"},
-            "swish": {"value": _f32_num(DEFAULT_THRESHOLDS.swish),
-                      "provenance": "empirical"},
-        },
-        "stored_vs_solved_gap": abs(float(DEFAULT_THRESHOLDS.tanh) - solution.threshold),
-    }
-    if cfg.sweep:
-        wide = GRID_WIDE
-        payload["sweep"] = {
-            kind.value: [
-                {"threshold": t, "max_abs": err}
-                for t, err in threshold_sweep(kind, candidates, *wide)
-            ]
-            for kind, candidates in ((ActivationKind.GELU, _GELU_SWEEP),
-                                     (ActivationKind.SWISH, _SWISH_SWEEP))
-        }
+    # Stored constants, solved and derived first, then the swept ones.
+    constants = [
+        (ActivationKind.TANH, "binary32 nearest the solved threshold"),
+        (ActivationKind.SIGMOID, "exactly twice the tanh constant"),
+    ] + [(kind, "empirical") for kind, spec in SPECS.items() if spec.sweep]
+    sweeps = {
+        kind: threshold_sweep(kind, spec.sweep, *GRID_WIDE)
+        for kind, spec in SPECS.items() if spec.sweep
+    } if cfg.sweep else {}
 
     if cfg.format == "json":
+        payload = {
+            "solved": {
+                "tanh_threshold": solution.threshold,
+                "residual": solution.residual,
+                "iterations": solution.iterations,
+                "approximation_error": approx_err,
+                "saturation_error": sat_err,
+                "provenance": "balanced-error bisection",
+            },
+            "derived": {
+                "sigmoid_threshold": 2.0 * solution.threshold,
+                "provenance": "doubled tanh threshold",
+            },
+            "stored_constants": {
+                kind.value: {"value": _f32_num(SPECS[kind].threshold), "provenance": detail}
+                for kind, detail in constants
+            },
+            "stored_vs_solved_gap": abs(float(SPECS[ActivationKind.TANH].threshold)
+                                        - solution.threshold),
+        }
+        if cfg.sweep:
+            payload["sweep"] = {
+                kind.value: [{"threshold": t, "max_abs": err} for t, err in pairs]
+                for kind, pairs in sweeps.items()
+            }
         _write_json(path, payload)
     else:
         rows = [
@@ -578,25 +599,20 @@ def cmd_thresholds(cfg: ExperimentConfig) -> int:
             ("residual", repr(solution.residual), "solver"),
             ("iterations", str(solution.iterations), "solver"),
             ("sigmoid_threshold_derived", repr(2.0 * solution.threshold), "doubled tanh threshold"),
-            ("tanh_constant", _f32_str(DEFAULT_THRESHOLDS.tanh), "binary32 nearest the solved threshold"),
-            ("sigmoid_constant", _f32_str(DEFAULT_THRESHOLDS.sigmoid), "exactly twice the tanh constant"),
-            ("gelu_constant", _f32_str(DEFAULT_THRESHOLDS.gelu), "empirical"),
-            ("swish_constant", _f32_str(DEFAULT_THRESHOLDS.swish), "empirical"),
         ]
-        if cfg.sweep:
-            for kind, candidates in ((ActivationKind.GELU, _GELU_SWEEP),
-                                     (ActivationKind.SWISH, _SWISH_SWEEP)):
-                for t, err in threshold_sweep(kind, candidates, *GRID_WIDE):
-                    rows.append((f"sweep_{kind.value}", repr(t), repr(err)))
+        rows += [(f"{kind.value}_constant", _f32_str(SPECS[kind].threshold), detail)
+                 for kind, detail in constants]
+        rows += [(f"sweep_{kind.value}", repr(t), repr(err))
+                 for kind, pairs in sweeps.items() for t, err in pairs]
         _write_csv(path, ("name", "value", "detail"), rows)
 
     print(f"solved tanh threshold {solution.threshold:.10f} "
           f"(residual {solution.residual:.2e}, {solution.iterations} iterations)")
     print(f"derived sigmoid threshold {2.0 * solution.threshold:.10f}")
-    print(f"stored constants: tanh {_f32_str(DEFAULT_THRESHOLDS.tanh)}, "
-          f"sigmoid {_f32_str(DEFAULT_THRESHOLDS.sigmoid)}, "
-          f"gelu {_f32_str(DEFAULT_THRESHOLDS.gelu)} (empirical), "
-          f"swish {_f32_str(DEFAULT_THRESHOLDS.swish)} (empirical)")
+    print("stored constants: " + ", ".join(
+        f"{kind.value} {_f32_str(SPECS[kind].threshold)}"
+        + (" (empirical)" if detail == "empirical" else "")
+        for kind, detail in constants))
     print(f"wrote {path}")
     return EXIT_OK
 

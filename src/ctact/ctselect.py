@@ -1,4 +1,4 @@
-"""Branchless binary32 selection primitives.
+"""Branchless binary32 selection primitives and the binary32 input check.
 
 Data-independent building blocks for the constant-time activation kernels:
 mask materialisation from comparison results, bitwise two-way selection,
@@ -6,18 +6,15 @@ clamping, and sign extraction.  None of these functions contain conditional
 control flow on the value being processed; every call executes the same
 opcode sequence for every input (the trace harness verifies this).
 
-Public functions operate on scalars and validate their inputs.  The module
-also exposes array-capable kernels (underscore names) that skip validation;
-the activation kernels build on those.
+The kernels take binary32 scalars or arrays and do not validate them.
+as_f32 is the one place where scalar inputs are rounded to binary32 and
+checked for finiteness; every public scalar entry point calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import _ops
 from ._ops import (
     U32_ABS_MASK,
     U32_SIGN_BIT,
@@ -31,64 +28,29 @@ from ._ops import (
     u_or,
 )
 
-__all__ = [
-    "Mask32",
-    "MASK_ALL_ZEROS",
-    "MASK_ALL_ONES",
-    "mask_from_bool",
-    "ct_select_f32",
-    "ct_gt_mask",
-    "ct_lt_mask",
-    "ct_clamp",
-    "ct_sign",
-    "float32_bits",
-    "bits_to_float32",
-]
+__all__ = ["as_f32"]
 
 _ONE_BITS = np.float32(1.0).view(np.uint32)  # encoding of +1.0
 
 
-@dataclass(frozen=True)
-class Mask32:
-    """A 32-bit selection mask: all zeros or all ones, nothing else."""
-
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits not in (0x00000000, 0xFFFFFFFF):
-            raise ValueError(
-                f"mask must be 0x00000000 or 0xFFFFFFFF, got {self.bits:#010x}"
-            )
-
-    def __invert__(self) -> "Mask32":
-        return Mask32(self.bits ^ 0xFFFFFFFF)
+# Doubles of this magnitude or more round to infinity in binary32:
+# 2**128 - 2**103 lies halfway between FLT_MAX and 2**128, and ties round
+# to the even neighbour, which is 2**128.
+_F32_OVERFLOW = 2.0**128 - 2.0**103
 
 
-MASK_ALL_ZEROS = Mask32(0x00000000)
-MASK_ALL_ONES = Mask32(0xFFFFFFFF)
+def as_f32(x) -> np.float32:
+    """Round a numeric scalar to binary32 and insist on a finite result.
 
-
-def _as_f32(x, name: str = "x") -> np.float32:
-    """Round a numeric input to binary32 and insist on a finite result."""
-    v = np.float32(x)
-    if not np.isfinite(v):
-        raise ValueError(f"{name} must be finite in binary32, got {v!r}")
-    return v
-
-
-def float32_bits(x) -> int:
-    """32-bit unsigned encoding of a finite binary32 value."""
-    return int(_as_f32(x).view(np.uint32))
-
-
-def bits_to_float32(bits: int) -> np.float32:
-    """Binary32 value for a 32-bit encoding; the encoding must be finite."""
-    if not 0 <= bits <= 0xFFFFFFFF:
-        raise ValueError(f"encoding out of 32-bit range: {bits:#x}")
-    v = np.uint32(bits).view(np.float32)
-    if not np.isfinite(v):
-        raise ValueError(f"encoding {bits:#010x} is not a finite value")
-    return v
+    The magnitude is checked on the double before the cast, so an input
+    that would overflow is rejected without numpy's overflow warning and
+    without the cost of an errstate context on every call.
+    """
+    if not abs(float(x)) < _F32_OVERFLOW:  # also false for NaN
+        with np.errstate(over="ignore"):
+            v = np.float32(x)
+        raise ValueError(f"input must be finite in binary32, got {v!r}")
+    return np.float32(x)
 
 
 # -- array-capable kernels (no validation, used by the activation kernels) --
@@ -124,58 +86,3 @@ def _sign(x):
 
 def _abs(x):
     return from_bits(u_and(to_bits(x), U32_ABS_MASK))
-
-
-# -- public scalar API -------------------------------------------------------
-
-def mask_from_bool(flag: bool) -> Mask32:
-    """All-ones mask for True, all-zeros for False."""
-    raw = bool_to_mask(np.bool_(bool(flag)))
-    return Mask32(int(raw))
-
-
-def ct_select_f32(a, b, mask: Mask32) -> np.float32:
-    """Return ``a`` when the mask is all zeros, ``b`` when it is all ones.
-
-    Selection happens on the 32-bit encodings, so the chosen operand is
-    reproduced bit-exactly (signed zeros included).
-    """
-    if not isinstance(mask, Mask32):
-        raise TypeError("mask must be a Mask32")
-    va = _as_f32(a, "a")
-    vb = _as_f32(b, "b")
-    return _select(va, vb, np.uint32(mask.bits))
-
-
-def ct_gt_mask(x, threshold) -> Mask32:
-    """Mask that is all ones iff ``x > threshold``."""
-    raw = _gt_mask(_as_f32(x), _as_f32(threshold, "threshold"))
-    return Mask32(int(raw))
-
-
-def ct_lt_mask(x, threshold) -> Mask32:
-    """Mask that is all ones iff ``x < threshold``."""
-    raw = _lt_mask(_as_f32(x), _as_f32(threshold, "threshold"))
-    return Mask32(int(raw))
-
-
-def ct_clamp(x, lo, hi) -> np.float32:
-    """Clamp ``x`` to ``[lo, hi]`` with two mask selects, no branches.
-
-    Interior values pass through bit-exactly; out-of-range values are
-    replaced by the corresponding bound's exact encoding.
-    """
-    vlo = _as_f32(lo, "lo")
-    vhi = _as_f32(hi, "hi")
-    if vlo > vhi:
-        raise ValueError(f"empty clamp interval: lo={vlo!r} > hi={vhi!r}")
-    return _clamp(_as_f32(x), vlo, vhi)
-
-
-def ct_sign(x) -> np.float32:
-    """+1.0 for positive or +0.0 input, -1.0 for negative or -0.0 input.
-
-    Copies the sign bit onto 1.0, so ct_sign(+0.0) = +1.0 and
-    ct_sign(-0.0) = -1.0.
-    """
-    return _sign(_as_f32(x))

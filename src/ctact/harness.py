@@ -6,11 +6,9 @@ abstraction exactly when its trace is identical for every input.
 
 Protected kernels are traced by running them under the recording context.
 Unprotected references are libm calls, so there is no op sequence to record
-directly; instead each reference routes through a small instrumented model
-of how such a function executes (argument-reduction exponential with an
-input-dependent number of halving and squaring steps, plus a fixed
-polynomial).  The model's arithmetic drives the trace; its numeric output is
-discarded and trace_eval returns the reference value, bit-equal to
+directly; instead the kind's instrumented model (see activations.SPECS) runs
+under the recorder.  The model's arithmetic drives the trace; its numeric
+output is discarded and trace_eval returns the reference value, bit-equal to
 evaluate(kind, x, protected=False).
 """
 
@@ -23,25 +21,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from . import _ops
-from ._ops import (
-    CONTROL_FLOW_TAGS,
-    cond_move,
-    f_add,
-    f_div,
-    f_gt,
-    f_mul,
-    f_neg,
-    recording,
-    take_branch,
-)
-from .activations import (
-    _PROTECTED_CORES,
-    _REFERENCES,
-    ActivationKind,
-    evaluate,
-)
-from .ctselect import _abs, _sign
+from ._ops import CONTROL_FLOW_TAGS, recording
+from .activations import SPECS, ActivationKind, evaluate
+from .ctselect import as_f32
 
 __all__ = [
     "OpTrace",
@@ -55,11 +37,6 @@ __all__ = [
     "measure_host",
     "welch_t_test",
 ]
-
-_HALF = np.float32(0.5)
-_ONE = np.float32(1.0)
-_ZERO = np.float32(0.0)
-
 
 class NonUniformTraceError(AssertionError):
     """A kind that was required to be trace-uniform turned out not to be."""
@@ -109,80 +86,6 @@ class WelchResult:
     leak: bool
 
 
-# -- instrumented models for the unprotected references ----------------------
-
-_EXP_C = tuple(np.float32(c) for c in (1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0))
-_ERF_SLOPE = np.float32(0.3275911)
-_ERF_C = tuple(np.float32(c) for c in
-               (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
-_INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
-
-
-def _model_exp(t):
-    # Halve the argument until it is small (data-dependent trip count),
-    # evaluate a fixed polynomial, then square once per halving.
-    halvings = 0
-    while True:
-        reduce_more = f_gt(_abs(t), _HALF)
-        take_branch()
-        if not reduce_more:
-            break
-        t = f_mul(t, _HALF)
-        halvings += 1
-    p = _EXP_C[4]
-    for c in (_EXP_C[3], _EXP_C[2], _EXP_C[1], _EXP_C[0]):
-        p = f_add(f_mul(p, t), c)
-    for _ in range(halvings):
-        p = f_mul(p, p)
-        take_branch()
-    return p
-
-
-def _model_relu(x):
-    # A compiler lowers the short ternary to one predicated move.
-    return cond_move(f_gt(x, _ZERO), x, _ZERO)
-
-
-def _model_sigmoid(x):
-    e = _model_exp(f_neg(x))
-    return f_div(_ONE, f_add(_ONE, e))
-
-
-def _model_tanh(x):
-    grow = _model_exp(x)
-    decay = _model_exp(f_neg(x))
-    return f_div(f_add(grow, f_neg(decay)), f_add(grow, decay))
-
-
-def _model_erf(u):
-    a = _abs(u)
-    t = f_div(_ONE, f_add(_ONE, f_mul(_ERF_SLOPE, a)))
-    poly = _ERF_C[4]
-    for c in (_ERF_C[3], _ERF_C[2], _ERF_C[1], _ERF_C[0]):
-        poly = f_add(f_mul(poly, t), c)
-    poly = f_mul(poly, t)
-    tail = f_mul(poly, _model_exp(f_neg(f_mul(a, a))))
-    return f_mul(f_add(_ONE, f_neg(tail)), _sign(u))
-
-
-def _model_gelu(x):
-    cdf = f_mul(_HALF, f_add(_ONE, _model_erf(f_mul(x, _INV_SQRT2))))
-    return f_mul(x, cdf)
-
-
-def _model_swish(x):
-    return f_mul(x, _model_sigmoid(x))
-
-
-_REFERENCE_MODELS = {
-    ActivationKind.RELU: _model_relu,
-    ActivationKind.SIGMOID: _model_sigmoid,
-    ActivationKind.TANH: _model_tanh,
-    ActivationKind.GELU: _model_gelu,
-    ActivationKind.SWISH: _model_swish,
-}
-
-
 # -- tracing -----------------------------------------------------------------
 
 def trace_eval(kind, x, protected: bool = True):
@@ -194,16 +97,15 @@ def trace_eval(kind, x, protected: bool = True):
     shapes the trace while the returned value comes from the reference.
     """
     kind = ActivationKind(kind)
-    v = np.float32(x)
-    if not np.isfinite(v):
-        raise ValueError(f"input must be finite in binary32, got {v!r}")
+    spec = SPECS[kind]
+    v = as_f32(x)
     with recording() as ops:
         if protected:
-            value = _PROTECTED_CORES[kind](v)
+            value = spec.core(v)
         else:
             with np.errstate(all="ignore"):
-                _REFERENCE_MODELS[kind](v)  # trace only; result discarded
-            value = _REFERENCES[kind](v)
+                spec.model(v)  # trace only; result discarded
+            value = spec.reference(v)
     return OpTrace(kind, protected, tuple(ops)), value
 
 

@@ -20,18 +20,18 @@ because u = (-x)*(-x) rounds to the identical product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._ops import f_add, f_div, f_mul
+from .ctselect import as_f32
 
 __all__ = [
-    "PadeCoefficients",
     "NUMERATOR_EXACT",
     "DENOMINATOR_EXACT",
-    "DEFAULT_COEFFICIENTS",
+    "NUMERATOR_F32",
+    "DENOMINATOR_F32",
     "rational_tanh",
 ]
 
@@ -50,27 +50,12 @@ DENOMINATOR_EXACT: tuple[Fraction, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class PadeCoefficients:
-    """Binary32 coefficient set for the rational core, low order first."""
+# The round-to-nearest binary32 values the kernel binds.
+NUMERATOR_F32 = tuple(np.float32(float(c)) for c in NUMERATOR_EXACT)
+DENOMINATOR_F32 = tuple(np.float32(float(c)) for c in DENOMINATOR_EXACT)
 
-    numerator: tuple
-    denominator: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.numerator) != 4 or len(self.denominator) != 4:
-            raise ValueError("both polynomials must have exactly 4 coefficients")
-        if self.numerator[0] != np.float32(1.0) or self.denominator[0] != np.float32(1.0):
-            raise ValueError("constant terms must be exactly 1.0")
-
-
-DEFAULT_COEFFICIENTS = PadeCoefficients(
-    numerator=tuple(np.float32(float(c)) for c in NUMERATOR_EXACT),
-    denominator=tuple(np.float32(float(c)) for c in DENOMINATOR_EXACT),
-)
-
-_P0, _P1, _P2, _P3 = DEFAULT_COEFFICIENTS.numerator
-_Q0, _Q1, _Q2, _Q3 = DEFAULT_COEFFICIENTS.denominator
+_P0, _P1, _P2, _P3 = NUMERATOR_F32
+_Q0, _Q1, _Q2, _Q3 = DENOMINATOR_F32
 
 
 def _rational_tanh(x):
@@ -92,7 +77,4 @@ def rational_tanh(x) -> np.float32:
     activation kernels; callers are expected to clamp first.  The evaluation
     itself is defined for any input whose powers stay finite in binary32.
     """
-    v = np.float32(x)
-    if not np.isfinite(v):
-        raise ValueError(f"input must be finite in binary32, got {v!r}")
-    return _rational_tanh(v)
+    return _rational_tanh(as_f32(x))

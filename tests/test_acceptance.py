@@ -7,6 +7,7 @@ margins over the observed values, so they are stable, not tuned-to-pass.
 """
 
 import csv
+import hashlib
 import json
 from collections import Counter
 
@@ -30,7 +31,6 @@ from ctact.attack import (
     default_desync_model,
     profile_phase,
 )
-from ctact.ctselect import float32_bits
 from ctact.grids import inclusive_grid
 from ctact.harness import check_uniformity, trace_eval
 
@@ -40,6 +40,10 @@ ATTACK_CLASSES = (K.RELU, K.SIGMOID, K.TANH)
 
 DENSE = (-8.0, 8.0, 0.01)
 WIDE = (-500.0, 500.0, 1.0)
+
+
+def float32_bits(x) -> int:
+    return int(np.float32(x).view(np.uint32))
 
 
 def _verdict(number: int, name: str, ok: bool) -> bool:
@@ -296,6 +300,58 @@ def _comparable(path):
         return [{k: v for k, v in row.items() if k not in _BENCH_TIMING_KEYS}
                 for row in rows]
     return path.read_bytes()
+
+
+def _digest(path) -> str:
+    comparable = _comparable(path)
+    if not isinstance(comparable, bytes):
+        comparable = json.dumps(comparable, sort_keys=True).encode()
+    return hashlib.sha256(comparable).hexdigest()
+
+
+# sha256 of every artifact the _CLI_RUNS write, in both output formats where
+# the command has a --format choice, with bench wall times projected out as
+# in _comparable.  Criterion 10 compares two runs of one tree; these pins
+# compare the tree with the recorded output, so a refactor that changes any
+# emitted byte fails here.  The errors digests depend on the platform libm
+# (math.tanh, math.exp, math.erf); they were recorded on x86-64 glibc.
+_ARTIFACT_DIGESTS = {
+    ("errors", "csv"): {
+        "errors.csv": "c1c1ed2896f1530ed7d687e6c5cdc1bf692ad986b0f0c7a569875cadbb32567f",
+    },
+    ("errors", "json"): {
+        "errors.json": "72adbe23dc82457d0bb749283b13858a3ba1adf6fa8eade01963643b67ea1b08",
+    },
+    ("traces", "csv"): {
+        "traces.csv": "51cf3fa42e7526c4c9dc75bb3a414515762099d21231d8714712a8a10d7ec48d",
+    },
+    ("traces", "json"): {
+        "traces.json": "8e661b02b3523f4710010f1c55bd32a34503e7ee748d0d4711a8185b3e71d90a",
+    },
+    ("bench", "csv"): {
+        "bench_samples.csv": "c60d86575d78f97b8e278a1e9de33121c4194aafffa0eca9bc8b61e095d4d1b3",
+        "bench_summary.json": "a04a47fc06d1d4976cf49cf06a007dcfb99a032024e8cf5eda8bd02971666581",
+    },
+    ("attack", "csv"): {
+        "attack_scores.csv": "cc059225759341a704cb37ea83b869fb77317895a67a0a18b84fcd4be3eed081",
+        "attack_summary.json": "4383982c3343e623305a5fc5a6bebe54995dbd090c0159d7b6348c2c4d48390e",
+    },
+    ("thresholds", "csv"): {
+        "thresholds.csv": "4d64bb9a67ac94a05f6c36dd780afef9bd23d7d55bf555f70e05ae0abda563f4",
+    },
+    ("thresholds", "json"): {
+        "thresholds.json": "ba1019142b7c8d89f49a3205fdcaa9decca3e0388e92f1f9958efb06e030b687",
+    },
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(_ARTIFACT_DIGESTS))
+def test_cli_artifact_digests(name, fmt, tmp_path, capsys):
+    argv = dict(_CLI_RUNS)[name]
+    assert cli.main([*argv, "--format", fmt, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {p.name: _digest(p) for p in sorted(tmp_path.iterdir())}
+    assert got == _ARTIFACT_DIGESTS[(name, fmt)]
 
 
 def test_criterion_10_cli_determinism(tmp_path, capsys):

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctact._ops import OP_BRANCH, recording
+from ctact.analysis import error_metrics, threshold_sweep
+
 from ctact.activations import (
-    DEFAULT_THRESHOLDS,
     GELU_THRESHOLD,
     SIGMOID_THRESHOLD,
+    SPECS,
     SWISH_BETA,
     SWISH_THRESHOLD,
     TANH_THRESHOLD,
     ActivationKind,
-    Thresholds,
     evaluate,
     gelu_protected,
     gelu_ref,
@@ -42,14 +44,60 @@ class TestThresholdConstants:
         assert SWISH_THRESHOLD == np.float32(8.0)
         assert SWISH_BETA == np.float32(1.0)
 
-    def test_dataclass_validation(self):
-        assert DEFAULT_THRESHOLDS.tanh == TANH_THRESHOLD
-        with pytest.raises(ValueError):
-            Thresholds(tanh=np.float32(4.5))  # breaks the exact-doubling link
-        with pytest.raises(ValueError):
-            Thresholds(tanh=np.float32(6.0), sigmoid=np.float32(12.0))  # out of range
-        with pytest.raises(ValueError):
-            Thresholds(gelu=np.float32(-1.0))
+    def test_ranges(self):
+        # The tanh constant sits next to the balanced-error root 4.97; the
+        # empirical gelu and swish constants are finite and positive.
+        assert np.float32(4.90) <= TANH_THRESHOLD <= np.float32(5.05)
+        for threshold in (GELU_THRESHOLD, SWISH_THRESHOLD):
+            assert np.isfinite(threshold) and threshold > 0
+        for threshold in (TANH_THRESHOLD, SIGMOID_THRESHOLD, GELU_THRESHOLD, SWISH_THRESHOLD):
+            assert type(threshold) is np.float32
+
+
+class TestRegistry:
+    def test_every_kind_has_a_complete_spec(self):
+        assert list(SPECS) == list(ActivationKind)
+        for kind, spec in SPECS.items():
+            assert callable(spec.core) and callable(spec.reference)
+            assert callable(spec.model)
+            assert spec.threshold is None or type(spec.threshold) is np.float32
+            assert isinstance(spec.sweep, tuple)
+            assert all(c > 0 for c in spec.sweep)
+            # The model shapes a trace with real control flow; the core's
+            # trace has none.
+            with recording() as ops:
+                spec.core(np.float32(0.5))
+            assert ops and OP_BRANCH not in ops
+            with recording() as ops, np.errstate(all="ignore"):
+                spec.model(np.float32(0.5))
+            assert ops
+
+    def test_thresholds_are_the_module_constants(self):
+        assert SPECS[ActivationKind.RELU].threshold is None
+        assert SPECS[ActivationKind.SIGMOID].threshold == SIGMOID_THRESHOLD
+        assert SPECS[ActivationKind.TANH].threshold == TANH_THRESHOLD
+        assert SPECS[ActivationKind.GELU].threshold == GELU_THRESHOLD
+        assert SPECS[ActivationKind.SWISH].threshold == SWISH_THRESHOLD
+
+    def test_sweeps_bracket_the_empirical_thresholds(self):
+        for kind in (ActivationKind.GELU, ActivationKind.SWISH):
+            spec = SPECS[kind]
+            assert min(spec.sweep) < spec.threshold < max(spec.sweep)
+            assert spec.threshold in [np.float32(c) for c in spec.sweep]
+
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_analyses_reject_exactly_the_kinds_without_the_data(self, kind):
+        spec = SPECS[kind]
+        if spec.threshold is None:
+            with pytest.raises(ValueError):
+                error_metrics(kind, -1.0, 1.0, 0.5)
+        else:
+            assert error_metrics(kind, -1.0, 1.0, 0.5).n_points == 5
+        if not spec.sweep:
+            with pytest.raises(ValueError):
+                threshold_sweep(kind, [1.0], -1.0, 1.0, 0.5)
+        else:
+            assert len(threshold_sweep(kind, spec.sweep, -1.0, 1.0, 0.5)) == len(spec.sweep)
 
 
 class TestRelu:

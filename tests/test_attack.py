@@ -21,7 +21,6 @@ from ctact.attack import (
     profile_phase,
     run_attack,
     score_increment,
-    simulate_latency,
 )
 
 RELU, SIGMOID, TANH = (ActivationKind.RELU, ActivationKind.SIGMOID, ActivationKind.TANH)
@@ -90,35 +89,33 @@ class TestDeviceModel:
         model = default_desync_model(quiet)
         rng = np.random.default_rng(0)
         # x=3 sits in the swing dead zone (neither |x|<2 nor |x|>6).
-        assert simulate_latency(model, RELU, 3.0, rng) == pytest.approx(
-            12 / 84e6 * 1e6, rel=1e-12
+        assert model.latencies_us(RELU, [3.0], rng) == pytest.approx(
+            [12 / 84e6 * 1e6], rel=1e-12
         )
-        assert simulate_latency(model, TANH, 3.0, rng) == pytest.approx(
-            403 / 84e6 * 1e6, rel=1e-12
+        assert model.latencies_us(TANH, [3.0], rng) == pytest.approx(
+            [403 / 84e6 * 1e6], rel=1e-12
         )
 
     def test_input_swing_direction(self):
         quiet = DelaySpec("uniform", low_us=0.0, high_us=0.0)
         model = default_desync_model(quiet)
         rng = np.random.default_rng(0)
-        center = simulate_latency(model, SIGMOID, 3.0, rng)
-        slow = simulate_latency(model, SIGMOID, 0.5, rng)   # |x| < 2
-        fast = simulate_latency(model, SIGMOID, 7.0, rng)   # |x| > 6
+        # |x| = 3 is in the dead zone, |x| < 2 runs slow, |x| > 6 runs fast.
+        center, slow, fast = model.latencies_us(SIGMOID, [3.0, 0.5, 7.0], rng)
         swing = 10 / 84e6 * 1e6
         assert slow == pytest.approx(center + swing, rel=1e-9)
         assert fast == pytest.approx(center - swing, rel=1e-9)
         # relu has no input-dependent term.
-        assert simulate_latency(model, RELU, 0.5, rng) == simulate_latency(
-            model, RELU, 7.0, rng
-        )
+        near, far = model.latencies_us(RELU, [0.5, 7.0], rng)
+        assert near == far
 
     def test_constant_time_model_erases_class_information(self):
         model = constant_time_model(DelaySpec("uniform", low_us=0.0, high_us=0.0))
         rng = np.random.default_rng(0)
         values = {
-            simulate_latency(model, kind, x, rng)
+            float(v)
             for kind in THREE_CLASSES
-            for x in (-7.0, 0.1, 5.0)
+            for v in model.latencies_us(kind, [-7.0, 0.1, 5.0], rng)
         }
         assert len(values) == 1  # identical cycles for every class and input
         assert values.pop() == pytest.approx(88 / 84e6 * 1e6)
@@ -159,6 +156,15 @@ class TestTemplates:
         far = score_increment(t, 30.0)
         assert at_mean > one_sigma > far
         assert one_sigma == pytest.approx(at_mean - 1.0)  # (t-mu)^2/var = 1
+
+    def test_score_increment_is_elementwise(self):
+        # run_attack scores whole arrays; each element must be bit-equal to
+        # the scalar score of that observation.
+        t = GaussianTemplate(SIGMOID, 12.380, 20.575, 2)
+        observed = np.random.default_rng(1).uniform(0.0, 30.0, 64)
+        scores = score_increment(t, observed)
+        assert scores.shape == observed.shape
+        assert scores.tolist() == [score_increment(t, float(o)) for o in observed]
 
     def test_profile_phase_shapes(self):
         model = default_desync_model()

@@ -170,6 +170,19 @@ class TestThresholdsCommand:
         assert set(payload["sweep"]) == {"gelu", "swish"}
         assert len(payload["sweep"]["gelu"]) == 15
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_runs_once_per_kind(self, fmt, tmp_path, monkeypatch):
+        calls = []
+        real = cli.threshold_sweep
+
+        def counting(kind, *args):
+            calls.append(kind)
+            return real(kind, *args)
+
+        monkeypatch.setattr(cli, "threshold_sweep", counting)
+        assert run("thresholds", "--sweep", "--format", fmt, "--out", str(tmp_path)) == 0
+        assert calls == [ActivationKind.GELU, ActivationKind.SWISH]
+
     def test_csv_variant(self, tmp_path):
         assert run("thresholds", "--out", str(tmp_path)) == 0
         rows = read_csv(tmp_path / "thresholds.csv")
@@ -250,6 +263,22 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(content)
         assert run("thresholds", "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command,content", [
+        ("errors", {"assert_max_abs": {"tahn": 1e-3}}),  # misspelt kind
+        ("errors", {"assert_rmse": {"tanh": "small"}}),  # bound not a number
+        ("attack", {"trials": "many"}),
+        ("errors", {"interval": ["a", 1], "step": 0.5}),
+        ("errors", {"kinds": 5}),
+        ("attack", {"seed": -1}),
+    ])
+    def test_bad_config_values_exit_two_before_any_output(self, command, content,
+                                                          tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path):
         assert run("thresholds", "--config", str(tmp_path / "nope.json"),

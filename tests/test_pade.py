@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from ctact._ops import OP_BRANCH, recording
 from ctact.analysis import _rational_tanh_f64, balancing_errors
 from ctact.pade import (
-    DEFAULT_COEFFICIENTS,
     DENOMINATOR_EXACT,
+    DENOMINATOR_F32,
     NUMERATOR_EXACT,
-    PadeCoefficients,
+    NUMERATOR_F32,
     _rational_tanh,
     rational_tanh,
 )
@@ -34,7 +34,7 @@ def test_stored_coefficients_are_nearest_binary32():
     # both of its binary32 neighbours.
     for exact, stored in zip(
         NUMERATOR_EXACT + DENOMINATOR_EXACT,
-        DEFAULT_COEFFICIENTS.numerator + DEFAULT_COEFFICIENTS.denominator,
+        NUMERATOR_F32 + DENOMINATOR_F32,
     ):
         err = abs(Fraction(float(stored)) - exact)
         for direction in (np.float32(np.inf), np.float32(-np.inf)):
@@ -43,11 +43,12 @@ def test_stored_coefficients_are_nearest_binary32():
 
 
 def test_coefficient_validation():
-    good = DEFAULT_COEFFICIENTS
-    with pytest.raises(ValueError):
-        PadeCoefficients(good.numerator[:3], good.denominator)
-    with pytest.raises(ValueError):
-        PadeCoefficients((np.float32(2.0),) + good.numerator[1:], good.denominator)
+    # The kernel binds four binary32 coefficients per polynomial, and both
+    # constant terms are exactly 1.0 (so Q(u) >= 1 for u >= 0).
+    for coefficients in (NUMERATOR_F32, DENOMINATOR_F32):
+        assert len(coefficients) == 4
+        assert all(type(c) is np.float32 for c in coefficients)
+        assert coefficients[0] == np.float32(1.0)
 
 
 def test_value_against_double_tanh():

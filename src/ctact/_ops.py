@@ -9,20 +9,23 @@ routed through the helpers in this module.  Each helper does two things:
 * appends one opcode tag to the active recording context, if there is one.
 
 Recording uses a ``contextvars.ContextVar`` so concurrent evaluations in
-different threads or tasks never share a trace buffer.  When no recording is
-active the per-op overhead is a single context-variable read.
+different threads or tasks never share a trace buffer.  Each op reads the
+variable inline, so when no recording is active the per-op overhead is one
+context-variable read and a ``None`` test, with no extra call frame.
 
 Values flowing through this layer are ``numpy.float32`` / ``numpy.uint32``
 scalars, or arrays of the same dtypes.  Array inputs follow the exact same
 code path and emit the exact same opcode sequence as scalars; elementwise
-results are bit-identical to repeated scalar calls.
+results are bit-identical to repeated scalar calls.  The two bitcasts pick
+a scalar or an array reinterpretation by the operand's type, never by its
+value: numpy's ``view`` is several times slower on a scalar than reading
+the scalar's four bytes.
 """
 
 from __future__ import annotations
 
 import contextvars
-from contextlib import contextmanager
-from typing import Iterator
+import struct
 
 import numpy as np
 
@@ -65,58 +68,69 @@ U32_ABS_MASK = np.uint32(0x7FFFFFFF)
 _recorder: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "ctact_op_recorder", default=None
 )
+_active = _recorder.get  # each op calls this inline: one frame fewer than a helper
+
+_ndarray = np.ndarray
+_U32 = np.dtype(np.uint32)
+_F32 = np.dtype(np.float32)
+_U32_ZERO = np.uint32(0)
+_unpack_u32 = struct.Struct("=I").unpack
 
 
-def _emit(tag: str) -> None:
-    buf = _recorder.get()
-    if buf is not None:
-        buf.append(tag)
-
-
-@contextmanager
-def recording() -> Iterator[list]:
+class recording:
     """Collect opcode tags emitted while the context is active.
 
-    Yields the (initially empty) list that receives the tags.  Contexts may
-    nest; the inner context shadows the outer one until it exits.
+    ``with recording() as ops:`` binds the (initially empty) list that
+    receives the tags.  Contexts may nest; the inner context shadows the
+    outer one until it exits.
     """
-    buf: list = []
-    token = _recorder.set(buf)
-    try:
-        yield buf
-    finally:
-        _recorder.reset(token)
+
+    __slots__ = ("_token",)
+
+    def __enter__(self) -> list:
+        buf: list = []
+        self._token = _recorder.set(buf)
+        return buf
+
+    def __exit__(self, *exc_info) -> None:
+        _recorder.reset(self._token)
 
 
 # -- binary32 arithmetic ----------------------------------------------------
 
 def f_add(a, b):
-    _emit(OP_ADD)
+    if (buf := _active()) is not None:
+        buf.append(OP_ADD)
     return a + b
 
 
 def f_mul(a, b):
-    _emit(OP_MUL)
+    if (buf := _active()) is not None:
+        buf.append(OP_MUL)
     return a * b
 
 
 def f_div(a, b):
-    _emit(OP_DIV)
+    if (buf := _active()) is not None:
+        buf.append(OP_DIV)
     return a / b
 
 
 def f_neg(a):
-    _emit(OP_NEG)
+    if (buf := _active()) is not None:
+        buf.append(OP_NEG)
     return -a
 
 
 def f_gt(a, b):
-    _emit(OP_CMP)
+    if (buf := _active()) is not None:
+        buf.append(OP_CMP)
     return a > b
 
 
 def f_lt(a, b):
-    _emit(OP_CMP)
+    if (buf := _active()) is not None:
+        buf.append(OP_CMP)
     return a < b
 
 
@@ -124,28 +138,40 @@ def f_lt(a, b):
 
 def to_bits(x):
     """Reinterpret a binary32 value as its 32-bit unsigned encoding."""
-    _emit(OP_BITCAST)
-    return x.view(np.uint32)
+    if (buf := _active()) is not None:
+        buf.append(OP_BITCAST)
+    if isinstance(x, _ndarray):
+        return x.view(_U32)
+    # struct reads the scalar's four bytes as a Python int; OR-ing that into
+    # a uint32 zero gives a numpy uint32 faster than np.uint32(word) does.
+    return _U32_ZERO | _unpack_u32(x)[0]
 
 
 def from_bits(u):
     """Reinterpret a 32-bit unsigned word as the binary32 value it encodes."""
-    _emit(OP_BITCAST)
-    return u.view(np.float32)
+    if (buf := _active()) is not None:
+        buf.append(OP_BITCAST)
+    if isinstance(u, _ndarray):
+        return u.view(_F32)
+    # Not struct: its route through a Python float would not keep NaN payloads.
+    return np.frombuffer(u, _F32)[0]
 
 
 def u_and(a, b):
-    _emit(OP_AND)
+    if (buf := _active()) is not None:
+        buf.append(OP_AND)
     return a & b
 
 
 def u_or(a, b):
-    _emit(OP_OR)
+    if (buf := _active()) is not None:
+        buf.append(OP_OR)
     return a | b
 
 
 def u_not(a):
-    _emit(OP_NOT)
+    if (buf := _active()) is not None:
+        buf.append(OP_NOT)
     return ~a
 
 
@@ -153,11 +179,16 @@ def bool_to_mask(flag):
     """Spread a 0-or-1 comparison result into a 32-bit lane mask.
 
     Equivalent to the two's-complement negation of the 0/1 word: the result
-    is 0x00000000 or 0xFFFFFFFF.  Implemented as a wraparound multiply by
-    all-ones, which is the same function with no conditional control flow.
+    is 0x00000000 or 0xFFFFFFFF, a uint32 scalar or array.  Implemented as
+    all-ones times the flag (0 or 1, so nothing wraps), which is the same
+    function with no conditional control flow.  The uint32 operand goes
+    first: numpy's scalar multiply is fast on that order, and both
+    ``flag * U32_ALL_ONES`` and ``flag.astype`` take a path that is more
+    than ten times slower on scalars.
     """
-    _emit(OP_MASK)
-    return flag.astype(np.uint32) * U32_ALL_ONES
+    if (buf := _active()) is not None:
+        buf.append(OP_MASK)
+    return U32_ALL_ONES * flag
 
 
 def cond_move(condition, if_true, if_false):
@@ -167,7 +198,8 @@ def cond_move(condition, if_true, if_false):
     short ternary to a predicated move).  Constant-time kernels use explicit
     mask arithmetic instead.
     """
-    _emit(OP_SELECT)
+    if (buf := _active()) is not None:
+        buf.append(OP_SELECT)
     return np.where(condition, if_true, if_false)
 
 
@@ -177,4 +209,5 @@ def take_branch() -> None:
     Only the unprotected reference models emit this tag.  Its presence in a
     protected trace is a defect by definition.
     """
-    _emit(OP_BRANCH)
+    if (buf := _active()) is not None:
+        buf.append(OP_BRANCH)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .activations import ActivationKind
 
@@ -86,6 +85,14 @@ _SWING_SLOW_BELOW = 2.0
 _SWING_FAST_ABOVE = 6.0
 
 
+def _truncnorm():
+    # Only the truncated-gaussian delay needs scipy.stats, which takes most
+    # of a second to import, so it is imported on first use.
+    from scipy.stats import truncnorm
+
+    return truncnorm
+
+
 @dataclass(frozen=True)
 class DelaySpec:
     """Nonnegative random-delay distribution of the countermeasure.
@@ -117,7 +124,7 @@ class DelaySpec:
         if self.distribution == "uniform":
             return rng.uniform(self.low_us, self.high_us, size)
         lo = (0.0 - self.mean_us) / self.std_us
-        return _scipy_stats.truncnorm.rvs(
+        return _truncnorm().rvs(
             lo, np.inf, loc=self.mean_us, scale=self.std_us,
             size=size, random_state=rng,
         )
@@ -126,7 +133,7 @@ class DelaySpec:
         if self.distribution == "uniform":
             return 0.5 * (self.low_us + self.high_us)
         lo = (0.0 - self.mean_us) / self.std_us
-        m, _ = _scipy_stats.truncnorm.stats(
+        m, _ = _truncnorm().stats(
             lo, np.inf, loc=self.mean_us, scale=self.std_us, moments="mv"
         )
         return float(m)
@@ -136,7 +143,7 @@ class DelaySpec:
             width = self.high_us - self.low_us
             return width * width / 12.0
         lo = (0.0 - self.mean_us) / self.std_us
-        _, v = _scipy_stats.truncnorm.stats(
+        _, v = _truncnorm().stats(
             lo, np.inf, loc=self.mean_us, scale=self.std_us, moments="mv"
         )
         return float(v)

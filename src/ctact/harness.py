@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ._ops import CONTROL_FLOW_TAGS, recording
 from .activations import SPECS, ActivationKind, evaluate
@@ -205,6 +204,7 @@ def welch_t_test(samples_a: Sequence[float], samples_b: Sequence[float],
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    from scipy import stats  # imported on first use: no CLI command needs it
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
@@ -215,7 +215,7 @@ def welch_t_test(samples_a: Sequence[float], samples_b: Sequence[float],
     se_sq = var_a / a.size + var_b / b.size
     if se_sq == 0.0:
         dof = float(a.size + b.size - 2)
-        threshold = float(_scipy_stats.t.ppf(1.0 - alpha / 2.0, dof))
+        threshold = float(stats.t.ppf(1.0 - alpha / 2.0, dof))
         if mean_a == mean_b:
             return WelchResult(0.0, dof, threshold, False)
         return WelchResult(float("inf"), dof, threshold, True)
@@ -223,5 +223,5 @@ def welch_t_test(samples_a: Sequence[float], samples_b: Sequence[float],
     dof = se_sq**2 / (
         (var_a / a.size) ** 2 / (a.size - 1) + (var_b / b.size) ** 2 / (b.size - 1)
     )
-    threshold = float(_scipy_stats.t.ppf(1.0 - alpha / 2.0, dof))
+    threshold = float(stats.t.ppf(1.0 - alpha / 2.0, dof))
     return WelchResult(float(t_stat), float(dof), threshold, bool(abs(t_stat) > threshold))

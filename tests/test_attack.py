@@ -57,6 +57,17 @@ class TestDelaySpec:
         assert d.mean() > 0.5  # truncation at zero pushes the mean up
         assert abs(draws.mean() - d.mean()) < 0.15
 
+    def test_truncated_gaussian_stream_and_moments_are_pinned(self):
+        # Values recorded while scipy.stats was still imported at module
+        # level: importing it on first use must not change the draws.
+        d = DelaySpec("truncated-gaussian", mean_us=0.5, std_us=2.0)
+        draws = d.draw(np.random.default_rng(11), 5)
+        assert draws.tolist() == pytest.approx(
+            [0.39100534059484804, 1.5500350093384825, 1.9217202813055174,
+             0.08838153786225672, 0.4491498579271083], rel=1e-12)
+        assert d.mean() == pytest.approx(1.7916787420336346, rel=1e-12)
+        assert d.variance() == pytest.approx(1.6857266563615898, rel=1e-12)
+
 
 class TestCalibration:
     def test_delay_solved_from_first_calibration_row(self):

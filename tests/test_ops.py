@@ -1,0 +1,221 @@
+"""The instrumented op layer: scalar/array agreement, opcode sequences, recorder scope."""
+
+import hashlib
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from ctact._ops import (
+    bool_to_mask,
+    f_add,
+    f_mul,
+    from_bits,
+    recording,
+    to_bits,
+)
+from ctact.activations import SPECS, ActivationKind
+from ctact.harness import trace_eval
+
+FLT_MAX = np.finfo(np.float32).max
+SMALLEST_SUBNORMAL = np.float32(1e-45)
+LARGEST_SUBNORMAL = np.uint32(0x007FFFFF).view(np.float32)
+
+
+def _edge_values() -> np.ndarray:
+    values = [0.0, -0.0, SMALLEST_SUBNORMAL, LARGEST_SUBNORMAL, FLT_MAX]
+    for spec in SPECS.values():
+        if spec.threshold is not None:
+            t = spec.threshold
+            values += [np.nextafter(t, np.float32(0)), t, np.nextafter(t, np.float32(np.inf))]
+    edges = np.array(values, dtype=np.float32)
+    return np.concatenate([edges, -edges])
+
+
+def _sample() -> np.ndarray:
+    """About 2,000 finite binary32 values, uniform over bit patterns, plus edges."""
+    words = np.random.default_rng(2024).integers(0, 2**32, 2100, dtype=np.uint64)
+    values = words.astype(np.uint32).view(np.float32)
+    return np.concatenate([values[np.isfinite(values)][:2000], _edge_values()])
+
+
+SAMPLE = _sample()
+
+
+def _same_bits(scalars, array) -> bool:
+    return np.array_equal(np.array(scalars).view(np.uint32), array.view(np.uint32))
+
+
+class TestScalarMatchesArray:
+    """Scalars take a different bitcast path from arrays; the bits must agree."""
+
+    def test_to_bits(self):
+        scalars = [to_bits(x) for x in SAMPLE]
+        assert all(type(u) is np.uint32 for u in scalars)
+        assert np.array_equal(np.array(scalars, dtype=np.uint32), to_bits(SAMPLE))
+        assert to_bits(SAMPLE).dtype == np.uint32
+
+    def test_from_bits(self):
+        words = SAMPLE.view(np.uint32)
+        scalars = [from_bits(u) for u in words]
+        assert all(type(v) is np.float32 for v in scalars)
+        assert from_bits(words).dtype == np.float32
+        assert _same_bits(scalars, from_bits(words))
+        assert _same_bits(scalars, SAMPLE)
+
+    def test_from_bits_keeps_nan_payloads(self):
+        words = np.array([0x7F800001, 0xFFC12345, 0x7FBFFFFF], dtype=np.uint32)
+        scalars = [from_bits(u) for u in words]
+        assert [int(v.view(np.uint32)) for v in scalars] == words.tolist()
+        assert _same_bits(scalars, from_bits(words))
+
+    def test_bool_to_mask(self):
+        flags = SAMPLE > np.float32(0)
+        scalars = [bool_to_mask(flag) for flag in flags]
+        assert all(type(m) is np.uint32 for m in scalars)
+        assert {int(m) for m in scalars} == {0, 0xFFFFFFFF}
+        masks = bool_to_mask(flags)
+        assert masks.dtype == np.uint32
+        assert np.array_equal(np.array(scalars, dtype=np.uint32), masks)
+
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_core(self, kind):
+        core = SPECS[kind].core
+        with np.errstate(all="ignore"):
+            array = core(SAMPLE)
+            scalars = [core(x) for x in SAMPLE]
+        assert array.dtype == np.float32
+        assert all(type(v) is np.float32 for v in scalars)
+        assert _same_bits(scalars, array)
+
+
+def _digest(ops) -> str:
+    return hashlib.sha256("|".join(ops).encode()).hexdigest()
+
+
+# sha256 of "|".join(ops) for each kind's trace, recorded before the op layer
+# read the recorder inline.  Protected traces are the same at every input.
+PROTECTED_DIGESTS = {
+    "relu": "e773c519636bec5ff7aafa5d513d3a091f440833d9aa05ada25fa8bbc90b4f4c",
+    "sigmoid": "4bae72c5fce1715cb779bbae9b04c2d5cbdf146216fe9d5ab10332e7d2dd6bfa",
+    "tanh": "2a99f27c41907054402d556d62edbbe5278bcb7f30247c54b0c0648c69d2b636",
+    "gelu": "e17496f0dbc6b1bae29b951c2717ce274effe416346dce9dcb613344dd7590e5",
+    "swish": "b8d9be8a5d61330314556e90c774c7c99f7f050048206cc6e3f10adbba6b8a51",
+}
+
+# (length, digest) of the unprotected model's trace at 0.0, 1e-30, 3.0, -500.0.
+_RELU_MODEL = (2, "0ad045f250b5aadadce6c7c4ec0e9ea2b99e3c50f979517b3ff743d1ba7287fa")
+_SIGMOID_SMALL = (16, "510d04acd2fd94387ec2b096587195715ef1dab315fe008bbcff3e2b84e87b64")
+_TANH_SMALL = (31, "e651740c76f792acfbdf2865165b7f7faf6f44a9d813cbecd971a500cd5c7d5c")
+_GELU_SMALL = (42, "382b53f6a31ec6444b221dd7821585fb720c789d9240a2df06d09277c6c7845b")
+_SWISH_SMALL = (17, "4443a6485a6d3aeeeabbfece3e97af27cf48d8bd86e2e407b653d9ad4eca5e9c")
+UNPROTECTED_INPUTS = (0.0, 1e-30, 3.0, -500.0)
+UNPROTECTED_DIGESTS = {
+    "relu": (_RELU_MODEL,) * 4,
+    "sigmoid": (
+        _SIGMOID_SMALL, _SIGMOID_SMALL,
+        (40, "0ea3fa643322a5bd3bf115c1a98755be33c99a7c92eff9b32ffe600a1fb52d89"),
+        (96, "e557e3051c9595633cfb596ad82e34629ea7e2e98a8669bd94326762d0af6394"),
+    ),
+    "tanh": (
+        _TANH_SMALL, _TANH_SMALL,
+        (79, "30f04ebc24932b2942baf4b661da9d415db457fff904e10187d513c2a4431407"),
+        (191, "837313d71d5cbca51f5c918ef6a7416f502b9a63ab790fc065b2268c4e0fcc60"),
+    ),
+    "gelu": (
+        _GELU_SMALL, _GELU_SMALL,
+        (74, "bea6b044d3cea6da3034111934225a5ee6fa920466a8bc35738006a2da96c6fb"),
+        (186, "535c2814b366b78aefd3a6eea2c02bd3ebf6f0e84e85724b40193a130b8c9f33"),
+    ),
+    "swish": (
+        _SWISH_SMALL, _SWISH_SMALL,
+        (41, "70b56a0591ae3e45c86612206d1876ee19fc8af290afb9e928e3ae057f099df2"),
+        (97, "fca55542a045b7912f80f962a8daf76fd0db5c71e5cfb08317b41458656d3cae"),
+    ),
+}
+
+
+class TestGoldenTraces:
+    @pytest.mark.parametrize("kind", sorted(PROTECTED_DIGESTS))
+    def test_protected_opcode_sequence(self, kind):
+        for x in (0.0, 1e-30, 3.0, -500.0):
+            trace, _ = trace_eval(kind, x, protected=True)
+            assert trace.length == 59
+            assert _digest(trace.ops) == PROTECTED_DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind", sorted(UNPROTECTED_DIGESTS))
+    def test_unprotected_opcode_sequence(self, kind):
+        for x, (length, digest) in zip(UNPROTECTED_INPUTS, UNPROTECTED_DIGESTS[kind]):
+            trace, _ = trace_eval(kind, x, protected=False)
+            assert (trace.length, _digest(trace.ops)) == (length, digest), x
+
+
+class TestRecorderScope:
+    def test_ops_outside_a_recording_emit_nothing(self):
+        with recording() as before:
+            pass
+        f_add(np.float32(1), np.float32(2))
+        SPECS[ActivationKind.GELU].core(np.float32(0.5))
+        with recording() as after:
+            pass
+        assert before == [] and after == []
+
+    def test_nested_recording_shadows_the_outer_one(self):
+        one = np.float32(1)
+        with recording() as outer:
+            f_add(one, one)
+            with recording() as inner:
+                f_mul(one, one)
+            f_add(one, one)
+        assert inner == ["MUL"]
+        assert outer == ["ADD", "ADD"]
+
+    def test_exit_restores_the_outer_recording_after_an_exception(self):
+        one = np.float32(1)
+        with recording() as outer:
+            with pytest.raises(RuntimeError):
+                with recording():
+                    raise RuntimeError("inner body failed")
+            f_mul(one, one)
+        assert outer == ["MUL"]
+
+    def test_threads_record_only_their_own_ops(self):
+        kinds = tuple(ActivationKind)  # one thread per kind
+        rounds = 200
+        barrier = threading.Barrier(len(kinds), timeout=30)
+        traces = {kind: [] for kind in kinds}
+
+        def worker(kind):
+            core = SPECS[kind].core
+            barrier.wait()
+            for i in range(rounds):
+                with recording() as ops:
+                    core(np.float32(i * 0.05 - 5.0))
+                traces[kind].append(tuple(ops))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in kinds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for kind in kinds:
+            assert len(traces[kind]) == rounds
+            assert {len(ops) for ops in traces[kind]} == {59}
+            assert {_digest(ops) for ops in traces[kind]} == {PROTECTED_DIGESTS[kind.value]}
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second to import and only the
+    # truncated-gaussian delay and welch_t_test need it.
+    code = "import sys, ctact, ctact.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

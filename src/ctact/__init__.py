@@ -65,12 +65,10 @@ from .attack import (
 )
 from .grids import GRID_DENSE, GRID_WIDE, GridSpec, inclusive_grid
 from .harness import (
-    NonUniformTraceError,
     OpTrace,
     TimingSample,
     UniformityReport,
     WelchResult,
-    aligned_lengths,
     check_uniformity,
     measure_host,
     trace_eval,
@@ -124,10 +122,8 @@ __all__ = [
     "TimingSample",
     "UniformityReport",
     "WelchResult",
-    "NonUniformTraceError",
     "trace_eval",
     "check_uniformity",
-    "aligned_lengths",
     "measure_host",
     "welch_t_test",
     # attack

@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "OP_ADD", "OP_MUL", "OP_DIV", "OP_NEG", "OP_CMP", "OP_MASK", "OP_SELECT",
     "OP_AND", "OP_OR", "OP_NOT", "OP_BITCAST", "OP_BRANCH",
-    "CONTROL_FLOW_TAGS", "ARITHMETIC_TAGS",
     "recording",
     "f_add", "f_mul", "f_div", "f_neg", "f_gt", "f_lt",
     "to_bits", "from_bits", "u_and", "u_or", "u_not", "bool_to_mask",
@@ -54,12 +53,6 @@ OP_OR = "OR"
 OP_NOT = "NOT"
 OP_BITCAST = "BITCAST"
 OP_BRANCH = "BRANCH"
-
-CONTROL_FLOW_TAGS = frozenset({OP_BRANCH})
-ARITHMETIC_TAGS = frozenset({
-    OP_ADD, OP_MUL, OP_DIV, OP_NEG, OP_CMP, OP_MASK, OP_SELECT,
-    OP_AND, OP_OR, OP_NOT, OP_BITCAST,
-})
 
 U32_ALL_ONES = np.uint32(0xFFFFFFFF)
 U32_SIGN_BIT = np.uint32(0x80000000)

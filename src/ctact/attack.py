@@ -185,9 +185,6 @@ class DeviceTimingModel:
     def us_per_cycle(self) -> float:
         return 1e6 / self.clock_hz
 
-    def classes(self) -> tuple:
-        return tuple(self.base_cycles)
-
     def cycles_at(self, kind: ActivationKind, xs: np.ndarray) -> np.ndarray:
         """Integer cycle count per input (before the random delay)."""
         kind = ActivationKind(kind)
@@ -381,8 +378,7 @@ class TrialRecord:
 
 def attack_experiment(model: DeviceTimingModel, classes: Sequence,
                       n_profiling: int, n_measurements: int, trials: int,
-                      master_seed: int, true_kinds: Sequence | None = None,
-                      keep_history_trials: int = 1):
+                      master_seed: int, keep_history_trials: int = 1):
     """Run ``trials`` independent profile+attack rounds per true class.
 
     Each trial owns a child RNG stream spawned from the master seed in a
@@ -395,13 +391,12 @@ def attack_experiment(model: DeviceTimingModel, classes: Sequence,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     kinds = [ActivationKind(c) for c in classes]
-    targets = [ActivationKind(c) for c in (true_kinds if true_kinds is not None else kinds)]
     root = np.random.SeedSequence(master_seed)
-    streams = root.spawn(len(targets) * trials)
+    streams = root.spawn(len(kinds) * trials)
     records = []
     kept = {}
     stream_index = 0
-    for target in targets:
+    for target in kinds:
         for trial in range(trials):
             rng = np.random.default_rng(streams[stream_index])
             stream_index += 1

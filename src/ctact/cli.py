@@ -5,7 +5,7 @@ Exit codes
 0  success
 1  check failure (an assertion bound was violated, or a kind that must be
    trace-uniform is not)
-2  usage error (bad flags, bad config file, bad grid, missing delay spec)
+2  usage error (bad flag, config value or grid, repeated kind, missing delay spec)
 3  runtime error (solver bracket failure and other unexpected conditions)
 
 Determinism: for a fixed seed and fixed config every output file is
@@ -31,6 +31,7 @@ import os
 import statistics
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -130,11 +131,13 @@ class ExperimentConfig:
                 raise UsageError(f"{name} must be >= 1")
         if self.n_prof < 2:
             raise UsageError("n_prof must be >= 2")
-        for name in ("seed", "history_trials"):
+        for name in ("seed", "history_trials", "input_swing_cycles"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0")
-        if self.clock_hz <= 0:
-            raise UsageError("clock_hz must be positive")
+        for name in ("clock_hz", "tolerance", "step"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise UsageError(f"{name} must be positive, got {value}")
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -203,6 +206,8 @@ def _parse_kind_list(value, default, label: str = "kind"):
         except ValueError as exc:
             known = ", ".join(k.value for k in ActivationKind)
             raise UsageError(f"unknown {label} {item!r} (known: {known})") from exc
+    if len(set(kinds)) < len(kinds):
+        raise UsageError(f"repeated {label} in {value!r}")
     return kinds
 
 
@@ -211,8 +216,6 @@ def _resolve_grids(cfg: ExperimentConfig, default_named: str) -> list:
     if custom:
         if cfg.grid is not None:
             raise UsageError("give either --grid or --interval/--step, not both")
-        if cfg.step is not None and float(cfg.step) <= 0:
-            raise UsageError(f"step must be positive, got {cfg.step}")
         if cfg.interval is None or cfg.step is None:
             raise UsageError("a custom grid needs both --interval and --step")
         spec = GridSpec(float(cfg.interval[0]), float(cfg.interval[1]), float(cfg.step))
@@ -237,32 +240,34 @@ def _output_path(cfg: ExperimentConfig, filename: str) -> Path:
     return path
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _f32_json(value) -> float:
+    if isinstance(value, np.float32):
+        return float(str(value))
+    raise TypeError(f"{type(value).__name__} {value!r} is not an artifact value")
+
+
+def _write(path: Path, payload, header=None) -> None:
+    """Write one artifact; the file suffix picks CSV or JSON.
+
+    A header makes ``payload`` a table: CSV rows, or one JSON object per row.
+    Binary32 values travel as ``np.float32`` cells and are rendered only here,
+    as the shortest decimal that parses back to the same binary32 value.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _f32_str(value) -> str:
-    """Shortest decimal that parses back to the same binary32 value."""
-    return str(np.float32(value))
-
-
-def _f32_num(value) -> float:
-    return float(_f32_str(value))
+        if path.suffix == ".csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(payload)
+        else:
+            rows = [dict(zip(header, row)) for row in payload] if header else payload
+            json.dump(rows, fh, indent=2, sort_keys=True, default=_f32_json)
+            fh.write("\n")
 
 
 # -- errors -------------------------------------------------------------------
 
-_ERRORS_CSV_HEADER = ("kind", "lo", "hi", "step", "n_points",
-                      "mse", "rmse", "max_abs", "argmax_input")
+_ERRORS_HEADER = ("kind", "lo", "hi", "step", "n_points",
+                  "mse", "rmse", "max_abs", "argmax_input")
 
 
 def cmd_errors(cfg: ExperimentConfig) -> int:
@@ -271,46 +276,33 @@ def cmd_errors(cfg: ExperimentConfig) -> int:
     exact = [kind.value for kind in kinds if kind not in smooth]
     if exact:
         raise UsageError(f"{', '.join(exact)} is exact; error metrics apply to the smooth kinds")
+    bounds = (("max_abs", cfg.assert_max_abs or {}), ("rmse", cfg.assert_rmse or {}))
+    unevaluated = sorted({name for _, b in bounds for name in b} - {k.value for k in kinds})
+    if unevaluated:
+        raise UsageError(f"error bound on a kind this run does not evaluate: "
+                         f"{', '.join(unevaluated)}")
     path = _output_path(cfg, f"errors.{cfg.format}")
     reports = [
         error_metrics(kind, spec.lo, spec.hi, spec.step)
         for spec in _resolve_grids(cfg, "both")
         for kind in kinds
     ]
+    table = [(r.kind.value, r.lo, r.hi, r.step, r.n_points, r.mse, r.rmse, r.max_abs,
+              np.float32(r.argmax_input)) for r in reports]
     print(f"{'kind':8s} {'interval':>16s} {'step':>7s} "
           f"{'mse':>12s} {'rmse':>12s} {'max_abs':>12s} {'argmax':>9s}")
-    for r in reports:
-        print(f"{r.kind.value:8s} [{r.lo:+7.1f},{r.hi:+7.1f}] {r.step:7.3g} "
-              f"{r.mse:12.3e} {r.rmse:12.3e} {r.max_abs:12.3e} "
-              f"{_f32_str(r.argmax_input):>9s}")
-
-    if cfg.format == "csv":
-        rows = [
-            (r.kind.value, repr(r.lo), repr(r.hi), repr(r.step), r.n_points,
-             repr(r.mse), repr(r.rmse), repr(r.max_abs), _f32_str(r.argmax_input))
-            for r in reports
-        ]
-        _write_csv(path, _ERRORS_CSV_HEADER, rows)
-    else:
-        payload = [
-            {"kind": r.kind.value, "lo": r.lo, "hi": r.hi, "step": r.step,
-             "n_points": r.n_points, "mse": r.mse, "rmse": r.rmse,
-             "max_abs": r.max_abs, "argmax_input": _f32_num(r.argmax_input)}
-            for r in reports
-        ]
-        _write_json(path, payload)
+    for kind, lo, hi, step, _, mse, rmse, max_abs, argmax in table:
+        print(f"{kind:8s} [{lo:+7.1f},{hi:+7.1f}] {step:7.3g} "
+              f"{mse:12.3e} {rmse:12.3e} {max_abs:12.3e} {argmax!s:>9}")
+    _write(path, table, _ERRORS_HEADER)
     print(f"wrote {path}")
 
-    violations = []
-    for metric, bounds in (("max_abs", cfg.assert_max_abs), ("rmse", cfg.assert_rmse)):
-        for kind_name, bound in (bounds or {}).items():
-            kind = ActivationKind(str(kind_name))
-            for r in reports:
-                if r.kind == kind and getattr(r, metric) > float(bound):
-                    violations.append(
-                        f"{kind.value} {metric} {getattr(r, metric):.3e} > {float(bound):.3e} "
-                        f"on [{r.lo}, {r.hi}] step {r.step}"
-                    )
+    violations = [
+        f"{kind_name} {metric} {getattr(r, metric):.3e} > {float(bound):.3e} "
+        f"on [{r.lo}, {r.hi}] step {r.step}"
+        for metric, bound_of in bounds for kind_name, bound in bound_of.items()
+        for r in reports if r.kind.value == kind_name and getattr(r, metric) > float(bound)
+    ]
     if violations:
         raise CheckFailure("; ".join(violations))
     return EXIT_OK
@@ -318,7 +310,7 @@ def cmd_errors(cfg: ExperimentConfig) -> int:
 
 # -- traces ---------------------------------------------------------------------
 
-_TRACES_CSV_HEADER = ("kind", "protected", "lo", "hi", "step", "input", "trace_len")
+_TRACES_HEADER = ("kind", "protected", "lo", "hi", "step", "input", "trace_len")
 
 
 def cmd_traces(cfg: ExperimentConfig) -> int:
@@ -327,34 +319,28 @@ def cmd_traces(cfg: ExperimentConfig) -> int:
     path = _output_path(cfg, f"traces.{cfg.format}")
     ok = True
     grid_payloads = []
-    csv_rows = []
+    table = []
     for spec in grid_specs:
         grid = inclusive_grid(*spec)
+        inputs, values = list(grid), grid.tolist()
         reports = []
         lengths = set()
         for protected in ((True, False) if cfg.include_unprotected else (True,)):
             for kind in kinds:
                 report = check_uniformity(kind, grid, protected)
                 reports.append(report)
-                if protected:
-                    if report.uniform:
-                        lengths.add(report.canonical_length)
-                    else:
-                        ok = False
+                if protected and report.uniform:
+                    lengths.add(report.canonical_length)
                 if cfg.format == "csv":
                     # Per-input lengths reconstruct exactly from the report:
                     # everything off the deviating list matched the canonical
                     # trace, so no second tracing pass is needed.
-                    deviating = {_f32_str(x): n for x, n in report.deviating_inputs}
-                    for x in grid:
-                        key = _f32_str(x)
-                        csv_rows.append((kind.value, int(protected),
-                                         repr(spec.lo), repr(spec.hi), repr(spec.step),
-                                         key, deviating.get(key, report.canonical_length)))
-        aligned = len(lengths) == 1 and all(
-            r.uniform for r in reports if r.protected)
-        if not aligned:
-            ok = False
+                    deviating = dict(report.deviating_inputs)
+                    prefix = (kind.value, int(protected), *spec)
+                    table += [(*prefix, x, deviating.get(v, report.canonical_length))
+                              for x, v in zip(inputs, values)]
+        aligned = len(lengths) == 1 and all(r.uniform for r in reports if r.protected)
+        ok = ok and aligned
         label = f"[{spec.lo}, {spec.hi}] step {spec.step}"
         for r in reports:
             state = "uniform" if r.uniform else f"NON-UNIFORM ({len(r.deviating_inputs)} deviating)"
@@ -372,22 +358,24 @@ def cmd_traces(cfg: ExperimentConfig) -> int:
                 {"kind": r.kind.value, "protected": r.protected,
                  "uniform": r.uniform, "canonical_length": r.canonical_length,
                  "n_deviating": len(r.deviating_inputs),
-                 "deviating_inputs": [[_f32_num(x), n] for x, n in r.deviating_inputs[:20]]}
+                 "deviating_inputs": [[np.float32(x), n] for x, n in r.deviating_inputs[:20]]}
                 for r in reports
             ],
         })
 
     if cfg.format == "csv":
-        _write_csv(path, _TRACES_CSV_HEADER, csv_rows)
+        _write(path, table, _TRACES_HEADER)
     else:
-        _write_json(path, {"ok": ok, "grids": grid_payloads})
+        _write(path, {"ok": ok, "grids": grid_payloads})
     print(f"wrote {path}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 # -- bench ---------------------------------------------------------------------
 
-_BENCH_CSV_HEADER = ("kind", "protected", "input", "repetition", "elapsed_ns")
+_BENCH_SAMPLES_HEADER = ("kind", "protected", "input", "repetition", "elapsed_ns")
+_BENCH_SUMMARY_HEADER = ("kind", "protected", "n", "min_ns", "mean_ns",
+                         "median_ns", "std_ns", "max_ns")
 
 
 def cmd_bench(cfg: ExperimentConfig) -> int:
@@ -398,43 +386,28 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
              "both": (True, False)}[cfg.protection]
     samples_path = _output_path(cfg, "bench_samples.csv")
     summary_path = _output_path(cfg, "bench_summary.json")
-    all_samples = []
+    samples, summary = [], []
     for protected in modes:
         for kind in kinds:
-            for spec in grids:
-                grid = inclusive_grid(*spec)
-                all_samples.extend(measure_host(kind, grid, reps, protected))
-
-    rows = [
-        (s.kind.value, int(s.protected), _f32_str(s.input), s.repetition, s.elapsed_ns)
-        for s in all_samples
-    ]
-    _write_csv(samples_path, _BENCH_CSV_HEADER, rows)
-
-    summary = []
-    for protected in modes:
-        for kind in kinds:
-            values = [s.elapsed_ns for s in all_samples
-                      if s.kind == kind and s.protected == protected]
-            summary.append({
-                "kind": kind.value,
-                "protected": protected,
-                "n": len(values),
-                "min_ns": min(values),
-                "mean_ns": statistics.fmean(values),
-                "median_ns": statistics.median(values),
-                "std_ns": statistics.stdev(values) if len(values) > 1 else 0.0,
-                "max_ns": max(values),
-            })
-    _write_json(summary_path, summary)
+            group = [(kind.value, int(protected), np.float32(s.input), s.repetition,
+                      s.elapsed_ns)
+                     for spec in grids
+                     for s in measure_host(kind, inclusive_grid(*spec), reps, protected)]
+            samples += group
+            values = [row[-1] for row in group]
+            summary.append((kind.value, protected, len(values), min(values),
+                            statistics.fmean(values), statistics.median(values),
+                            statistics.stdev(values) if len(values) > 1 else 0.0,
+                            max(values)))
+    _write(samples_path, samples, _BENCH_SAMPLES_HEADER)
+    _write(summary_path, summary, _BENCH_SUMMARY_HEADER)
 
     print(f"{'kind':8s} {'mode':11s} {'n':>6s} {'min':>9s} {'mean':>10s} "
           f"{'median':>9s} {'std':>10s} {'max':>9s}   (ns)")
-    for row in summary:
-        mode = "protected" if row["protected"] else "unprotected"
-        print(f"{row['kind']:8s} {mode:11s} {row['n']:6d} {row['min_ns']:9d} "
-              f"{row['mean_ns']:10.1f} {row['median_ns']:9.1f} "
-              f"{row['std_ns']:10.1f} {row['max_ns']:9d}")
+    for kind, protected, n, low, mean, median, std, high in summary:
+        mode = "protected" if protected else "unprotected"
+        print(f"{kind:8s} {mode:11s} {n:6d} {low:9d} "
+              f"{mean:10.1f} {median:9.1f} {std:10.1f} {high:9d}")
     print(f"wrote {samples_path} and {summary_path}")
     print("note: host wall times are scheduling-noisy; trace uniformity, not "
           "this table, carries the constant-time claim")
@@ -443,7 +416,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
 
 # -- attack ----------------------------------------------------------------------
 
-_ATTACK_CSV_HEADER = ("true_kind", "trial", "n", "class", "score")
+_ATTACK_HEADER = ("true_kind", "trial", "n", "class", "score")
 
 
 def _resolve_delay(cfg: ExperimentConfig) -> DelaySpec:
@@ -482,9 +455,8 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
         model = constant_time_model(delay)
     else:
         model = default_desync_model(delay, input_swing_cycles=int(cfg.input_swing_cycles))
-    model = dataclasses.replace(model, clock_hz=float(cfg.clock_hz))
-    model = dataclasses.replace(
-        model, base_cycles={k: model.base_cycles[k] for k in classes})
+    model = dataclasses.replace(model, clock_hz=float(cfg.clock_hz),
+                                base_cycles={k: model.base_cycles[k] for k in classes})
     scores_path = _output_path(cfg, "attack_scores.csv")
     summary_path = _output_path(cfg, "attack_summary.json")
 
@@ -493,24 +465,20 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
         int(cfg.trials), int(cfg.seed), keep_history_trials=int(cfg.history_trials),
     )
 
-    csv_rows = []
+    table = []
     for (true_kind, trial), result in kept.items():
         for kind in classes:
-            series = result.score_history[kind]
-            csv_rows.extend(
-                (true_kind.value, trial, n + 1, kind.value, repr(float(series[n])))
-                for n in range(len(series))
-            )
-    _write_csv(scores_path, _ATTACK_CSV_HEADER, csv_rows)
+            series = result.score_history[kind].tolist()
+            table.extend(zip(repeat(true_kind.value), repeat(trial), range(1, len(series) + 1),
+                             repeat(kind.value), series))
+    _write(scores_path, table, _ATTACK_HEADER)
 
     per_class = {}
     for kind in classes:
         rows = [r for r in records if r.true_kind == kind]
         separations = [r.separation_n for r in rows]
         successes = [s for s in separations if s is not None]
-        argmax_counts = {c.value: 0 for c in classes}
-        for r in rows:
-            argmax_counts[r.final_argmax.value] += 1
+        argmax_counts = {c.value: sum(r.final_argmax == c for r in rows) for c in classes}
         per_class[kind.value] = {
             "trials": len(rows),
             "success_rate": len(successes) / len(rows),
@@ -536,7 +504,7 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
         },
         "per_true_class": per_class,
     }
-    _write_json(summary_path, summary)
+    _write(summary_path, summary)
 
     for kind in classes:
         stats_row = per_class[kind.value]
@@ -551,8 +519,6 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
 # -- thresholds --------------------------------------------------------------------
 
 def cmd_thresholds(cfg: ExperimentConfig) -> int:
-    if cfg.tolerance <= 0:
-        raise UsageError(f"tolerance must be positive, got {cfg.tolerance}")
     path = _output_path(cfg, f"thresholds.{cfg.format}")
     solution = solve_tanh_threshold(float(cfg.tolerance))
     approx_err, sat_err = balancing_errors(solution.threshold)
@@ -581,7 +547,7 @@ def cmd_thresholds(cfg: ExperimentConfig) -> int:
                 "provenance": "doubled tanh threshold",
             },
             "stored_constants": {
-                kind.value: {"value": _f32_num(SPECS[kind].threshold), "provenance": detail}
+                kind.value: {"value": SPECS[kind].threshold, "provenance": detail}
                 for kind, detail in constants
             },
             "stored_vs_solved_gap": abs(float(SPECS[ActivationKind.TANH].threshold)
@@ -592,25 +558,25 @@ def cmd_thresholds(cfg: ExperimentConfig) -> int:
                 kind.value: [{"threshold": t, "max_abs": err} for t, err in pairs]
                 for kind, pairs in sweeps.items()
             }
-        _write_json(path, payload)
+        _write(path, payload)
     else:
         rows = [
-            ("tanh_threshold_solved", repr(solution.threshold), "balanced-error bisection"),
-            ("residual", repr(solution.residual), "solver"),
-            ("iterations", str(solution.iterations), "solver"),
-            ("sigmoid_threshold_derived", repr(2.0 * solution.threshold), "doubled tanh threshold"),
+            ("tanh_threshold_solved", solution.threshold, "balanced-error bisection"),
+            ("residual", solution.residual, "solver"),
+            ("iterations", solution.iterations, "solver"),
+            ("sigmoid_threshold_derived", 2.0 * solution.threshold, "doubled tanh threshold"),
         ]
-        rows += [(f"{kind.value}_constant", _f32_str(SPECS[kind].threshold), detail)
+        rows += [(f"{kind.value}_constant", SPECS[kind].threshold, detail)
                  for kind, detail in constants]
-        rows += [(f"sweep_{kind.value}", repr(t), repr(err))
+        rows += [(f"sweep_{kind.value}", t, err)
                  for kind, pairs in sweeps.items() for t, err in pairs]
-        _write_csv(path, ("name", "value", "detail"), rows)
+        _write(path, rows, ("name", "value", "detail"))
 
     print(f"solved tanh threshold {solution.threshold:.10f} "
           f"(residual {solution.residual:.2e}, {solution.iterations} iterations)")
     print(f"derived sigmoid threshold {2.0 * solution.threshold:.10f}")
     print("stored constants: " + ", ".join(
-        f"{kind.value} {_f32_str(SPECS[kind].threshold)}"
+        f"{kind.value} {SPECS[kind].threshold!s}"
         + (" (empirical)" if detail == "empirical" else "")
         for kind, detail in constants))
     print(f"wrote {path}")

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._ops import CONTROL_FLOW_TAGS, recording
+from ._ops import recording
 from .activations import SPECS, ActivationKind, evaluate
 from .ctselect import as_f32
 
@@ -29,16 +29,11 @@ __all__ = [
     "TimingSample",
     "UniformityReport",
     "WelchResult",
-    "NonUniformTraceError",
     "trace_eval",
     "check_uniformity",
-    "aligned_lengths",
     "measure_host",
     "welch_t_test",
 ]
-
-class NonUniformTraceError(AssertionError):
-    """A kind that was required to be trace-uniform turned out not to be."""
 
 
 @dataclass(frozen=True)
@@ -52,9 +47,6 @@ class OpTrace:
     @property
     def length(self) -> int:
         return len(self.ops)
-
-    def control_flow_count(self) -> int:
-        return sum(1 for t in self.ops if t in CONTROL_FLOW_TAGS)
 
 
 @dataclass(frozen=True)
@@ -133,27 +125,6 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
         canonical_length=canonical.length,
         deviating_inputs=tuple(deviating),
     )
-
-
-def aligned_lengths(kinds: Iterable, grid, protected: bool = True) -> bool:
-    """True when every kind is uniform on the grid with one shared length.
-
-    Raises :class:`NonUniformTraceError` if any individual kind fails its
-    own uniformity check, since comparing lengths is then meaningless.
-    """
-    points = list(grid)
-    lengths = set()
-    for kind in kinds:
-        report = check_uniformity(kind, points, protected)
-        if not report.uniform:
-            raise NonUniformTraceError(
-                f"{report.kind} is not trace-uniform on this grid "
-                f"({len(report.deviating_inputs)} deviating inputs)"
-            )
-        lengths.add(report.canonical_length)
-    if not lengths:
-        raise ValueError("at least one kind is required")
-    return len(lengths) == 1
 
 
 # -- host timing --------------------------------------------------------------

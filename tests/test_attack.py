@@ -280,14 +280,6 @@ class TestExperiment:
             match = [r for r in records if r.true_kind == kind and r.trial_index == trial]
             assert match[0].separation_n == result.separation_n
 
-    def test_true_kind_restriction(self):
-        model = default_desync_model()
-        records, _ = attack_experiment(
-            model, THREE_CLASSES, 200, 50, 2, master_seed=4, true_kinds=[TANH]
-        )
-        assert len(records) == 2
-        assert all(r.true_kind == TANH for r in records)
-
     def test_desync_attack_succeeds_quickly(self):
         model = default_desync_model()
         records, _ = attack_experiment(model, THREE_CLASSES, 2000, 4000, 5, master_seed=33)

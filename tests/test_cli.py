@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: artifacts, exit codes, config, determinism."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from ctact import cli
+from ctact._ops import f_add
 from ctact.analysis import error_metrics
-from ctact.activations import ActivationKind
+from ctact.activations import SPECS, ActivationKind
 
 
 def run(*argv) -> int:
@@ -90,6 +92,35 @@ class TestTracesCommand:
         rows = read_csv(tmp_path / "traces.csv")
         assert len(rows) == 2 * 5  # 2 kinds x 5 grid points
         assert all(r["trace_len"] == "59" for r in rows)
+
+    def test_a_non_uniform_protected_kind_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        tanh = SPECS[ActivationKind.TANH]
+
+        def leaky_core(x):  # one extra add for positive inputs
+            y = tanh.core(x)
+            if x > 0:
+                f_add(y, y)
+            return y
+
+        monkeypatch.setitem(SPECS, ActivationKind.TANH,
+                            dataclasses.replace(tanh, core=leaky_core))
+        for fmt in ("csv", "json"):
+            assert run("traces", "--interval", "-2", "2", "--step", "0.25",
+                       "--format", fmt, "--out", str(tmp_path)) == 1
+            assert "protected kinds aligned: False" in capsys.readouterr().out
+        payload = read_json(tmp_path / "traces.json")
+        assert payload["ok"] is False
+        grid = payload["grids"][0]
+        assert grid["protected_aligned"] is False
+        assert grid["shared_length"] == 59  # the four kinds that stayed uniform
+        reports = {r["kind"]: r for r in grid["reports"]}
+        assert reports["tanh"]["uniform"] is False
+        assert reports["tanh"]["n_deviating"] == 8  # 0.25, 0.5, ..., 2.0
+        assert reports["tanh"]["deviating_inputs"][0] == [0.25, 60]
+        assert all(r["uniform"] for kind, r in reports.items() if kind != "tanh")
+        for row in read_csv(tmp_path / "traces.csv"):
+            longer = row["kind"] == "tanh" and float(row["input"]) > 0
+            assert row["trace_len"] == ("60" if longer else "59"), row
 
 
 class TestBenchCommand:
@@ -211,6 +242,10 @@ class TestUsageErrors:
         ("attack", "--delay-low", "2.0"),
         ("attack", "--trials", "0"),
         ("attack", "--n-prof", "1"),
+        ("errors", "--kinds", "tanh,tanh"),
+        ("traces", "--kinds", "tanh,tanh"),
+        ("attack", "--classes", "relu,relu,sigmoid"),
+        ("attack", "--input-swing", "-1"),
     ])
     def test_exit_code_two(self, argv, tmp_path):
         assert run(*argv, "--out", str(tmp_path)) == 2
@@ -223,6 +258,17 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert run("errors", "--bogus") == 2
         capsys.readouterr()
+
+
+class TestWriter:
+    def test_only_binary32_cells_are_rendered_as_binary32(self, tmp_path):
+        table = [(np.float32(0.1), 0.1)]
+        cli._write(tmp_path / "t.csv", table, ("f32", "f64"))
+        cli._write(tmp_path / "t.json", table, ("f32", "f64"))
+        assert (tmp_path / "t.csv").read_text() == "f32,f64\n0.1,0.1\n"
+        assert read_json(tmp_path / "t.json") == [{"f32": 0.1, "f64": 0.1}]
+        with pytest.raises(TypeError):  # never rendered as 5.0
+            cli._write(tmp_path / "bad.json", {"n": np.int64(5)})
 
 
 class TestOutputProtection:
@@ -271,6 +317,8 @@ class TestConfigFile:
         ("errors", {"interval": ["a", 1], "step": 0.5}),
         ("errors", {"kinds": 5}),
         ("attack", {"seed": -1}),
+        ("errors", {"kinds": "sigmoid", "assert_max_abs": {"tanh": 1e-12}}),
+        ("errors", {"assert_rmse": {"relu": 1.0}}),  # a bound that can never be checked
     ])
     def test_bad_config_values_exit_two_before_any_output(self, command, content,
                                                           tmp_path):

@@ -12,144 +12,21 @@ profiled Gaussian-template timing attack against a modeled device
 (:mod:`ctact.attack`), and accuracy plus threshold analysis
 (:mod:`ctact.analysis`).  ``ctact.cli`` exposes all of it as the ``ctact``
 command.
+
+The public API is the union of the ``__all__`` lists of ``activations``,
+``pade``, ``grids``, ``harness``, ``attack`` and ``analysis``; each module's
+list is the one declaration of what it exports, and no name is in two.
 """
 
-from .activations import (
-    SPECS,
-    ActivationKind,
-    GELU_THRESHOLD,
-    SIGMOID_THRESHOLD,
-    SWISH_BETA,
-    SWISH_THRESHOLD,
-    TANH_THRESHOLD,
-    KindSpec,
-    evaluate,
-    gelu_protected,
-    gelu_ref,
-    relu_protected,
-    relu_ref,
-    sigmoid_protected,
-    sigmoid_ref,
-    swish_protected,
-    swish_ref,
-    tanh_protected,
-    tanh_ref,
-)
-from .analysis import (
-    ErrorReport,
-    ThresholdSolution,
-    balancing_errors,
-    error_metrics,
-    solve_tanh_threshold,
-    threshold_sweep,
-)
-from .attack import (
-    AttackResult,
-    BASE_CYCLES_DESYNC,
-    CONSTANT_TIME_CYCLES,
-    DEFAULT_CLOCK_HZ,
-    DESYNC_CALIBRATION,
-    DelaySpec,
-    DeviceTimingModel,
-    GaussianTemplate,
-    INPUT_RANGE,
-    TrialRecord,
-    attack_experiment,
-    calibrated_delay,
-    constant_time_model,
-    default_desync_model,
-    fit_template,
-    profile_phase,
-    run_attack,
-    score_increment,
-)
-from .grids import GRID_DENSE, GRID_WIDE, GridSpec, inclusive_grid
-from .harness import (
-    OpTrace,
-    TimingSample,
-    UniformityReport,
-    WelchResult,
-    check_uniformity,
-    measure_host,
-    trace_eval,
-    welch_t_test,
-)
-from .pade import (
-    DENOMINATOR_EXACT,
-    DENOMINATOR_F32,
-    NUMERATOR_EXACT,
-    NUMERATOR_F32,
-    rational_tanh,
-)
+from . import activations, analysis, attack, grids, harness, pade
+from .activations import *  # noqa: F401,F403
+from .pade import *  # noqa: F401,F403
+from .grids import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .attack import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # kinds and kernels
-    "ActivationKind",
-    "KindSpec",
-    "SPECS",
-    "TANH_THRESHOLD",
-    "SIGMOID_THRESHOLD",
-    "GELU_THRESHOLD",
-    "SWISH_THRESHOLD",
-    "SWISH_BETA",
-    "relu_protected",
-    "sigmoid_protected",
-    "tanh_protected",
-    "gelu_protected",
-    "swish_protected",
-    "relu_ref",
-    "sigmoid_ref",
-    "tanh_ref",
-    "gelu_ref",
-    "swish_ref",
-    "evaluate",
-    # rational core
-    "NUMERATOR_EXACT",
-    "DENOMINATOR_EXACT",
-    "NUMERATOR_F32",
-    "DENOMINATOR_F32",
-    "rational_tanh",
-    # grids
-    "GridSpec",
-    "GRID_DENSE",
-    "GRID_WIDE",
-    "inclusive_grid",
-    # harness
-    "OpTrace",
-    "TimingSample",
-    "UniformityReport",
-    "WelchResult",
-    "trace_eval",
-    "check_uniformity",
-    "measure_host",
-    "welch_t_test",
-    # attack
-    "DelaySpec",
-    "DeviceTimingModel",
-    "GaussianTemplate",
-    "AttackResult",
-    "TrialRecord",
-    "INPUT_RANGE",
-    "BASE_CYCLES_DESYNC",
-    "CONSTANT_TIME_CYCLES",
-    "DESYNC_CALIBRATION",
-    "DEFAULT_CLOCK_HZ",
-    "calibrated_delay",
-    "default_desync_model",
-    "constant_time_model",
-    "fit_template",
-    "score_increment",
-    "profile_phase",
-    "run_attack",
-    "attack_experiment",
-    # analysis
-    "ErrorReport",
-    "ThresholdSolution",
-    "error_metrics",
-    "balancing_errors",
-    "solve_tanh_threshold",
-    "threshold_sweep",
-]
+__all__ = ["__version__", *activations.__all__, *pade.__all__, *grids.__all__,
+           *harness.__all__, *attack.__all__, *analysis.__all__]

@@ -52,7 +52,6 @@ __all__ = [
     "SIGMOID_THRESHOLD",
     "GELU_THRESHOLD",
     "SWISH_THRESHOLD",
-    "SWISH_BETA",
     "relu_protected",
     "sigmoid_protected",
     "tanh_protected",
@@ -85,10 +84,6 @@ TANH_THRESHOLD = np.float32(4.971)
 SIGMOID_THRESHOLD = np.float32(2.0) * TANH_THRESHOLD
 GELU_THRESHOLD = np.float32(3.6)
 SWISH_THRESHOLD = np.float32(8.0)
-
-# Swish gate steepness: fixed at 1.0, which is what lets swish reuse the
-# sigmoid identity through the shared rational core.
-SWISH_BETA = np.float32(1.0)
 
 _HALF = np.float32(0.5)
 _ONE = np.float32(1.0)
@@ -210,7 +205,11 @@ def gelu_protected(x) -> np.float32:
 
 
 def swish_protected(x) -> np.float32:
-    """x * sigmoid(x) through the shared core; 0.0 / x beyond +/-SWISH_THRESHOLD."""
+    """x * sigmoid(x) through the shared core; 0.0 / x beyond +/-SWISH_THRESHOLD.
+
+    The gate steepness (beta) is fixed at 1, which is what lets swish reuse
+    the sigmoid identity through the shared rational core.
+    """
     return _swish_core(as_f32(x))
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "BASE_CYCLES_DESYNC",
     "CONSTANT_TIME_CYCLES",
     "DESYNC_CALIBRATION",
+    "DEFAULT_CLOCK_HZ",
     "calibrated_delay",
     "default_desync_model",
     "constant_time_model",
@@ -75,11 +76,13 @@ DESYNC_CALIBRATION = {
 }
 
 DEFAULT_CLOCK_HZ = 84e6
+_DEFAULT_HISTORY_TRIALS = 1  # trials per true class whose score history is kept
 
 # Input-dependent base component for the unprotected sigmoid/tanh: calls with
 # |x| below the first breakpoint run slower by the swing, calls beyond the
 # second run faster by it.  Chosen symmetric so the mean shift is zero under
 # the uniform input distribution.
+_DEFAULT_SWING_CYCLES = 10
 _SWING_KINDS = frozenset({ActivationKind.SIGMOID, ActivationKind.TANH})
 _SWING_SLOW_BELOW = 2.0
 _SWING_FAST_ABOVE = 6.0
@@ -170,7 +173,7 @@ class DeviceTimingModel:
     base_cycles: Mapping
     delay: DelaySpec
     clock_hz: float = DEFAULT_CLOCK_HZ
-    input_swing_cycles: int = 10
+    input_swing_cycles: int = _DEFAULT_SWING_CYCLES
 
     def __post_init__(self) -> None:
         if self.clock_hz <= 0:
@@ -233,7 +236,7 @@ class DeviceTimingModel:
 
 
 def default_desync_model(delay: DelaySpec | None = None,
-                         input_swing_cycles: int = 10) -> DeviceTimingModel:
+                         input_swing_cycles: int = _DEFAULT_SWING_CYCLES) -> DeviceTimingModel:
     """Unprotected three-class device behind the random-delay countermeasure."""
     return DeviceTimingModel(
         base_cycles=dict(BASE_CYCLES_DESYNC),
@@ -378,7 +381,7 @@ class TrialRecord:
 
 def attack_experiment(model: DeviceTimingModel, classes: Sequence,
                       n_profiling: int, n_measurements: int, trials: int,
-                      master_seed: int, keep_history_trials: int = 1):
+                      master_seed: int, keep_history_trials: int = _DEFAULT_HISTORY_TRIALS):
     """Run ``trials`` independent profile+attack rounds per true class.
 
     Each trial owns a child RNG stream spawned from the master seed in a

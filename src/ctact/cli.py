@@ -9,10 +9,11 @@ Exit codes
 3  runtime error (solver bracket failure and other unexpected conditions)
 
 Determinism: for a fixed seed and fixed config every output file is
-byte-identical across runs, except the elapsed_ns column written by bench,
-which is a wall-clock measurement.  Floats are serialized with their
-shortest round-trip decimal form (binary32 fields round-trip through
-binary32, statistics through binary64).
+byte-identical across runs, except bench's wall-clock measurements: the
+elapsed_ns column of bench_samples.csv and the *_ns fields of
+bench_summary.json.  Floats are serialized with their shortest round-trip
+decimal form (binary32 fields round-trip through binary32, statistics
+through binary64).
 
 Configuration: flags override the config file, which overrides built-in
 defaults (84 MHz clock, both canonical grids, 5 repetitions, 10,000
@@ -38,14 +39,9 @@ import numpy as np
 
 from .activations import SPECS, ActivationKind
 from .analysis import error_metrics, balancing_errors, solve_tanh_threshold, threshold_sweep
-from .attack import (
-    BASE_CYCLES_DESYNC,
-    DelaySpec,
-    attack_experiment,
-    calibrated_delay,
-    constant_time_model,
-    default_desync_model,
-)
+from .attack import (_DEFAULT_HISTORY_TRIALS, _DEFAULT_SWING_CYCLES, BASE_CYCLES_DESYNC,
+                     DEFAULT_CLOCK_HZ, DelaySpec, attack_experiment, calibrated_delay,
+                     constant_time_model, default_desync_model)
 from .grids import GRID_DENSE, GRID_WIDE, GridSpec, inclusive_grid
 from .harness import check_uniformity, measure_host
 
@@ -95,9 +91,9 @@ class ExperimentConfig:
     delay_high_us: float | None = None
     delay_mean_us: float | None = None
     delay_std_us: float | None = None
-    input_swing_cycles: int = 10
-    history_trials: int = 1
-    clock_hz: float = 84e6
+    input_swing_cycles: int = _DEFAULT_SWING_CYCLES
+    history_trials: int = _DEFAULT_HISTORY_TRIALS
+    clock_hz: float = DEFAULT_CLOCK_HZ
     tolerance: float = 1e-9
     sweep: bool = False
     assert_max_abs: dict | None = None
@@ -396,7 +392,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
             samples += group
             values = [row[-1] for row in group]
             summary.append((kind.value, protected, len(values), min(values),
-                            statistics.fmean(values), statistics.median(values),
+                            statistics.fmean(values), float(statistics.median(values)),
                             statistics.stdev(values) if len(values) > 1 else 0.0,
                             max(values)))
     _write(samples_path, samples, _BENCH_SAMPLES_HEADER)
@@ -496,10 +492,9 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
             "n_prof": int(cfg.n_prof),
             "n_attack_max": int(cfg.n_attack_max),
             "trials": int(cfg.trials),
-            "clock_hz": float(cfg.clock_hz),
-            "input_swing_cycles": (0 if cfg.countermeasure == "constant-time"
-                                   else int(cfg.input_swing_cycles)),
-            "delay": dataclasses.asdict(delay),
+            "clock_hz": model.clock_hz,
+            "input_swing_cycles": model.input_swing_cycles,
+            "delay": dataclasses.asdict(model.delay),
             "rng": "PCG64 via numpy default_rng; one spawned child stream per trial",
         },
         "per_true_class": per_class,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import erf, expit
 
 from ctact._ops import OP_BRANCH, recording
 from ctact.analysis import error_metrics, threshold_sweep
@@ -12,7 +13,6 @@ from ctact.activations import (
     GELU_THRESHOLD,
     SIGMOID_THRESHOLD,
     SPECS,
-    SWISH_BETA,
     SWISH_THRESHOLD,
     TANH_THRESHOLD,
     ActivationKind,
@@ -30,6 +30,9 @@ from ctact.activations import (
 )
 
 
+K = ActivationKind
+
+
 def bits(x) -> int:
     return int(np.float32(x).view(np.uint32))
 
@@ -42,7 +45,6 @@ class TestThresholdConstants:
         assert TANH_THRESHOLD == np.float32(4.971)
         assert GELU_THRESHOLD == np.float32(3.6)
         assert SWISH_THRESHOLD == np.float32(8.0)
-        assert SWISH_BETA == np.float32(1.0)
 
     def test_ranges(self):
         # The tanh constant sits next to the balanced-error root 4.97; the
@@ -234,3 +236,68 @@ class TestEvaluate:
             evaluate(ActivationKind.TANH, bad)
         with pytest.raises(ValueError):
             evaluate(ActivationKind.RELU, bad, protected=False)
+
+
+class TestRandomEncodingContract:
+    """The numeric contract on 2**20 seeded random binary32 bit patterns.
+
+    Uniform over encodings rather than values, so huge magnitudes,
+    subnormals, signed zeros and both saturation regions all appear, not
+    just the canonical grids.  Underflow inside the cores is expected here
+    (the subnormal timing channel), so it is not turned into an error.
+    """
+
+    # Max-abs error against the float64 references, over the whole domain.
+    BOUNDS = {K.SIGMOID: 1e-4, K.TANH: 2e-4, K.GELU: 1e-3, K.SWISH: 4e-3}
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        patterns = np.random.default_rng(20261018).integers(0, 2**32, 2**20, dtype=np.uint32)
+        x = patterns.view(np.float32)
+        return x[np.isfinite(x)]
+
+    @pytest.fixture(scope="class")
+    def y(self, x):
+        return {kind: spec.core(x) for kind, spec in SPECS.items()}
+
+    def test_outputs_are_finite(self, y):
+        for kind, out in y.items():
+            assert np.isfinite(out).all(), kind
+
+    def test_relu_is_bit_exact(self, x, y):
+        # x itself above zero, +0.0 for every other input, -0.0 included.
+        expected = np.where(x > 0, x.view(np.uint32), np.uint32(0))
+        np.testing.assert_array_equal(y[K.RELU].view(np.uint32), expected)
+
+    def test_tanh_is_odd_bit_exactly(self, x, y):
+        negated = SPECS[K.TANH].core(-x).view(np.uint32)
+        np.testing.assert_array_equal(negated, y[K.TANH].view(np.uint32) ^ np.uint32(0x80000000))
+
+    def test_saturated_outputs_are_exact(self, x, y):
+        def assert_bits(out, where, expected):
+            assert where.any()
+            got = out[where].view(np.uint32)
+            np.testing.assert_array_equal(got, np.broadcast_to(expected, got.shape))
+
+        one, minus_one, zero = (np.uint32(bits(v)) for v in (1.0, -1.0, 0.0))
+        beyond = np.abs(x) > TANH_THRESHOLD
+        assert_bits(y[K.TANH], beyond & (x > 0), one)
+        assert_bits(y[K.TANH], beyond & (x < 0), minus_one)
+        assert_bits(y[K.SIGMOID], x > SIGMOID_THRESHOLD, one)
+        assert_bits(y[K.SIGMOID], x < -SIGMOID_THRESHOLD, zero)
+        for kind, threshold in ((K.GELU, GELU_THRESHOLD), (K.SWISH, SWISH_THRESHOLD)):
+            assert_bits(y[kind], x < -threshold, zero)
+            above = x > threshold
+            assert_bits(y[kind], above, x[above].view(np.uint32))
+
+    def test_max_abs_error_against_float64_references(self, x, y):
+        v = x.astype(np.float64)
+        references = {
+            K.SIGMOID: expit(v),
+            K.TANH: np.tanh(v),
+            K.GELU: 0.5 * v * (1.0 + erf(v / math.sqrt(2.0))),
+            K.SWISH: v * expit(v),
+        }
+        for kind, reference in references.items():
+            worst = np.max(np.abs(y[kind].astype(np.float64) - reference))
+            assert worst <= self.BOUNDS[kind], (kind, worst)

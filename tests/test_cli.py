@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from ctact import cli
 from ctact._ops import f_add
 from ctact.analysis import error_metrics
+from ctact.attack import attack_experiment, default_desync_model
 from ctact.activations import SPECS, ActivationKind
 
 
@@ -143,6 +145,14 @@ class TestBenchCommand:
         summary = read_json(tmp_path / "bench_summary.json")
         assert {row["protected"] for row in summary} == {True, False}
 
+    def test_median_is_a_float_for_an_odd_sample_count(self, tmp_path):
+        # statistics.median returns a sample itself (an int) for an odd count.
+        assert run("bench", "--kinds", "relu", "--interval", "0", "2",
+                   "--step", "1", "--repetitions", "1", "--out", str(tmp_path)) == 0
+        (row,) = read_json(tmp_path / "bench_summary.json")
+        assert row["n"] == 3
+        assert type(row["median_ns"]) is float
+
 
 class TestAttackCommand:
     def test_artifacts_and_summary(self, tmp_path):
@@ -177,6 +187,13 @@ class TestAttackCommand:
                    "--out", str(tmp_path / "b")) == 0
         a = read_json(tmp_path / "a" / "attack_summary.json")
         assert a["config"]["delay"]["distribution"] == "truncated-gaussian"
+
+    def test_config_defaults_are_the_model_defaults(self):
+        cfg, model = cli.ExperimentConfig(), default_desync_model()
+        assert (cfg.clock_hz, cfg.input_swing_cycles) == (model.clock_hz,
+                                                           model.input_swing_cycles)
+        keep = inspect.signature(attack_experiment).parameters["keep_history_trials"]
+        assert cfg.history_trials == keep.default
 
 
 class TestThresholdsCommand:

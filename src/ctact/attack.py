@@ -7,8 +7,8 @@ The device model produces one latency observation per activation call:
 where base_cycles is an integer cycle count (with a small input-dependent
 component for the unprotected sigmoid and tanh) and delay_us is a draw from
 the desynchronisation countermeasure's nonnegative delay distribution.
-Cycle counts stay integers internally; conversion to microseconds happens
-only at this boundary.
+A class's base latency takes at most three values (base and base +- swing
+cycles), each converted to microseconds once per call batch.
 
 The attack is the classic two-phase template attack.  Profiling fits one
 Gaussian (mean, unbiased variance) per activation class; the online phase
@@ -20,7 +20,12 @@ and the attack succeeds when the true class takes the lead and keeps it.
 
 Randomness: PCG64 (numpy's default_rng).  Experiments derive one child
 stream per trial from a master SeedSequence, so any trial can be reproduced
-independently of the others.
+independently of the others.  Within a trial, each batch of n calls takes n
+inputs and then n delays from the stream, class by class through profiling
+and then the attack.  Inputs that no latency reads (relu, and every class
+without a swing) are skipped with ``advance(n)`` rather than drawn: PCG64
+spends one 64-bit word per double, so the stream position, and every later
+draw, is the same as if they had been drawn.
 """
 
 from __future__ import annotations
@@ -88,6 +93,15 @@ _SWING_SLOW_BELOW = 2.0
 _SWING_FAST_ABOVE = 6.0
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float, size: int) -> np.ndarray:
+    # Bit-equal to rng.uniform(low, high, size), which computes
+    # low + (high - low) * u per draw, without its temporaries.
+    values = rng.random(size)
+    values *= high - low
+    values += low
+    return values
+
+
 def _truncnorm():
     # Only the truncated-gaussian delay needs scipy.stats, which takes most
     # of a second to import, so it is imported on first use.
@@ -125,7 +139,7 @@ class DelaySpec:
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.distribution == "uniform":
-            return rng.uniform(self.low_us, self.high_us, size)
+            return _uniform(rng, self.low_us, self.high_us, size)
         lo = (0.0 - self.mean_us) / self.std_us
         return _truncnorm().rvs(
             lo, np.inf, loc=self.mean_us, scale=self.std_us,
@@ -168,7 +182,12 @@ def calibrated_delay() -> DelaySpec:
 
 @dataclass(frozen=True)
 class DeviceTimingModel:
-    """Per-class latency generator for one device configuration."""
+    """Per-class latency generator for one device configuration.
+
+    ``input_swing_cycles`` applies to the sigmoid and tanh classes only and
+    must stay below each of their base latencies, so every call takes at
+    least one cycle.
+    """
 
     base_cycles: Mapping
     delay: DelaySpec
@@ -183,35 +202,53 @@ class DeviceTimingModel:
                 raise ValueError(f"base cycles for {kind} must be a positive integer")
         if self.input_swing_cycles < 0:
             raise ValueError("input_swing_cycles must be >= 0")
+        for kind, cycles in self.base_cycles.items():
+            if self._swing_cycles(kind) >= cycles:
+                raise ValueError(
+                    f"input swing of {self.input_swing_cycles} cycles takes "
+                    f"{ActivationKind(kind).value} ({cycles} cycles) to "
+                    f"{cycles - self.input_swing_cycles}; it must stay below the base latency"
+                )
 
     @property
     def us_per_cycle(self) -> float:
         return 1e6 / self.clock_hz
 
-    def cycles_at(self, kind: ActivationKind, xs: np.ndarray) -> np.ndarray:
-        """Integer cycle count per input (before the random delay)."""
+    def _swing_cycles(self, kind) -> int:
+        """Input-dependent swing of the class's base latency; 0 if it ignores its input."""
+        return self.input_swing_cycles if ActivationKind(kind) in _SWING_KINDS else 0
+
+    def observe(self, kind, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Latencies in us of ``n`` calls to ``kind`` on inputs ~ uniform(INPUT_RANGE).
+
+        Takes n inputs and then n delays from ``rng``.  Inputs are drawn only
+        when the latency reads them; otherwise the stream is advanced past
+        them, which leaves it where drawing them would.
+        """
         kind = ActivationKind(kind)
         if kind not in self.base_cycles:
             raise KeyError(f"model has no base latency for {kind}")
-        base = np.full(np.shape(xs), int(self.base_cycles[kind]), dtype=np.int64)
-        if kind in _SWING_KINDS and self.input_swing_cycles:
-            magnitude = np.abs(np.asarray(xs, dtype=np.float64))
-            base = base + np.where(magnitude < _SWING_SLOW_BELOW,
-                                   self.input_swing_cycles, 0)
-            base = base - np.where(magnitude > _SWING_FAST_ABOVE,
-                                   self.input_swing_cycles, 0)
-        return base
-
-    def latencies_us(self, kind, xs, rng: np.random.Generator) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        cycles = self.cycles_at(kind, xs)
-        return cycles * self.us_per_cycle + self.delay.draw(rng, xs.size)
+        cycles, swing = self.base_cycles[kind], self._swing_cycles(kind)
+        if swing:
+            magnitude = _uniform(rng, *INPUT_RANGE, n)
+            np.abs(magnitude, out=magnitude)
+            # Band 0 is |x| < 2 (slow), 1 the dead zone, 2 is |x| > 6 (fast).
+            band = np.add(magnitude >= _SWING_SLOW_BELOW, magnitude > _SWING_FAST_ABOVE,
+                          dtype=np.intp)
+            levels = np.array([cycles + swing, cycles, cycles - swing]) * self.us_per_cycle
+            base_us = levels.take(band)
+        else:
+            rng.bit_generator.advance(n)
+            base_us = cycles * self.us_per_cycle
+        latencies = self.delay.draw(rng, n)
+        latencies += base_us
+        return latencies
 
     # Analytic moments under inputs ~ uniform(INPUT_RANGE); the template-fit
     # consistency checks compare sample estimates against these.
 
     def _swing_probabilities(self, kind) -> tuple:
-        if ActivationKind(kind) not in _SWING_KINDS or not self.input_swing_cycles:
+        if not self._swing_cycles(kind):
             return 0.0, 0.0
         lo, hi = INPUT_RANGE
         span = hi - lo
@@ -278,10 +315,17 @@ class GaussianTemplate:
 
 
 def fit_template(kind, samples: Sequence[float]) -> GaussianTemplate:
-    """Fit mean and unbiased (n-1) variance to profiling samples."""
+    """Fit mean and unbiased (n-1) variance to profiling samples.
+
+    Samples that are all equal are rejected: their true variance is zero,
+    but summation rounding can leave a tiny positive estimate.
+    """
     values = np.asarray(samples, dtype=np.float64)
     if values.size < 2:
         raise ValueError("profiling needs at least 2 samples")
+    if not np.ptp(values) > 0.0:
+        raise ValueError(f"degenerate profile for {kind}: all {values.size} samples "
+                         f"equal (constant samples carry no Gaussian profile)")
     mean = float(np.mean(values))
     var = float(np.var(values, ddof=1))
     return GaussianTemplate(ActivationKind(kind), mean, var, int(values.size))
@@ -306,12 +350,8 @@ def profile_phase(model: DeviceTimingModel, classes: Sequence, n_profiling: int,
         raise ValueError("classes must be distinct")
     if n_profiling < 2:
         raise ValueError("n_profiling must be >= 2")
-    templates = {}
-    for kind in kinds:
-        inputs = rng.uniform(INPUT_RANGE[0], INPUT_RANGE[1], n_profiling)
-        observations = model.latencies_us(kind, inputs, rng)
-        templates[kind] = fit_template(kind, observations)
-    return templates
+    return {kind: fit_template(kind, model.observe(kind, n_profiling, rng))
+            for kind in kinds}
 
 
 @dataclass(frozen=True)
@@ -322,7 +362,8 @@ class AttackResult:
     class's accumulated score exceeds every rival's and never falls behind
     again within this horizon; None when no such point exists (success is
     False in that case).  ``score_history`` maps each class to its running
-    score, one entry per measurement.
+    score, one entry per measurement; the values are the rows of one
+    (classes, n_measurements) array, in template order.
     """
 
     true_kind: ActivationKind
@@ -335,7 +376,11 @@ class AttackResult:
 
 def run_attack(model: DeviceTimingModel, templates: Mapping, true_kind,
                n_measurements: int, rng: np.random.Generator) -> AttackResult:
-    """Accumulate per-class scores over measurements of the true class."""
+    """Accumulate per-class scores over measurements of the true class.
+
+    Each template's score increments fill one row of a (classes, n) array,
+    and one cumulative sum along the rows turns them into running scores.
+    """
     true_kind = ActivationKind(true_kind)
     if true_kind not in templates:
         raise ValueError(f"no template for true class {true_kind}")
@@ -343,28 +388,28 @@ def run_attack(model: DeviceTimingModel, templates: Mapping, true_kind,
         raise ValueError("attack needs at least 2 candidate classes")
     if n_measurements < 1:
         raise ValueError("n_measurements must be >= 1")
-    inputs = rng.uniform(INPUT_RANGE[0], INPUT_RANGE[1], n_measurements)
-    observed = model.latencies_us(true_kind, inputs, rng)
-    history = {
-        kind: np.cumsum(score_increment(template, observed))
-        for kind, template in templates.items()
-    }
-    rivals = np.max([history[k] for k in history if k != true_kind], axis=0)
-    lead = history[true_kind] > rivals
+    observed = model.observe(true_kind, n_measurements, rng)
+    kinds = list(templates)
+    scores = np.empty((len(kinds), n_measurements))
+    for row, template in zip(scores, templates.values()):
+        row[:] = score_increment(template, observed)
+    np.cumsum(scores, axis=1, out=scores)
+    true_row = kinds.index(true_kind)
+    rivals = np.delete(scores, true_row, axis=0).max(axis=0)
+    lead = scores[true_row] > rivals
     if lead[-1]:
         behind = np.nonzero(~lead)[0]
         separation_n = 1 if behind.size == 0 else int(behind[-1]) + 2
     else:
         separation_n = None
-    finals = {kind: float(series[-1]) for kind, series in history.items()}
-    final_argmax = max(finals, key=finals.get)
     return AttackResult(
         true_kind=true_kind,
         n_measurements=n_measurements,
-        score_history=history,
+        score_history=dict(zip(kinds, scores)),
         separation_n=separation_n,
         success=separation_n is not None,
-        final_argmax=final_argmax,
+        # argmax takes the first of tied rows, as max() over the classes would.
+        final_argmax=kinds[int(np.argmax(scores[:, -1]))],
     )
 
 

@@ -5,7 +5,8 @@ Exit codes
 0  success
 1  check failure (an assertion bound was violated, or a kind that must be
    trace-uniform is not)
-2  usage error (bad flag, config value or grid, repeated kind, missing delay spec)
+2  usage error (bad flag, config value or grid, repeated kind, missing delay spec,
+   a device model the attack cannot profile)
 3  runtime error (solver bracket failure and other unexpected conditions)
 
 Determinism: for a fixed seed and fixed config every output file is
@@ -32,7 +33,7 @@ import os
 import statistics
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,8 @@ import numpy as np
 from .activations import SPECS, ActivationKind
 from .analysis import error_metrics, balancing_errors, solve_tanh_threshold, threshold_sweep
 from .attack import (_DEFAULT_HISTORY_TRIALS, _DEFAULT_SWING_CYCLES, BASE_CYCLES_DESYNC,
-                     DEFAULT_CLOCK_HZ, DelaySpec, attack_experiment, calibrated_delay,
-                     constant_time_model, default_desync_model)
+                     CONSTANT_TIME_CYCLES, DEFAULT_CLOCK_HZ, DelaySpec, DeviceTimingModel,
+                     attack_experiment, calibrated_delay)
 from .grids import GRID_DENSE, GRID_WIDE, GridSpec, inclusive_grid
 from .harness import check_uniformity, measure_host
 
@@ -245,7 +246,8 @@ def _f32_json(value) -> float:
 def _write(path: Path, payload, header=None) -> None:
     """Write one artifact; the file suffix picks CSV or JSON.
 
-    A header makes ``payload`` a table: CSV rows, or one JSON object per row.
+    A header makes ``payload`` a table: any iterable of rows, written as CSV
+    rows or as one JSON object per row.
     Binary32 values travel as ``np.float32`` cells and are rendered only here,
     as the shortest decimal that parses back to the same binary32 value.
     """
@@ -448,11 +450,18 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
         raise UsageError("the attack needs at least 2 classes")
     delay = _resolve_delay(cfg)
     if cfg.countermeasure == "constant-time":
-        model = constant_time_model(delay)
+        base_cycles, swing = dict.fromkeys(classes, CONSTANT_TIME_CYCLES), 0
     else:
-        model = default_desync_model(delay, input_swing_cycles=int(cfg.input_swing_cycles))
-    model = dataclasses.replace(model, clock_hz=float(cfg.clock_hz),
-                                base_cycles={k: model.base_cycles[k] for k in classes})
+        base_cycles = {k: BASE_CYCLES_DESYNC[k] for k in classes}
+        swing = int(cfg.input_swing_cycles)
+    try:
+        model = DeviceTimingModel(base_cycles, delay, float(cfg.clock_hz), swing)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    constant = [k.value for k in classes if model.class_var_us(k) == 0.0]
+    if constant:
+        raise UsageError(f"the delay has zero width and the latency of {', '.join(constant)} "
+                         f"ignores the input, so its profile would be constant")
     scores_path = _output_path(cfg, "attack_scores.csv")
     summary_path = _output_path(cfg, "attack_summary.json")
 
@@ -461,12 +470,10 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
         int(cfg.trials), int(cfg.seed), keep_history_trials=int(cfg.history_trials),
     )
 
-    table = []
-    for (true_kind, trial), result in kept.items():
-        for kind in classes:
-            series = result.score_history[kind].tolist()
-            table.extend(zip(repeat(true_kind.value), repeat(trial), range(1, len(series) + 1),
-                             repeat(kind.value), series))
+    table = chain.from_iterable(
+        zip(repeat(true_kind.value), repeat(trial), count(1),
+            repeat(kind.value), result.score_history[kind].tolist())
+        for (true_kind, trial), result in kept.items() for kind in classes)
     _write(scores_path, table, _ATTACK_HEADER)
 
     per_class = {}

@@ -283,6 +283,16 @@ _CLI_RUNS = (
     ("attack", ["attack", "--seed", "99", "--trials", "3", "--n-prof", "300",
                 "--n-max", "200"]),
     ("thresholds", ["thresholds", "--sweep"]),
+    # The attack engine's other paths: no input draws at all, the
+    # truncated-gaussian delay, and a single rival row.
+    ("attack-constant-time", ["attack", "--seed", "99", "--countermeasure", "constant-time",
+                              "--trials", "3", "--n-prof", "300", "--n-max", "200"]),
+    ("attack-truncated-gaussian", ["attack", "--seed", "99", "--delay-dist",
+                                   "truncated-gaussian", "--delay-mean", "10",
+                                   "--delay-std", "4", "--trials", "3", "--n-prof", "300",
+                                   "--n-max", "200"]),
+    ("attack-two-classes", ["attack", "--seed", "99", "--classes", "relu,tanh",
+                            "--trials", "3", "--n-prof", "300", "--n-max", "200"]),
 )
 
 
@@ -341,6 +351,18 @@ _ARTIFACT_DIGESTS = {
     },
     ("thresholds", "json"): {
         "thresholds.json": "ba1019142b7c8d89f49a3205fdcaa9decca3e0388e92f1f9958efb06e030b687",
+    },
+    ("attack-constant-time", "csv"): {
+        "attack_scores.csv": "9ed7e412bc17e6d30053508a1b83ec8fc790c43001b6948e88e9dfc38370c591",
+        "attack_summary.json": "2797e7385033f5f4aa01412104aadf3f9b3d75edb7ffc9fdce7b22f3e2cb7f3b",
+    },
+    ("attack-truncated-gaussian", "csv"): {
+        "attack_scores.csv": "7992bdc643344346b462bd1f5600599f4bd2dbbff97c32822b42f053110ccd55",
+        "attack_summary.json": "36fa9f42491d87c6e8484df6763c791f6be33c5c504fa4f14aa7299a46d28295",
+    },
+    ("attack-two-classes", "csv"): {
+        "attack_scores.csv": "07d13747e79ca6bacb660ec5704622fc4db3f83c2a3ad4dcc8a8d3e1fb79d6d0",
+        "attack_summary.json": "d3c57240d906113234cea33aef45a3fdbae67aaf71bf2b4f20059219a59a74ac",
     },
 }
 

@@ -11,8 +11,10 @@ from ctact.attack import (
     CONSTANT_TIME_CYCLES,
     DEFAULT_CLOCK_HZ,
     DESYNC_CALIBRATION,
+    INPUT_RANGE,
     GaussianTemplate,
     DelaySpec,
+    DeviceTimingModel,
     attack_experiment,
     calibrated_delay,
     constant_time_model,
@@ -25,6 +27,39 @@ from ctact.attack import (
 
 RELU, SIGMOID, TANH = (ActivationKind.RELU, ActivationKind.SIGMOID, ActivationKind.TANH)
 THREE_CLASSES = [RELU, SIGMOID, TANH]
+
+
+def reference_observe(model, kind, n, rng):
+    """The direct definition: draw every input, then integer cycles times us per cycle."""
+    xs = rng.uniform(INPUT_RANGE[0], INPUT_RANGE[1], n)
+    cycles = np.full(n, model.base_cycles[kind], dtype=np.int64)
+    if kind in (SIGMOID, TANH) and model.input_swing_cycles:
+        magnitude = np.abs(xs)
+        cycles += np.where(magnitude < 2.0, model.input_swing_cycles, 0)
+        cycles -= np.where(magnitude > 6.0, model.input_swing_cycles, 0)
+    if model.delay.distribution == "uniform":
+        delays = rng.uniform(model.delay.low_us, model.delay.high_us, n)
+    else:
+        delays = model.delay.draw(rng, n)
+    return cycles * model.us_per_cycle + delays
+
+
+class TestStreamFacts:
+    """The numpy stream properties DeviceTimingModel.observe is built on."""
+
+    @pytest.mark.parametrize("low,high", [INPUT_RANGE, (2.008460859262745, 17.633824855022972),
+                                          (0.0, 0.5), (5.0, 5.0)])
+    def test_affine_random_is_bit_equal_to_uniform(self, low, high):
+        values = np.random.default_rng(3).random(10_000)
+        values *= high - low
+        values += low
+        assert values.tobytes() == np.random.default_rng(3).uniform(low, high, 10_000).tobytes()
+
+    @pytest.mark.parametrize("n,m", [(1, 5), (10_000, 300), (12_345, 1)])
+    def test_advance_skips_exactly_n_doubles(self, n, m):
+        skipped = np.random.default_rng(4)
+        skipped.bit_generator.advance(n)
+        assert skipped.random(m).tobytes() == np.random.default_rng(4).random(n + m)[n:].tobytes()
 
 
 class TestDelaySpec:
@@ -99,46 +134,67 @@ class TestDeviceModel:
         quiet = DelaySpec("uniform", low_us=0.0, high_us=0.0)
         model = default_desync_model(quiet)
         rng = np.random.default_rng(0)
-        # x=3 sits in the swing dead zone (neither |x|<2 nor |x|>6).
-        assert model.latencies_us(RELU, [3.0], rng) == pytest.approx(
-            [12 / 84e6 * 1e6], rel=1e-12
-        )
-        assert model.latencies_us(TANH, [3.0], rng) == pytest.approx(
-            [403 / 84e6 * 1e6], rel=1e-12
-        )
+        assert sorted(set(model.observe(RELU, 50, rng))) == pytest.approx(
+            [12 / 84e6 * 1e6], rel=1e-12)
+        # 403 cycles in the dead zone |x| in [2, 6], +-10 outside it.
+        assert sorted(set(model.observe(TANH, 50, rng))) == pytest.approx(
+            [c / 84e6 * 1e6 for c in (393, 403, 413)], rel=1e-12)
 
     def test_input_swing_direction(self):
         quiet = DelaySpec("uniform", low_us=0.0, high_us=0.0)
         model = default_desync_model(quiet)
-        rng = np.random.default_rng(0)
-        # |x| = 3 is in the dead zone, |x| < 2 runs slow, |x| > 6 runs fast.
-        center, slow, fast = model.latencies_us(SIGMOID, [3.0, 0.5, 7.0], rng)
-        swing = 10 / 84e6 * 1e6
-        assert slow == pytest.approx(center + swing, rel=1e-9)
-        assert fast == pytest.approx(center - swing, rel=1e-9)
-        # relu has no input-dependent term.
-        near, far = model.latencies_us(RELU, [0.5, 7.0], rng)
-        assert near == far
+        n = 400
+        xs = np.abs(np.random.default_rng(0).uniform(*INPUT_RANGE, n))
+        latencies = model.observe(SIGMOID, n, np.random.default_rng(0))
+        # |x| in [2, 6] is the dead zone, |x| < 2 runs slow, |x| > 6 runs fast.
+        center, swing = 221 / 84e6 * 1e6, 10 / 84e6 * 1e6
+        assert set(latencies[(xs >= 2) & (xs <= 6)]) == {center}
+        assert latencies[xs < 2] == pytest.approx(center + swing, rel=1e-12)
+        assert latencies[xs > 6] == pytest.approx(center - swing, rel=1e-12)
+
+    @pytest.mark.parametrize("model", [
+        default_desync_model(),
+        default_desync_model(input_swing_cycles=0),
+        default_desync_model(DelaySpec("truncated-gaussian", mean_us=3.0, std_us=2.0), 7),
+        constant_time_model(),
+        DeviceTimingModel({RELU: 12, TANH: 403}, DelaySpec("uniform", 0.0, 0.5), 1e8, 300),
+    ], ids=["desync", "no-swing", "truncated-gaussian", "constant-time", "wide-swing"])
+    def test_observe_matches_the_direct_definition(self, model):
+        # Same latencies bit for bit, and the stream ends where drawing every
+        # input would leave it.
+        fast, direct = np.random.default_rng(8), np.random.default_rng(8)
+        for kind in model.base_cycles:
+            for n in (1, 2_000):
+                assert (model.observe(kind, n, fast).tobytes()
+                        == reference_observe(model, kind, n, direct).tobytes())
+        assert fast.random(4).tolist() == direct.random(4).tolist()
 
     def test_constant_time_model_erases_class_information(self):
         model = constant_time_model(DelaySpec("uniform", low_us=0.0, high_us=0.0))
         rng = np.random.default_rng(0)
-        values = {
-            float(v)
-            for kind in THREE_CLASSES
-            for v in model.latencies_us(kind, [-7.0, 0.1, 5.0], rng)
-        }
+        values = {float(v) for kind in THREE_CLASSES for v in model.observe(kind, 30, rng)}
         assert len(values) == 1  # identical cycles for every class and input
         assert values.pop() == pytest.approx(88 / 84e6 * 1e6)
 
     def test_unknown_class_rejected(self):
         model = default_desync_model()
         with pytest.raises(KeyError):
-            model.cycles_at(ActivationKind.GELU, np.array([0.0]))
+            model.observe(ActivationKind.GELU, 1, np.random.default_rng(0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             default_desync_model(input_swing_cycles=-1)
+
+    def test_swing_must_stay_below_each_swinging_base_latency(self):
+        delay = calibrated_delay()
+        for swing in (221, 500):  # sigmoid would take 0 or -279 cycles
+            with pytest.raises(ValueError, match="sigmoid"):
+                default_desync_model(input_swing_cycles=swing)
+        default_desync_model(input_swing_cycles=220)
+        # Only the classes the model holds count, and relu never swings.
+        DeviceTimingModel({RELU: 12, TANH: 403}, delay, input_swing_cycles=300)
+        with pytest.raises(ValueError, match="tanh"):
+            DeviceTimingModel({RELU: 12, TANH: 403}, delay, input_swing_cycles=403)
 
 
 class TestTemplates:
@@ -153,6 +209,13 @@ class TestTemplates:
             fit_template(SIGMOID, [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             fit_template(SIGMOID, [1.0])
+
+    def test_constant_samples_rejected_despite_rounding(self):
+        # 10,000 equal latencies: np.var(ddof=1) rounds to about 3e-30, not 0.
+        samples = np.full(10_000, 88 / 84e6 * 1e6 + 5.0)
+        assert np.var(samples, ddof=1) > 0
+        with pytest.raises(ValueError, match="equal"):
+            fit_template(RELU, samples)
 
     def test_score_increment_oracle(self):
         t = GaussianTemplate(SIGMOID, 12.380, 20.575, 2)
@@ -223,8 +286,11 @@ class TestRunAttack:
         rng = np.random.default_rng(2)
         templates = profile_phase(model, THREE_CLASSES, 500, rng)
         result = run_attack(model, templates, SIGMOID, 40, rng)
-        assert set(result.score_history) == set(THREE_CLASSES)
+        assert list(result.score_history) == list(templates)
         assert all(len(v) == 40 for v in result.score_history.values())
+        rows = list(result.score_history.values())
+        # The rows of one (classes, n) array.
+        assert rows[0].base is not None and all(row.base is rows[0].base for row in rows)
         assert result.n_measurements == 40
         if result.separation_n is not None:
             assert 1 <= result.separation_n <= 40

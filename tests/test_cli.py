@@ -188,6 +188,15 @@ class TestAttackCommand:
         a = read_json(tmp_path / "a" / "attack_summary.json")
         assert a["config"]["delay"]["distribution"] == "truncated-gaussian"
 
+    @pytest.mark.parametrize("argv", [
+        ("--classes", "relu,tanh", "--input-swing", "300"),  # sigmoid is not dispatched
+        ("--input-swing", "220"),                             # sigmoid keeps one cycle
+        ("--classes", "sigmoid,tanh", "--delay-low", "5", "--delay-high", "5"),
+    ])
+    def test_edge_models_still_run(self, argv, tmp_path):
+        assert run("attack", *argv, "--trials", "1", "--n-prof", "200", "--n-max", "20",
+                   "--out", str(tmp_path)) == 0
+
     def test_config_defaults_are_the_model_defaults(self):
         cfg, model = cli.ExperimentConfig(), default_desync_model()
         assert (cfg.clock_hz, cfg.input_swing_cycles) == (model.clock_hz,
@@ -263,6 +272,13 @@ class TestUsageErrors:
         ("traces", "--kinds", "tanh,tanh"),
         ("attack", "--classes", "relu,relu,sigmoid"),
         ("attack", "--input-swing", "-1"),
+        ("attack", "--input-swing", "500"),
+        ("attack", "--input-swing", "221"),
+        ("attack", "--classes", "relu,tanh", "--input-swing", "403"),
+        ("attack", "--countermeasure", "constant-time", "--delay-low", "5", "--delay-high", "5"),
+        ("attack", "--classes", "sigmoid,relu", "--delay-low", "5", "--delay-high", "5"),
+        ("attack", "--classes", "sigmoid,tanh", "--input-swing", "0",
+         "--delay-low", "5", "--delay-high", "5"),
     ])
     def test_exit_code_two(self, argv, tmp_path):
         assert run(*argv, "--out", str(tmp_path)) == 2

@@ -220,12 +220,15 @@ def relu_ref(x) -> np.float32:
     return v if v > 0 else np.float32(0.0)
 
 
-def sigmoid_ref(x) -> np.float32:
-    v = float(as_f32(x))
+def _logistic(v: float) -> float:
     if v >= 0.0:
-        return np.float32(1.0 / (1.0 + math.exp(-v)))
+        return 1.0 / (1.0 + math.exp(-v))
     e = math.exp(v)  # stable form for large negative arguments
-    return np.float32(e / (1.0 + e))
+    return e / (1.0 + e)
+
+
+def sigmoid_ref(x) -> np.float32:
+    return np.float32(_logistic(float(as_f32(x))))
 
 
 def tanh_ref(x) -> np.float32:
@@ -239,12 +242,7 @@ def gelu_ref(x) -> np.float32:
 
 def swish_ref(x) -> np.float32:
     v = float(as_f32(x))
-    if v >= 0.0:
-        gate = 1.0 / (1.0 + math.exp(-v))
-    else:
-        e = math.exp(v)
-        gate = e / (1.0 + e)
-    return np.float32(v * gate)
+    return np.float32(v * _logistic(v))
 
 
 # -- instrumented models of the references (trace shape only) --------------

@@ -37,6 +37,9 @@ __all__ = [
 
 _P64 = tuple(float(c) for c in NUMERATOR_EXACT)
 _Q64 = tuple(float(c) for c in DENOMINATOR_EXACT)
+# Far more halvings than the binary64 spacing of the bracket allows; a solve
+# that runs out has a tolerance below what the residual can reach.
+_MAX_BISECTION_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,7 @@ def balancing_errors(threshold: float) -> tuple:
 
 
 def solve_tanh_threshold(tolerance: float = 1e-9,
-                         bracket: tuple = (3.0, 7.0),
-                         max_iterations: int = 200) -> ThresholdSolution:
+                         bracket: tuple = (3.0, 7.0)) -> ThresholdSolution:
     """Bisect for the threshold where the two error sources balance.
 
     Solves |tanh(t) - R(t)| = 1 - tanh(t) on the bracket; the residual of
@@ -146,7 +148,7 @@ def solve_tanh_threshold(tolerance: float = 1e-9,
             f"gap({lo})={gap_lo:.3e}, gap({hi})={gap_hi:.3e}"
         )
     mid, gap_mid = lo, gap_lo
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_BISECTION_STEPS + 1):
         mid = 0.5 * (lo + hi)
         gap_mid = gap(mid)
         if abs(gap_mid) <= tolerance:
@@ -157,7 +159,7 @@ def solve_tanh_threshold(tolerance: float = 1e-9,
             lo, gap_lo = mid, gap_mid
     raise RuntimeError(
         f"bisection did not reach residual {tolerance:g} in "
-        f"{max_iterations} iterations (last residual {gap_mid:.3e})"
+        f"{_MAX_BISECTION_STEPS} iterations (last residual {gap_mid:.3e})"
     )
 
 

@@ -18,6 +18,10 @@ accumulates per-class log-likelihood scores
 
 and the attack succeeds when the true class takes the lead and keeps it.
 
+The device behind each countermeasure is built by ``device_model``:
+``desync`` keeps each class's own base latency behind the random delay, and
+``constant-time`` pins every class to one latency that ignores the input.
+
 Randomness: PCG64 (numpy's default_rng).  Experiments derive one child
 stream per trial from a master SeedSequence, so any trial can be reproduced
 independently of the others.  Within a trial, each batch of n calls takes n
@@ -30,6 +34,7 @@ draw, is the same as if they had been drawn.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -43,15 +48,15 @@ __all__ = [
     "DeviceTimingModel",
     "GaussianTemplate",
     "AttackResult",
-    "TrialRecord",
     "INPUT_RANGE",
     "BASE_CYCLES_DESYNC",
     "CONSTANT_TIME_CYCLES",
     "DESYNC_CALIBRATION",
     "DEFAULT_CLOCK_HZ",
+    "COUNTERMEASURES",
+    "DELAY_DISTRIBUTIONS",
     "calibrated_delay",
-    "default_desync_model",
-    "constant_time_model",
+    "device_model",
     "fit_template",
     "score_increment",
     "profile_phase",
@@ -81,6 +86,8 @@ DESYNC_CALIBRATION = {
 }
 
 DEFAULT_CLOCK_HZ = 84e6
+COUNTERMEASURES = ("desync", "constant-time")
+DELAY_DISTRIBUTIONS = ("uniform", "truncated-gaussian")
 _DEFAULT_HISTORY_TRIALS = 1  # trials per true class whose score history is kept
 
 # Input-dependent base component for the unprotected sigmoid/tanh: calls with
@@ -125,17 +132,18 @@ class DelaySpec:
     std_us: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.distribution not in DELAY_DISTRIBUTIONS:
+            raise ValueError(f"unknown delay distribution: {self.distribution!r}")
+        # Chained comparisons are False for NaN, so NaN fails each check.
         if self.distribution == "uniform":
-            if self.low_us < 0 or self.high_us < self.low_us:
+            if not 0 <= self.low_us <= self.high_us < math.inf:
                 raise ValueError(
-                    f"uniform delay needs 0 <= low <= high, got "
+                    f"uniform delay needs 0 <= low <= high < inf, got "
                     f"[{self.low_us}, {self.high_us}]"
                 )
-        elif self.distribution == "truncated-gaussian":
-            if self.std_us <= 0:
-                raise ValueError(f"std_us must be positive, got {self.std_us}")
-        else:
-            raise ValueError(f"unknown delay distribution: {self.distribution!r}")
+        elif not (-math.inf < self.mean_us < math.inf and 0 < self.std_us < math.inf):
+            raise ValueError(f"truncated-gaussian delay needs a finite mean and a positive "
+                             f"finite std, got mean {self.mean_us}, std {self.std_us}")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.distribution == "uniform":
@@ -195,8 +203,8 @@ class DeviceTimingModel:
     input_swing_cycles: int = _DEFAULT_SWING_CYCLES
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
-            raise ValueError(f"clock_hz must be positive, got {self.clock_hz}")
+        if not 0 < self.clock_hz < math.inf:
+            raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
         for kind, cycles in self.base_cycles.items():
             if cycles <= 0 or cycles != int(cycles):
                 raise ValueError(f"base cycles for {kind} must be a positive integer")
@@ -272,27 +280,33 @@ class DeviceTimingModel:
         return var_sw + self.delay.variance()
 
 
-def default_desync_model(delay: DelaySpec | None = None,
-                         input_swing_cycles: int = _DEFAULT_SWING_CYCLES) -> DeviceTimingModel:
-    """Unprotected three-class device behind the random-delay countermeasure."""
-    return DeviceTimingModel(
-        base_cycles=dict(BASE_CYCLES_DESYNC),
-        delay=delay if delay is not None else calibrated_delay(),
-        input_swing_cycles=input_swing_cycles,
-    )
+def device_model(countermeasure: str = "desync", classes: Sequence = tuple(BASE_CYCLES_DESYNC),
+                 delay: DelaySpec | None = None, clock_hz: float = DEFAULT_CLOCK_HZ,
+                 input_swing_cycles: int = _DEFAULT_SWING_CYCLES) -> DeviceTimingModel:
+    """The modeled device behind one countermeasure, dispatching ``classes``.
 
-
-def constant_time_model(delay: DelaySpec | None = None) -> DeviceTimingModel:
-    """Every class shares one constant base latency (the protected build).
-
-    The delay distribution still applies identically to all classes, so the
-    observations carry variance but zero class information.
+    ``desync`` is the unprotected build: each class keeps its own base latency
+    from BASE_CYCLES_DESYNC, and sigmoid and tanh swing with the input.
+    ``constant-time`` is the protected build: every class takes
+    CONSTANT_TIME_CYCLES whatever the input, so ``input_swing_cycles`` is
+    ignored and the model's swing is 0.  The delay applies identically to all
+    classes, so its observations carry variance but no class information.
+    ``delay`` defaults to :func:`calibrated_delay`.
     """
-    return DeviceTimingModel(
-        base_cycles={kind: CONSTANT_TIME_CYCLES for kind in BASE_CYCLES_DESYNC},
-        delay=delay if delay is not None else calibrated_delay(),
-        input_swing_cycles=0,
-    )
+    if countermeasure not in COUNTERMEASURES:
+        raise ValueError(f"unknown countermeasure: {countermeasure!r} "
+                         f"(known: {', '.join(COUNTERMEASURES)})")
+    kinds = [ActivationKind(c) for c in classes]
+    unsupported = [k.value for k in kinds if k not in BASE_CYCLES_DESYNC]
+    if unsupported:
+        raise ValueError(f"no base latency for: {', '.join(unsupported)}; the modeled device "
+                         f"dispatches {', '.join(k.value for k in BASE_CYCLES_DESYNC)}")
+    if countermeasure == "constant-time":
+        base_cycles, input_swing_cycles = dict.fromkeys(kinds, CONSTANT_TIME_CYCLES), 0
+    else:
+        base_cycles = {k: BASE_CYCLES_DESYNC[k] for k in kinds}
+    return DeviceTimingModel(base_cycles, delay if delay is not None else calibrated_delay(),
+                             clock_hz, input_swing_cycles)
 
 
 @dataclass(frozen=True)
@@ -363,12 +377,13 @@ class AttackResult:
     again within this horizon; None when no such point exists (success is
     False in that case).  ``score_history`` maps each class to its running
     score, one entry per measurement; the values are the rows of one
-    (classes, n_measurements) array, in template order.
+    (classes, n_measurements) array, in template order.  It is None for a
+    trial whose history :func:`attack_experiment` did not keep.
     """
 
     true_kind: ActivationKind
     n_measurements: int
-    score_history: dict
+    score_history: dict | None
     separation_n: int | None
     success: bool
     final_argmax: ActivationKind
@@ -413,45 +428,30 @@ def run_attack(model: DeviceTimingModel, templates: Mapping, true_kind,
     )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Bookkeeping row for one profile-plus-attack trial."""
-
-    true_kind: ActivationKind
-    trial_index: int
-    separation_n: int | None
-    success: bool
-    final_argmax: ActivationKind
-
-
 def attack_experiment(model: DeviceTimingModel, classes: Sequence,
                       n_profiling: int, n_measurements: int, trials: int,
-                      master_seed: int, keep_history_trials: int = _DEFAULT_HISTORY_TRIALS):
+                      master_seed: int,
+                      keep_history_trials: int = _DEFAULT_HISTORY_TRIALS) -> dict:
     """Run ``trials`` independent profile+attack rounds per true class.
 
     Each trial owns a child RNG stream spawned from the master seed in a
     fixed order (true classes outer, trials inner), so results are
-    reproducible trial-by-trial.  Returns ``(records, kept)`` where records
-    is a list of :class:`TrialRecord` and kept maps (true_kind, trial_index)
-    to the full :class:`AttackResult` for the first ``keep_history_trials``
-    trials of each class.
+    reproducible trial-by-trial.  Returns ``{(true_kind, trial_index):
+    AttackResult}`` in that order.  Only the first ``keep_history_trials``
+    trials of each class keep their score history; the others carry
+    ``score_history=None``, so memory does not grow with ``trials``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     kinds = [ActivationKind(c) for c in classes]
-    root = np.random.SeedSequence(master_seed)
-    streams = root.spawn(len(kinds) * trials)
-    records = []
-    kept = {}
-    stream_index = 0
+    streams = iter(np.random.SeedSequence(master_seed).spawn(len(kinds) * trials))
+    results = {}
     for target in kinds:
         for trial in range(trials):
-            rng = np.random.default_rng(streams[stream_index])
-            stream_index += 1
+            rng = np.random.default_rng(next(streams))
             templates = profile_phase(model, kinds, n_profiling, rng)
             result = run_attack(model, templates, target, n_measurements, rng)
-            records.append(TrialRecord(target, trial, result.separation_n,
-                                       result.success, result.final_argmax))
-            if trial < keep_history_trials:
-                kept[(target, trial)] = result
-    return records, kept
+            if trial >= keep_history_trials:
+                result = dataclasses.replace(result, score_history=None)
+            results[(target, trial)] = result
+    return results

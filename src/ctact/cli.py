@@ -5,8 +5,9 @@ Exit codes
 0  success
 1  check failure (an assertion bound was violated, or a kind that must be
    trace-uniform is not)
-2  usage error (bad flag, config value or grid, repeated kind, missing delay spec,
-   a device model the attack cannot profile)
+2  usage error (bad flag, config value or grid, a non-finite number, repeated
+   kind, a missing delay parameter or one of the other distribution, a device
+   model the attack cannot profile); nothing is written
 3  runtime error (solver bracket failure and other unexpected conditions)
 
 Determinism: for a fixed seed and fixed config every output file is
@@ -29,6 +30,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import statistics
 import sys
@@ -41,8 +43,8 @@ import numpy as np
 from .activations import SPECS, ActivationKind
 from .analysis import error_metrics, balancing_errors, solve_tanh_threshold, threshold_sweep
 from .attack import (_DEFAULT_HISTORY_TRIALS, _DEFAULT_SWING_CYCLES, BASE_CYCLES_DESYNC,
-                     CONSTANT_TIME_CYCLES, DEFAULT_CLOCK_HZ, DelaySpec, DeviceTimingModel,
-                     attack_experiment, calibrated_delay)
+                     COUNTERMEASURES, DEFAULT_CLOCK_HZ, DELAY_DISTRIBUTIONS, DelaySpec,
+                     attack_experiment, device_model)
 from .grids import GRID_DENSE, GRID_WIDE, GridSpec, inclusive_grid
 from .harness import check_uniformity, measure_host
 
@@ -57,6 +59,9 @@ EXIT_RUNTIME = 3
 OUT_DIR_ENV = "CTACT_OUT_DIR"
 
 _ALL_KINDS = tuple(ActivationKind)
+_FORMATS = ("csv", "json")
+_GRIDS = {"dense": (GRID_DENSE,), "wide": (GRID_WIDE,), "both": (GRID_DENSE, GRID_WIDE)}
+_PROTECTION = {"protected": (True,), "unprotected": (False,), "both": (True, False)}
 
 
 class UsageError(Exception):
@@ -113,16 +118,12 @@ class ExperimentConfig:
                 if not _is_number(bound):
                     raise UsageError(f"{name} bound for {kind_name} must be a number, "
                                      f"got {bound!r}")
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"format must be csv or json, got {self.format!r}")
-        if self.grid is not None and self.grid not in ("dense", "wide", "both"):
-            raise UsageError(f"grid must be dense, wide or both, got {self.grid!r}")
-        if self.protection not in ("protected", "unprotected", "both"):
-            raise UsageError(f"bad protection selector: {self.protection!r}")
-        if self.countermeasure not in ("desync", "constant-time"):
-            raise UsageError(f"bad countermeasure: {self.countermeasure!r}")
-        if self.delay_distribution not in ("uniform", "truncated-gaussian"):
-            raise UsageError(f"bad delay distribution: {self.delay_distribution!r}")
+        for name, choices in (("format", _FORMATS), ("grid", _GRIDS),
+                              ("protection", _PROTECTION), ("countermeasure", COUNTERMEASURES),
+                              ("delay_distribution", DELAY_DISTRIBUTIONS)):
+            value = getattr(self, name)
+            if value is not None and value not in choices:
+                raise UsageError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
         for name in ("repetitions", "n_attack_max", "trials"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
@@ -145,7 +146,9 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "di
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; the chained comparison is False for NaN."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
 
 
 def _check_type(name: str, value, annotation: str) -> None:
@@ -155,6 +158,8 @@ def _check_type(name: str, value, annotation: str) -> None:
     if not isinstance(value, _FIELD_TYPES[base]) or (
             isinstance(value, bool) and base != "bool"):
         raise UsageError(f"{name} must be of type {base}, got {value!r}")
+    if base == "float" and not _is_number(value):
+        raise UsageError(f"{name} must be finite, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -208,7 +213,7 @@ def _parse_kind_list(value, default, label: str = "kind"):
     return kinds
 
 
-def _resolve_grids(cfg: ExperimentConfig, default_named: str) -> list:
+def _resolve_grids(cfg: ExperimentConfig, default_named: str) -> tuple:
     custom = cfg.interval is not None or cfg.step is not None
     if custom:
         if cfg.grid is not None:
@@ -220,10 +225,8 @@ def _resolve_grids(cfg: ExperimentConfig, default_named: str) -> list:
             inclusive_grid(*spec)  # validates bounds and step
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        return [spec]
-    named = cfg.grid or default_named
-    return {"dense": [GRID_DENSE], "wide": [GRID_WIDE],
-            "both": [GRID_DENSE, GRID_WIDE]}[named]
+        return (spec,)
+    return _GRIDS[cfg.grid or default_named]
 
 
 # -- output helpers -----------------------------------------------------------
@@ -279,10 +282,11 @@ def cmd_errors(cfg: ExperimentConfig) -> int:
     if unevaluated:
         raise UsageError(f"error bound on a kind this run does not evaluate: "
                          f"{', '.join(unevaluated)}")
+    grid_specs = _resolve_grids(cfg, "both")
     path = _output_path(cfg, f"errors.{cfg.format}")
     reports = [
         error_metrics(kind, spec.lo, spec.hi, spec.step)
-        for spec in _resolve_grids(cfg, "both")
+        for spec in grid_specs
         for kind in kinds
     ]
     table = [(r.kind.value, r.lo, r.hi, r.step, r.n_points, r.mse, r.rmse, r.max_abs,
@@ -380,8 +384,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     kinds = _parse_kind_list(cfg.kinds, _ALL_KINDS)
     grids = _resolve_grids(cfg, "wide")
     reps = int(cfg.repetitions)
-    modes = {"protected": (True,), "unprotected": (False,),
-             "both": (True, False)}[cfg.protection]
+    modes = _PROTECTION[cfg.protection]
     samples_path = _output_path(cfg, "bench_samples.csv")
     summary_path = _output_path(cfg, "bench_summary.json")
     samples, summary = [], []
@@ -417,45 +420,36 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
 _ATTACK_HEADER = ("true_kind", "trial", "n", "class", "score")
 
 
-def _resolve_delay(cfg: ExperimentConfig) -> DelaySpec:
+def _resolve_delay(cfg: ExperimentConfig) -> DelaySpec | None:
+    """The configured delay, or None for the calibrated default.
+
+    Parameters of the other distribution are rejected, not ignored.
+    """
+    uniform = (cfg.delay_low_us, cfg.delay_high_us)
+    gaussian = (cfg.delay_mean_us, cfg.delay_std_us)
     if cfg.delay_distribution == "uniform":
-        given = (cfg.delay_low_us is not None, cfg.delay_high_us is not None)
-        if given == (False, False):
-            return calibrated_delay()
-        if all(given):
-            try:
-                return DelaySpec("uniform", low_us=float(cfg.delay_low_us),
-                                 high_us=float(cfg.delay_high_us))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        raise UsageError("uniform delay needs both delay_low_us and delay_high_us")
-    if cfg.delay_mean_us is None or cfg.delay_std_us is None:
+        if gaussian != (None, None):
+            raise UsageError("delay_mean_us and delay_std_us need a truncated-gaussian delay")
+        if uniform == (None, None):
+            return None
+        if None in uniform:
+            raise UsageError("uniform delay needs both delay_low_us and delay_high_us")
+        return DelaySpec("uniform", low_us=float(uniform[0]), high_us=float(uniform[1]))
+    if uniform != (None, None):
+        raise UsageError("delay_low_us and delay_high_us need a uniform delay")
+    if None in gaussian:
         raise UsageError("truncated-gaussian delay needs delay_mean_us and delay_std_us")
-    try:
-        return DelaySpec("truncated-gaussian", mean_us=float(cfg.delay_mean_us),
-                         std_us=float(cfg.delay_std_us))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return DelaySpec("truncated-gaussian", mean_us=float(gaussian[0]),
+                     std_us=float(gaussian[1]))
 
 
 def cmd_attack(cfg: ExperimentConfig) -> int:
     classes = _parse_kind_list(cfg.classes, tuple(BASE_CYCLES_DESYNC), label="class")
-    unsupported = [k.value for k in classes if k not in BASE_CYCLES_DESYNC]
-    if unsupported:
-        raise UsageError(
-            f"no base latency for: {', '.join(unsupported)}; the modeled device "
-            f"dispatches {', '.join(k.value for k in BASE_CYCLES_DESYNC)}"
-        )
     if len(classes) < 2:
         raise UsageError("the attack needs at least 2 classes")
-    delay = _resolve_delay(cfg)
-    if cfg.countermeasure == "constant-time":
-        base_cycles, swing = dict.fromkeys(classes, CONSTANT_TIME_CYCLES), 0
-    else:
-        base_cycles = {k: BASE_CYCLES_DESYNC[k] for k in classes}
-        swing = int(cfg.input_swing_cycles)
     try:
-        model = DeviceTimingModel(base_cycles, delay, float(cfg.clock_hz), swing)
+        model = device_model(cfg.countermeasure, classes, _resolve_delay(cfg),
+                             float(cfg.clock_hz), int(cfg.input_swing_cycles))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     constant = [k.value for k in classes if model.class_var_us(k) == 0.0]
@@ -465,7 +459,7 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
     scores_path = _output_path(cfg, "attack_scores.csv")
     summary_path = _output_path(cfg, "attack_summary.json")
 
-    records, kept = attack_experiment(
+    results = attack_experiment(
         model, classes, int(cfg.n_prof), int(cfg.n_attack_max),
         int(cfg.trials), int(cfg.seed), keep_history_trials=int(cfg.history_trials),
     )
@@ -473,12 +467,13 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
     table = chain.from_iterable(
         zip(repeat(true_kind.value), repeat(trial), count(1),
             repeat(kind.value), result.score_history[kind].tolist())
-        for (true_kind, trial), result in kept.items() for kind in classes)
+        for (true_kind, trial), result in results.items()
+        if result.score_history is not None for kind in classes)
     _write(scores_path, table, _ATTACK_HEADER)
 
     per_class = {}
     for kind in classes:
-        rows = [r for r in records if r.true_kind == kind]
+        rows = [r for r in results.values() if r.true_kind == kind]
         separations = [r.separation_n for r in rows]
         successes = [s for s in separations if s is not None]
         argmax_counts = {c.value: sum(r.final_argmax == c for r in rows) for c in classes}
@@ -589,7 +584,7 @@ def cmd_thresholds(cfg: ExperimentConfig) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
+    parser.add_argument("--format", choices=_FORMATS, default=None,
                         help="primary artifact format")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default: ${OUT_DIR_ENV} or .)")
@@ -599,7 +594,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid", choices=("dense", "wide", "both"), default=None,
+    parser.add_argument("--grid", choices=_GRIDS, default=None,
                         help="named grid selection")
     parser.add_argument("--interval", nargs=2, type=float, default=None,
                         metavar=("LO", "HI"), help="custom grid bounds")
@@ -634,14 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--kinds", default=None, help="comma list (default: all five)")
     p_bench.add_argument("--repetitions", type=int, default=None,
                          help="timed passes over the grid (default 5)")
-    p_bench.add_argument("--protection", choices=("protected", "unprotected", "both"),
+    p_bench.add_argument("--protection", choices=_PROTECTION,
                          default=None, help="which implementations to time")
 
     p_attack = sub.add_parser("attack", help="profiled Gaussian template attack")
     _add_common(p_attack)
     p_attack.add_argument("--classes", default=None,
                           help="comma list (default: relu,sigmoid,tanh)")
-    p_attack.add_argument("--countermeasure", choices=("desync", "constant-time"),
+    p_attack.add_argument("--countermeasure", choices=COUNTERMEASURES,
                           default=None, help="device configuration under attack")
     p_attack.add_argument("--n-prof", dest="n_prof", type=int, default=None,
                           help="profiling measurements per class (default 10000)")
@@ -650,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--trials", type=int, default=None,
                           help="trials per true class (default 100)")
     p_attack.add_argument("--delay-dist", dest="delay_distribution",
-                          choices=("uniform", "truncated-gaussian"), default=None)
+                          choices=DELAY_DISTRIBUTIONS, default=None)
     p_attack.add_argument("--delay-low", dest="delay_low_us", type=float, default=None,
                           help="uniform delay lower bound, microseconds")
     p_attack.add_argument("--delay-high", dest="delay_high_us", type=float, default=None,

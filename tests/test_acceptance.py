@@ -27,8 +27,7 @@ from ctact.activations import _relu_core
 from ctact.analysis import error_metrics, solve_tanh_threshold
 from ctact.attack import (
     attack_experiment,
-    constant_time_model,
-    default_desync_model,
+    device_model,
     profile_phase,
 )
 from ctact.grids import inclusive_grid
@@ -208,19 +207,18 @@ def test_criterion_06_threshold_solver():
 
 
 @pytest.fixture(scope="module")
-def desync_records():
-    records, _ = attack_experiment(
-        default_desync_model(), ATTACK_CLASSES,
+def desync_results():
+    return attack_experiment(
+        device_model(), ATTACK_CLASSES,
         n_profiling=10_000, n_measurements=8_000, trials=100,
         master_seed=20260817, keep_history_trials=0,
     )
-    return records
 
 
-def test_criterion_07_attack_beats_desynchronization(desync_records):
+def test_criterion_07_attack_beats_desynchronization(desync_results):
     failures = []
     for kind in ATTACK_CLASSES:
-        rows = [r for r in desync_records if r.true_kind == kind]
+        rows = [r for r in desync_results.values() if r.true_kind == kind]
         if len(rows) != 100:
             failures.append(f"{kind.value}: expected 100 trials, got {len(rows)}")
             continue
@@ -235,13 +233,13 @@ def test_criterion_07_attack_beats_desynchronization(desync_records):
 
 
 def test_criterion_08_constant_time_defeats_the_attack():
-    records, _ = attack_experiment(
-        constant_time_model(), ATTACK_CLASSES,
+    results = attack_experiment(
+        device_model("constant-time"), ATTACK_CLASSES,
         n_profiling=10_000, n_measurements=8_000, trials=100,
         master_seed=8261, keep_history_trials=0,
     )
-    counts = Counter(r.final_argmax for r in records)
-    total = len(records)
+    counts = Counter(r.final_argmax for r in results.values())
+    total = len(results)
     failures = []
     if total != 300:
         failures.append(f"expected 300 trials, got {total}")
@@ -255,7 +253,7 @@ def test_criterion_08_constant_time_defeats_the_attack():
 
 
 def test_criterion_09_template_fit_consistency():
-    model = default_desync_model()
+    model = device_model()
     rng = np.random.default_rng(31337)
     templates = profile_phase(model, ATTACK_CLASSES, 10_000, rng)
     failures = []

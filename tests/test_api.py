@@ -54,5 +54,5 @@ def test_readme_python_examples_run():
         exec(compile(block, str(readme), "exec"), namespace)
     assert namespace["report"].uniform
     assert namespace["trace"].length == 59
-    records = namespace["records"]
-    assert sum(r.success for r in records) / len(records) == 1.0
+    results = namespace["results"]
+    assert sum(r.success for r in results.values()) / len(results) == 1.0

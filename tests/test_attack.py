@@ -17,8 +17,7 @@ from ctact.attack import (
     DeviceTimingModel,
     attack_experiment,
     calibrated_delay,
-    constant_time_model,
-    default_desync_model,
+    device_model,
     fit_template,
     profile_phase,
     run_attack,
@@ -75,6 +74,17 @@ class TestDelaySpec:
         with pytest.raises(ValueError):
             DelaySpec("truncated-gaussian", mean_us=5.0, std_us=0.0)
 
+    @pytest.mark.parametrize("spec", [
+        ("uniform", math.nan, 5.0), ("uniform", 1.0, math.nan), ("uniform", 1.0, math.inf),
+        ("truncated-gaussian", 0.0, 0.0, math.nan, 1.0),
+        ("truncated-gaussian", 0.0, 0.0, math.inf, 1.0),
+        ("truncated-gaussian", 0.0, 0.0, 1.0, math.nan),
+        ("truncated-gaussian", 0.0, 0.0, 1.0, math.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, spec):
+        with pytest.raises(ValueError):
+            DelaySpec(*spec)
+
     def test_uniform_moments(self):
         d = DelaySpec("uniform", low_us=2.0, high_us=8.0)
         assert d.mean() == 5.0
@@ -116,7 +126,7 @@ class TestCalibration:
         assert d.variance() == pytest.approx(target_var, rel=1e-12)
 
     def test_class_moments_near_calibration_targets(self):
-        model = default_desync_model()
+        model = device_model()
         for kind, (mean_target, var_target) in DESYNC_CALIBRATION.items():
             assert model.class_mean_us(kind) == pytest.approx(mean_target, rel=0.05)
             assert model.class_var_us(kind) == pytest.approx(var_target, rel=0.05)
@@ -132,7 +142,7 @@ class TestDeviceModel:
 
     def test_zero_delay_latency_is_the_cycle_budget(self):
         quiet = DelaySpec("uniform", low_us=0.0, high_us=0.0)
-        model = default_desync_model(quiet)
+        model = device_model(delay=quiet)
         rng = np.random.default_rng(0)
         assert sorted(set(model.observe(RELU, 50, rng))) == pytest.approx(
             [12 / 84e6 * 1e6], rel=1e-12)
@@ -142,7 +152,7 @@ class TestDeviceModel:
 
     def test_input_swing_direction(self):
         quiet = DelaySpec("uniform", low_us=0.0, high_us=0.0)
-        model = default_desync_model(quiet)
+        model = device_model(delay=quiet)
         n = 400
         xs = np.abs(np.random.default_rng(0).uniform(*INPUT_RANGE, n))
         latencies = model.observe(SIGMOID, n, np.random.default_rng(0))
@@ -153,10 +163,11 @@ class TestDeviceModel:
         assert latencies[xs > 6] == pytest.approx(center - swing, rel=1e-12)
 
     @pytest.mark.parametrize("model", [
-        default_desync_model(),
-        default_desync_model(input_swing_cycles=0),
-        default_desync_model(DelaySpec("truncated-gaussian", mean_us=3.0, std_us=2.0), 7),
-        constant_time_model(),
+        device_model(),
+        device_model(input_swing_cycles=0),
+        device_model(delay=DelaySpec("truncated-gaussian", mean_us=3.0, std_us=2.0),
+                     input_swing_cycles=7),
+        device_model("constant-time"),
         DeviceTimingModel({RELU: 12, TANH: 403}, DelaySpec("uniform", 0.0, 0.5), 1e8, 300),
     ], ids=["desync", "no-swing", "truncated-gaussian", "constant-time", "wide-swing"])
     def test_observe_matches_the_direct_definition(self, model):
@@ -169,28 +180,52 @@ class TestDeviceModel:
                         == reference_observe(model, kind, n, direct).tobytes())
         assert fast.random(4).tolist() == direct.random(4).tolist()
 
-    def test_constant_time_model_erases_class_information(self):
-        model = constant_time_model(DelaySpec("uniform", low_us=0.0, high_us=0.0))
+    def test_constant_time_device_erases_class_information(self):
+        model = device_model("constant-time", delay=DelaySpec("uniform", low_us=0.0, high_us=0.0))
         rng = np.random.default_rng(0)
         values = {float(v) for kind in THREE_CLASSES for v in model.observe(kind, 30, rng)}
         assert len(values) == 1  # identical cycles for every class and input
         assert values.pop() == pytest.approx(88 / 84e6 * 1e6)
 
     def test_unknown_class_rejected(self):
-        model = default_desync_model()
+        model = device_model()
         with pytest.raises(KeyError):
             model.observe(ActivationKind.GELU, 1, np.random.default_rng(0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            default_desync_model(input_swing_cycles=-1)
+            device_model(input_swing_cycles=-1)
+        for clock_hz in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="clock_hz"):
+                device_model(clock_hz=clock_hz)
+
+    def test_device_model_builds_each_countermeasure(self):
+        desync = device_model(classes=[TANH, RELU], input_swing_cycles=7)
+        assert desync.base_cycles == {TANH: 403, RELU: 12}
+        assert desync.input_swing_cycles == 7
+        assert desync.delay == calibrated_delay()
+        assert desync.clock_hz == DEFAULT_CLOCK_HZ
+        # The protected build ignores the swing: its latency never reads the input.
+        quiet = DelaySpec("uniform", low_us=0.0, high_us=1.0)
+        protected = device_model("constant-time", delay=quiet, clock_hz=1e8,
+                                 input_swing_cycles=7)
+        assert protected.base_cycles == dict.fromkeys(THREE_CLASSES, CONSTANT_TIME_CYCLES)
+        assert (protected.input_swing_cycles, protected.delay, protected.clock_hz) == (
+            0, quiet, 1e8)
+
+    def test_device_model_rejects_what_the_device_cannot_run(self):
+        with pytest.raises(ValueError, match="unknown countermeasure"):
+            device_model("masking")
+        with pytest.raises(ValueError, match="no base latency for: gelu; the modeled "
+                                             "device dispatches relu, sigmoid, tanh"):
+            device_model("constant-time", classes=[RELU, ActivationKind.GELU])
 
     def test_swing_must_stay_below_each_swinging_base_latency(self):
         delay = calibrated_delay()
         for swing in (221, 500):  # sigmoid would take 0 or -279 cycles
             with pytest.raises(ValueError, match="sigmoid"):
-                default_desync_model(input_swing_cycles=swing)
-        default_desync_model(input_swing_cycles=220)
+                device_model(input_swing_cycles=swing)
+        device_model(input_swing_cycles=220)
         # Only the classes the model holds count, and relu never swings.
         DeviceTimingModel({RELU: 12, TANH: 403}, delay, input_swing_cycles=300)
         with pytest.raises(ValueError, match="tanh"):
@@ -241,14 +276,14 @@ class TestTemplates:
         assert scores.tolist() == [score_increment(t, float(o)) for o in observed]
 
     def test_profile_phase_shapes(self):
-        model = default_desync_model()
+        model = device_model()
         templates = profile_phase(model, THREE_CLASSES, 50, np.random.default_rng(5))
         assert set(templates) == set(THREE_CLASSES)
         assert all(t.n_profiling == 50 for t in templates.values())
         assert all(t.var_us2 > 0 for t in templates.values())
 
     def test_profile_phase_validation(self):
-        model = default_desync_model()
+        model = device_model()
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             profile_phase(model, [RELU], 10, rng)
@@ -259,7 +294,7 @@ class TestTemplates:
 
     def test_fit_consistency_across_profile_sizes(self):
         # More profiling tightens the estimate toward the analytic moments.
-        model = default_desync_model()
+        model = device_model()
         rng = np.random.default_rng(21)
         small = profile_phase(model, THREE_CLASSES, 100, rng)
         large = profile_phase(model, THREE_CLASSES, 10000, rng)
@@ -273,7 +308,7 @@ class TestTemplates:
 class TestRunAttack:
     def test_immediate_separation_when_classes_are_far_apart(self):
         quiet = DelaySpec("uniform", low_us=0.0, high_us=0.001)
-        model = default_desync_model(quiet)
+        model = device_model(delay=quiet)
         rng = np.random.default_rng(17)
         templates = profile_phase(model, THREE_CLASSES, 200, rng)
         result = run_attack(model, templates, TANH, 50, rng)
@@ -282,7 +317,7 @@ class TestRunAttack:
         assert result.final_argmax == TANH
 
     def test_score_history_shape(self):
-        model = default_desync_model()
+        model = device_model()
         rng = np.random.default_rng(2)
         templates = profile_phase(model, THREE_CLASSES, 500, rng)
         result = run_attack(model, templates, SIGMOID, 40, rng)
@@ -298,7 +333,7 @@ class TestRunAttack:
     def test_separation_definition_on_crafted_histories(self):
         # The reported n is the first count after which the true class leads
         # for good; leading only intermittently must not count.
-        model = default_desync_model()
+        model = device_model()
         rng = np.random.default_rng(2)
         templates = profile_phase(model, THREE_CLASSES, 500, rng)
         result = run_attack(model, templates, SIGMOID, 600, rng)
@@ -313,7 +348,7 @@ class TestRunAttack:
             assert true_scores[n - 2] <= rivals[n - 2]
 
     def test_validation(self):
-        model = default_desync_model()
+        model = device_model()
         rng = np.random.default_rng(0)
         templates = profile_phase(model, [RELU, SIGMOID], 100, rng)
         with pytest.raises(ValueError):
@@ -326,33 +361,37 @@ class TestRunAttack:
 
 class TestExperiment:
     def test_deterministic_under_a_fixed_master_seed(self):
-        model = default_desync_model()
-        a, _ = attack_experiment(model, THREE_CLASSES, 200, 100, 3, master_seed=9)
-        b, _ = attack_experiment(model, THREE_CLASSES, 200, 100, 3, master_seed=9)
+        # Without histories the results compare as plain values.
+        model = device_model()
+        a = attack_experiment(model, THREE_CLASSES, 200, 100, 3, master_seed=9,
+                              keep_history_trials=0)
+        b = attack_experiment(model, THREE_CLASSES, 200, 100, 3, master_seed=9,
+                              keep_history_trials=0)
         assert a == b
-        c, _ = attack_experiment(model, THREE_CLASSES, 200, 100, 3, master_seed=10)
+        c = attack_experiment(model, THREE_CLASSES, 200, 100, 3, master_seed=10,
+                              keep_history_trials=0)
         assert a != c
 
     def test_record_layout_and_kept_histories(self):
-        model = default_desync_model()
-        records, kept = attack_experiment(
+        model = device_model()
+        results = attack_experiment(
             model, THREE_CLASSES, 200, 100, 4, master_seed=1, keep_history_trials=2
         )
-        assert len(records) == 3 * 4
-        assert {r.true_kind for r in records} == set(THREE_CLASSES)
-        assert set(kept) == {(k, t) for k in THREE_CLASSES for t in (0, 1)}
-        for (kind, trial), result in kept.items():
+        assert list(results) == [(k, t) for k in THREE_CLASSES for t in range(4)]
+        for (kind, trial), result in results.items():
             assert result.true_kind == kind
-            match = [r for r in records if r.true_kind == kind and r.trial_index == trial]
-            assert match[0].separation_n == result.separation_n
+            if trial < 2:
+                assert [len(v) for v in result.score_history.values()] == [100] * 3
+            else:
+                assert result.score_history is None
 
     def test_desync_attack_succeeds_quickly(self):
-        model = default_desync_model()
-        records, _ = attack_experiment(model, THREE_CLASSES, 2000, 4000, 5, master_seed=33)
-        assert all(r.success for r in records)
-        assert all(r.final_argmax == r.true_kind for r in records)
-        assert max(r.separation_n for r in records) <= 4000
+        model = device_model()
+        results = attack_experiment(model, THREE_CLASSES, 2000, 4000, 5, master_seed=33)
+        assert all(r.success for r in results.values())
+        assert all(r.final_argmax == r.true_kind for r in results.values())
+        assert max(r.separation_n for r in results.values()) <= 4000
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
-            attack_experiment(default_desync_model(), THREE_CLASSES, 10, 10, 0, 0)
+            attack_experiment(device_model(), THREE_CLASSES, 10, 10, 0, 0)

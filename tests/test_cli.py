@@ -13,7 +13,7 @@ import pytest
 from ctact import cli
 from ctact._ops import f_add
 from ctact.analysis import error_metrics
-from ctact.attack import attack_experiment, default_desync_model
+from ctact.attack import attack_experiment, device_model
 from ctact.activations import SPECS, ActivationKind
 
 
@@ -198,7 +198,7 @@ class TestAttackCommand:
                    "--out", str(tmp_path)) == 0
 
     def test_config_defaults_are_the_model_defaults(self):
-        cfg, model = cli.ExperimentConfig(), default_desync_model()
+        cfg, model = cli.ExperimentConfig(), device_model()
         assert (cfg.clock_hz, cfg.input_swing_cycles) == (model.clock_hz,
                                                            model.input_swing_cycles)
         keep = inspect.signature(attack_experiment).parameters["keep_history_trials"]
@@ -279,10 +279,23 @@ class TestUsageErrors:
         ("attack", "--classes", "sigmoid,relu", "--delay-low", "5", "--delay-high", "5"),
         ("attack", "--classes", "sigmoid,tanh", "--input-swing", "0",
          "--delay-low", "5", "--delay-high", "5"),
+        ("attack", "--clock-hz", "nan"),
+        ("attack", "--clock-hz", "inf"),
+        ("attack", "--delay-low", "nan", "--delay-high", "5"),
+        ("attack", "--delay-dist", "truncated-gaussian", "--delay-std", "inf",
+         "--delay-mean", "1"),
+        ("attack", "--delay-dist", "truncated-gaussian", "--delay-mean", "nan",
+         "--delay-std", "1"),
+        ("thresholds", "--tolerance", "nan"),
+        ("errors", "--interval", "nan", "1", "--step", "0.5"),
+        ("attack", "--delay-dist", "truncated-gaussian", "--delay-mean", "3",
+         "--delay-std", "2", "--delay-low", "1", "--delay-high", "9"),
+        ("attack", "--delay-mean", "3"),
     ])
     def test_exit_code_two(self, argv, tmp_path):
-        assert run(*argv, "--out", str(tmp_path)) == 2
-        assert list(tmp_path.iterdir()) == []  # nothing written on usage errors
+        out = tmp_path / "new" / "sub"
+        assert run(*argv, "--out", str(out)) == 2
+        assert list(tmp_path.iterdir()) == []  # nothing created on usage errors
 
     def test_missing_subcommand(self, capsys):
         assert run() == 2
@@ -352,6 +365,8 @@ class TestConfigFile:
         ("attack", {"seed": -1}),
         ("errors", {"kinds": "sigmoid", "assert_max_abs": {"tanh": 1e-12}}),
         ("errors", {"assert_rmse": {"relu": 1.0}}),  # a bound that can never be checked
+        ("thresholds", {"tolerance": float("inf")}),
+        ("errors", {"assert_max_abs": {"tanh": float("nan")}}),  # would turn the gate off
     ])
     def test_bad_config_values_exit_two_before_any_output(self, command, content,
                                                           tmp_path):

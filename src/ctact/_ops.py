@@ -18,8 +18,13 @@ scalars, or arrays of the same dtypes.  Array inputs follow the exact same
 code path and emit the exact same opcode sequence as scalars; elementwise
 results are bit-identical to repeated scalar calls.  The two bitcasts pick
 a scalar or an array reinterpretation by the operand's type, never by its
-value: numpy's ``view`` is several times slower on a scalar than reading
-the scalar's four bytes.
+value.  On a scalar, numpy's ``view`` and ``frombuffer`` build a temporary
+array, which costs several times a float32 multiply, so the scalar paths
+move the four bytes themselves: ``to_bits`` reads them with ``struct``, and
+``from_bits`` packs the word with ``struct`` and hands the bytes to numpy's
+own scalar constructor, the callable numpy's pickling uses.  Neither path
+goes through a Python float, so NaN payloads survive, and neither shares a
+buffer, so both are thread-safe.
 """
 
 from __future__ import annotations
@@ -67,7 +72,12 @@ _ndarray = np.ndarray
 _U32 = np.dtype(np.uint32)
 _F32 = np.dtype(np.float32)
 _U32_ZERO = np.uint32(0)
+_pack_u32 = struct.Struct("=I").pack
 _unpack_u32 = struct.Struct("=I").unpack
+# numpy.core.multiarray.scalar (numpy._core on 2.x): builds a scalar of a
+# dtype from its raw bytes.  Reached through __reduce__, which is public on
+# every numpy version, rather than through the private module path.
+_scalar_from_bytes = np.float32(0).__reduce__()[0]
 
 
 class recording:
@@ -146,8 +156,9 @@ def from_bits(u):
         buf.append(OP_BITCAST)
     if isinstance(u, _ndarray):
         return u.view(_F32)
-    # Not struct: its route through a Python float would not keep NaN payloads.
-    return np.frombuffer(u, _F32)[0]
+    # Not struct alone: its route through a Python float would not keep NaN
+    # payloads, so the packed bytes go to numpy's scalar constructor instead.
+    return _scalar_from_bytes(_F32, _pack_u32(u))
 
 
 def u_and(a, b):

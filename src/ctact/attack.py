@@ -267,16 +267,17 @@ class DeviceTimingModel:
     def class_mean_us(self, kind) -> float:
         kind = ActivationKind(kind)
         p_slow, p_fast = self._swing_probabilities(kind)
-        swing_us = self.input_swing_cycles * self.us_per_cycle
+        swing_us = self._swing_cycles(kind) * self.us_per_cycle
         base_us = self.base_cycles[kind] * self.us_per_cycle
         return base_us + swing_us * (p_slow - p_fast) + self.delay.mean()
 
     def class_var_us(self, kind) -> float:
         kind = ActivationKind(kind)
         p_slow, p_fast = self._swing_probabilities(kind)
-        swing_us = self.input_swing_cycles * self.us_per_cycle
+        swing_us = self._swing_cycles(kind) * self.us_per_cycle
         mean_sw = swing_us * (p_slow - p_fast)
-        var_sw = swing_us**2 * (p_slow + p_fast) - mean_sw**2
+        # Products, not **2: a float ** overflow raises, a product gives inf.
+        var_sw = swing_us * swing_us * (p_slow + p_fast) - mean_sw * mean_sw
         return var_sw + self.delay.variance()
 
 

@@ -452,7 +452,12 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
                              float(cfg.clock_hz), int(cfg.input_swing_cycles))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    constant = [k.value for k in classes if model.class_var_us(k) == 0.0]
+    moments = {k.value: (model.class_mean_us(k), model.class_var_us(k)) for k in classes}
+    unbounded = [k for k, m in moments.items() if not all(map(math.isfinite, m))]
+    if unbounded:
+        raise UsageError(f"the latency of {', '.join(unbounded)} has a non-finite mean or "
+                         f"variance; the clock or the delay is out of range")
+    constant = [k for k, (_, var) in moments.items() if var == 0.0]
     if constant:
         raise UsageError(f"the delay has zero width and the latency of {', '.join(constant)} "
                          f"ignores the input, so its profile would be constant")

@@ -13,6 +13,8 @@ checked for finiteness; every public scalar entry point calls it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._ops import (
@@ -44,13 +46,17 @@ def as_f32(x) -> np.float32:
 
     The magnitude is checked on the double before the cast, so an input
     that would overflow is rejected without numpy's overflow warning and
-    without the cost of an errstate context on every call.
+    without the cost of an errstate context on every call.  An int too
+    large even for a double is rejected the same way, as an infinity.
     """
-    if not abs(float(x)) < _F32_OVERFLOW:  # also false for NaN
-        with np.errstate(over="ignore"):
-            v = np.float32(x)
-        raise ValueError(f"input must be finite in binary32, got {v!r}")
-    return np.float32(x)
+    try:
+        if abs(float(x)) < _F32_OVERFLOW:  # false for NaN
+            return np.float32(x)
+    except OverflowError:  # float() of an int beyond the double range
+        x = math.inf if x > 0 else -math.inf
+    with np.errstate(over="ignore"):
+        v = np.float32(x)
+    raise ValueError(f"input must be finite in binary32, got {v!r}")
 
 
 # -- array-capable kernels (no validation, used by the activation kernels) --

@@ -10,10 +10,16 @@ directly; instead the kind's instrumented model (see activations.SPECS) runs
 under the recorder.  The model's arithmetic drives the trace; its numeric
 output is discarded and trace_eval returns the reference value, bit-equal to
 evaluate(kind, x, protected=False).
+
+check_uniformity records the same traces as trace_eval but resolves the
+kind and the traced callable once per grid, enters one errstate around a
+whole unprotected grid, and computes no reference value, since it reads
+only the opcodes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,6 +85,20 @@ class WelchResult:
 
 # -- tracing -----------------------------------------------------------------
 
+def _tracer(kind: ActivationKind, protected: bool):
+    """What a trace of ``kind`` records, and the errstate to record it under.
+
+    A protected trace records the constant-time core itself.  An unprotected
+    trace records the instrumented model of the libm reference (see
+    activations.SPECS); the model's exp overflows far out and its value is
+    discarded, so it runs with floating-point warnings off.
+    """
+    spec = SPECS[kind]
+    if protected:
+        return spec.core, contextlib.nullcontext()
+    return spec.model, np.errstate(all="ignore")
+
+
 def trace_eval(kind, x, protected: bool = True):
     """Evaluate one activation under the tracer.
 
@@ -88,15 +108,12 @@ def trace_eval(kind, x, protected: bool = True):
     shapes the trace while the returned value comes from the reference.
     """
     kind = ActivationKind(kind)
-    spec = SPECS[kind]
+    traced, quiet = _tracer(kind, protected)
     v = as_f32(x)
-    with recording() as ops:
-        if protected:
-            value = spec.core(v)
-        else:
-            with np.errstate(all="ignore"):
-                spec.model(v)  # trace only; result discarded
-            value = spec.reference(v)
+    with recording() as ops, quiet:
+        value = traced(v)
+    if not protected:
+        value = SPECS[kind].reference(v)  # libm: emits no ops
     return OpTrace(kind, protected, tuple(ops)), value
 
 
@@ -105,24 +122,31 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
 
     A kind is uniform when all traces match opcode-for-opcode.  Inputs whose
     trace differs from the canonical one are reported with their lengths.
+    The traces are the ones trace_eval records, but no value is kept: the
+    reference of an unprotected kind is never evaluated, and one errstate
+    covers the whole grid rather than one per point.
     """
     kind = ActivationKind(kind)
     points = list(grid)
     if not points:
         raise ValueError("grid must contain at least one point")
+    traced, quiet = _tracer(kind, protected)
     canonical = None
     deviating: list = []
-    for x in points:
-        trace, _ = trace_eval(kind, x, protected)
-        if canonical is None:
-            canonical = trace
-        elif trace.ops != canonical.ops:
-            deviating.append((float(x), trace.length))
+    with quiet:
+        for x in points:
+            v = as_f32(x)
+            with recording() as ops:
+                traced(v)
+            if canonical is None:
+                canonical = ops
+            elif ops != canonical:
+                deviating.append((float(x), len(ops)))
     return UniformityReport(
         kind=kind,
         protected=protected,
         uniform=not deviating,
-        canonical_length=canonical.length,
+        canonical_length=len(canonical),
         deviating_inputs=tuple(deviating),
     )
 

@@ -230,11 +230,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate("softmax", 1.0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e39])
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), -float("inf"), 1e39,
+        # Ints beyond the double range, on which float() raises OverflowError.
+        pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400"),
+    ])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite in binary32"):
             evaluate(ActivationKind.TANH, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite in binary32"):
             evaluate(ActivationKind.RELU, bad, protected=False)
 
 

@@ -291,6 +291,8 @@ class TestUsageErrors:
         ("attack", "--delay-dist", "truncated-gaussian", "--delay-mean", "3",
          "--delay-std", "2", "--delay-low", "1", "--delay-high", "9"),
         ("attack", "--delay-mean", "3"),
+        ("attack", "--delay-low", "0", "--delay-high", "1e300"),  # variance overflows
+        ("attack", "--clock-hz", "1e-300"),  # latencies overflow
     ])
     def test_exit_code_two(self, argv, tmp_path):
         out = tmp_path / "new" / "sub"

@@ -7,7 +7,7 @@ import pytest
 
 from ctact._ops import OP_BRANCH, OP_CMP, OP_SELECT
 from ctact.activations import ActivationKind, evaluate
-from ctact.grids import inclusive_grid
+from ctact.grids import GRID_WIDE, inclusive_grid
 from ctact.harness import (
     check_uniformity,
     measure_host,
@@ -94,6 +94,42 @@ class TestUniformity:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             check_uniformity(ActivationKind.TANH, [])
+
+    @pytest.mark.parametrize("kind, protected", [
+        *((kind, True) for kind in ALL_KINDS),
+        (ActivationKind.SIGMOID, False),
+        (ActivationKind.TANH, False),
+    ])
+    def test_matches_a_per_point_trace_eval_loop(self, kind, protected):
+        # check_uniformity records its traces without trace_eval; the report
+        # must be the one a plain per-point loop over trace_eval gives.
+        traces = [trace_eval(kind, x, protected)[0].ops for x in SMALL_GRID]
+        deviating = tuple((float(x), len(ops)) for x, ops in zip(SMALL_GRID, traces)
+                          if ops != traces[0])
+        assert bool(deviating) is not protected  # the unprotected cases deviate
+        report = check_uniformity(kind, SMALL_GRID, protected)
+        assert report.uniform == (not deviating)
+        assert report.canonical_length == len(traces[0])
+        assert report.deviating_inputs == deviating
+
+    def test_unprotected_check_restores_the_error_state(self):
+        with np.errstate(all="warn"):  # not the check's own all-ignore state
+            before = np.geterr()
+            check_uniformity(ActivationKind.TANH, SMALL_GRID, protected=False)
+            assert np.geterr() == before
+            # A non-finite point raises midway through the grid, inside the errstate.
+            with pytest.raises(ValueError):
+                check_uniformity(ActivationKind.TANH, [1.0, 500.0, float("inf"), 2.0],
+                                 protected=False)
+            assert np.geterr() == before
+
+    def test_unprotected_wide_grid_check_lets_no_warning_escape(self):
+        # The models' exp overflows far out on the wide grid.
+        grid = inclusive_grid(*GRID_WIDE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ALL_KINDS:
+                check_uniformity(kind, grid, protected=False)
 
 
 class TestMeasureHost:

@@ -71,6 +71,15 @@ class TestScalarMatchesArray:
         assert [int(v.view(np.uint32)) for v in scalars] == words.tolist()
         assert _same_bits(scalars, from_bits(words))
 
+    def test_from_bits_on_infinities_zeros_and_signed_payloads(self):
+        # +-inf, +-0, a negative signalling NaN and the smallest negative
+        # subnormal: the scalar path must agree with the array view on each.
+        words = np.array([0x7F800000, 0xFF800000, 0x00000000, 0x80000000,
+                          0xFF800001, 0x80000001], dtype=np.uint32)
+        scalars = [from_bits(u) for u in words]
+        assert all(type(v) is np.float32 for v in scalars)
+        assert _same_bits(scalars, words.view(np.float32))
+
     def test_bool_to_mask(self):
         flags = SAMPLE > np.float32(0)
         scalars = [bool_to_mask(flag) for flag in flags]

@@ -332,18 +332,23 @@ class GaussianTemplate:
 def fit_template(kind, samples: Sequence[float]) -> GaussianTemplate:
     """Fit mean and unbiased (n-1) variance to profiling samples.
 
+    The reductions are numpy's own ``mean`` and ``var(ddof=1)``, made once
+    each: the sum over n, then the sum of squared deviations from that mean
+    over n - 1, so both moments are bit-identical to those two calls.
     Samples that are all equal are rejected: their true variance is zero,
     but summation rounding can leave a tiny positive estimate.
     """
     values = np.asarray(samples, dtype=np.float64)
-    if values.size < 2:
+    n = values.size
+    if n < 2:
         raise ValueError("profiling needs at least 2 samples")
     if not np.ptp(values) > 0.0:
-        raise ValueError(f"degenerate profile for {kind}: all {values.size} samples "
+        raise ValueError(f"degenerate profile for {kind}: all {n} samples "
                          f"equal (constant samples carry no Gaussian profile)")
-    mean = float(np.mean(values))
-    var = float(np.var(values, ddof=1))
-    return GaussianTemplate(ActivationKind(kind), mean, var, int(values.size))
+    mean = values.sum() / n
+    dev = values - mean
+    dev *= dev
+    return GaussianTemplate(ActivationKind(kind), float(mean), float(dev.sum() / (n - 1)), n)
 
 
 def score_increment(template: GaussianTemplate, observed_us):

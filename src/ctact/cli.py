@@ -27,7 +27,6 @@ CTACT_OUT_DIR environment variable supplies the default output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -35,7 +34,7 @@ import os
 import statistics
 import sys
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +230,11 @@ def _resolve_grids(cfg: ExperimentConfig, default_named: str) -> tuple:
 
 # -- output helpers -----------------------------------------------------------
 
+# CSV rows rendered, checked and written per block: memory does not grow with
+# the table, and at 512 rows the block's strings add no measurable peak RSS.
+_CSV_BLOCK_ROWS = 512
+
+
 def _output_path(cfg: ExperimentConfig, filename: str) -> Path:
     directory = Path(cfg.out or os.environ.get(OUT_DIR_ENV) or ".")
     directory.mkdir(parents=True, exist_ok=True)
@@ -253,12 +257,28 @@ def _write(path: Path, payload, header=None) -> None:
     rows or as one JSON object per row.
     Binary32 values travel as ``np.float32`` cells and are rendered only here,
     as the shortest decimal that parses back to the same binary32 value.
+
+    A CSV row is a tuple rendered through one ``"%s,...,%s\\n"`` template,
+    which gives the bytes ``csv.writer(lineterminator="\\n")`` gives for the
+    cell types the commands pass: ``str`` and ``int`` (``bool`` as
+    ``True``/``False``) as ``str``; a Python ``float`` as its shortest
+    round-trip ``repr`` (``-0.0``, ``inf``, ``1e-05``, ``1e+16``); an
+    ``np.float32`` as its shortest binary32 ``str``.  No field is quoted: a
+    cell holding ``,``, ``"``, ``\\n`` or ``\\r`` would need quoting, so it
+    raises ``ValueError`` instead of writing a malformed row.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if path.suffix == ".csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(payload)
+            line = ",".join(["%s"] * len(header)) + "\n"
+            lines = map(line.__mod__, chain((header,), payload))
+            while block := list(islice(lines, _CSV_BLOCK_ROWS)):
+                text = "".join(block)
+                if (text.count("\n") != len(block)
+                        or text.count(",") != len(block) * (len(header) - 1)
+                        or '"' in text or "\r" in text):
+                    raise ValueError(f"{path.name}: a cell holds a comma, quote or line "
+                                     f"break, which CSV would have to quote")
+                fh.write(text)
         else:
             rows = [dict(zip(header, row)) for row in payload] if header else payload
             json.dump(rows, fh, indent=2, sort_keys=True, default=_f32_json)

@@ -239,6 +239,18 @@ class TestTemplates:
         assert t.var_us2 == 2.0  # ddof=1
         assert t.n_profiling == 2
 
+    @pytest.mark.parametrize("samples", [
+        calibrated_delay().draw(np.random.default_rng(3), 10_000),
+        1e6 + np.random.default_rng(4).uniform(0.0, 1.0, 10_000),
+        [0.1, 0.7],
+        [1e6 + 0.1, 1e6 + 0.2, 1e6 + 0.7],
+    ], ids=["calibrated-delay", "offset-1e6", "n2", "n3"])
+    def test_moments_are_numpy_mean_and_var_bit_for_bit(self, samples):
+        t = fit_template(SIGMOID, samples)
+        assert t.mean_us == float(np.mean(samples))
+        assert t.var_us2 == float(np.var(samples, ddof=1))
+        assert t.n_profiling == len(samples)
+
     def test_degenerate_profiles_rejected(self):
         with pytest.raises(ValueError):
             fit_template(SIGMOID, [1.0, 1.0, 1.0])

@@ -318,6 +318,30 @@ class TestWriter:
         with pytest.raises(TypeError):  # never rendered as 5.0
             cli._write(tmp_path / "bad.json", {"n": np.int64(5)})
 
+    def test_csv_bytes_match_csv_writer_for_every_cell_type(self, tmp_path):
+        f32_max = np.finfo(np.float32).max
+        rows = [
+            ("relu", 0, True, False, -0.0),
+            ("tanh_threshold_solved", 7, float("inf"), 1e-05, 1e16),
+            ("sigmoid", -12, 0.30000000000000004, np.float32(0.1), np.float32(-0.0)),
+            ("", 10**20, float("-inf"), np.float32(1e-45), f32_max),
+        ]
+        header = ("a", "b", "c", "d", "e")
+        # More rows than one write block, so block boundaries are covered too.
+        table = rows * (cli._CSV_BLOCK_ROWS // 2 + 1)
+        cli._write(tmp_path / "t.csv", (row for row in table), header)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(table)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r", ","])
+    def test_cells_that_csv_would_quote_are_rejected(self, tmp_path, cell):
+        table = [("relu", 1, 0.5)] * 3 + [("relu", cell, 0.5)]
+        with pytest.raises(ValueError, match="quote"):
+            cli._write(tmp_path / "t.csv", iter(table), ("kind", "detail", "x"))
+
 
 class TestOutputProtection:
     def test_existing_files_are_not_overwritten(self, tmp_path):

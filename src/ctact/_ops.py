@@ -6,7 +6,9 @@ routed through the helpers in this module.  Each helper does two things:
 * computes its result in IEEE 754 binary32 (one rounding per operation,
   round-to-nearest-even; no fused multiply-add is ever introduced, which is
   the pinned behaviour for the whole project), and
-* appends one opcode tag to the active recording context, if there is one.
+* appends its opcode tags to the active recording context, if there is one:
+  one tag per operation, so a leaf op (below) that does several appends
+  several.
 
 Recording uses a ``contextvars.ContextVar`` so concurrent evaluations in
 different threads or tasks never share a trace buffer.  Each op reads the
@@ -16,15 +18,26 @@ context-variable read and a ``None`` test, with no extra call frame.
 Values flowing through this layer are ``numpy.float32`` / ``numpy.uint32``
 scalars, or arrays of the same dtypes.  Array inputs follow the exact same
 code path and emit the exact same opcode sequence as scalars; elementwise
-results are bit-identical to repeated scalar calls.  The two bitcasts pick
-a scalar or an array reinterpretation by the operand's type, never by its
-value.  On a scalar, numpy's ``view`` and ``frombuffer`` build a temporary
-array, which costs several times a float32 multiply, so the scalar paths
-move the four bytes themselves: ``to_bits`` reads them with ``struct``, and
-``from_bits`` packs the word with ``struct`` and hands the bytes to numpy's
-own scalar constructor, the callable numpy's pickling uses.  Neither path
+results are bit-identical to repeated scalar calls.
+
+Branchless selection, absolute value and sign transfer (``_select``,
+``_abs``, ``_sign``) are leaf ops: each records its fixed tag tuple with one
+``extend`` and computes its result word once, rather than calling one helper
+per bitcast and bit operation.  The tags and result bits are those of the
+composition of single-op helpers (``to_bits``, ``u_and``, ``u_or``,
+``u_not``, ``from_bits``); those helpers stay as the reference the tests
+compare against and for code that needs a single bit op.  Every op picks a
+scalar or an array reinterpretation by its operands' types, never by their
+values.  On a scalar, numpy's ``view`` and ``frombuffer`` build a temporary
+array, which costs several times a float32 multiply, so the scalar bitcasts
+move the four bytes themselves: ``_scalar_bits`` reads them with ``struct``,
+and ``_scalar_float`` packs the word with ``struct`` and hands the bytes to
+numpy's own scalar constructor, the callable numpy's pickling uses.  Neither
 goes through a Python float, so NaN payloads survive, and neither shares a
-buffer, so both are thread-safe.
+buffer, so both are thread-safe.  Between the bitcasts a bit word is a
+``numpy.uint32``, never a Python int: a fixed-width word costs the same for
+every value, while a Python int's cost grows with its number of digits,
+which a timing test such as dudect would see.
 """
 
 from __future__ import annotations
@@ -78,6 +91,14 @@ _unpack_u32 = struct.Struct("=I").unpack
 # dtype from its raw bytes.  Reached through __reduce__, which is public on
 # every numpy version, rather than through the private module path.
 _scalar_from_bytes = np.float32(0).__reduce__()[0]
+_F32_SCALAR = np.float32
+_U32_SCALAR = np.uint32
+_ONE_BITS = np.uint32(0x3F800000)  # encoding of +1.0
+
+# Tag tuples of the leaf ops: one tag per bitcast and bit operation, in order.
+_SELECT_OPS = (OP_BITCAST, OP_BITCAST, OP_NOT, OP_AND, OP_AND, OP_OR, OP_BITCAST)
+_ABS_OPS = (OP_BITCAST, OP_AND, OP_BITCAST)
+_SIGN_OPS = (OP_BITCAST, OP_AND, OP_OR, OP_BITCAST)
 
 
 class recording:
@@ -139,26 +160,44 @@ def f_lt(a, b):
 
 # -- bit-level operations ---------------------------------------------------
 
+def _scalar_bits(x):
+    # struct reads the scalar's four bytes as a Python int; OR-ing that into
+    # a uint32 zero gives a numpy uint32 faster than np.uint32(word) does.
+    return _U32_ZERO | _unpack_u32(x)[0]
+
+
+def _scalar_float(u):
+    # Not struct alone: its route through a Python float would not keep NaN
+    # payloads, so the packed bytes go to numpy's scalar constructor instead.
+    return _scalar_from_bytes(_F32, _pack_u32(u))
+
+
+def _array_bits(x):
+    return x.view(_U32)
+
+
+def _array_float(u):
+    return u.view(_F32)
+
+
+# (float -> word, word -> float) reinterpretations.  A numpy scalar has a
+# view too, so the array pair also serves a mix of scalars and arrays.
+_SCALAR_CASTS = (_scalar_bits, _scalar_float)
+_ARRAY_CASTS = (_array_bits, _array_float)
+
+
 def to_bits(x):
     """Reinterpret a binary32 value as its 32-bit unsigned encoding."""
     if (buf := _active()) is not None:
         buf.append(OP_BITCAST)
-    if isinstance(x, _ndarray):
-        return x.view(_U32)
-    # struct reads the scalar's four bytes as a Python int; OR-ing that into
-    # a uint32 zero gives a numpy uint32 faster than np.uint32(word) does.
-    return _U32_ZERO | _unpack_u32(x)[0]
+    return _array_bits(x) if isinstance(x, _ndarray) else _scalar_bits(x)
 
 
 def from_bits(u):
     """Reinterpret a 32-bit unsigned word as the binary32 value it encodes."""
     if (buf := _active()) is not None:
         buf.append(OP_BITCAST)
-    if isinstance(u, _ndarray):
-        return u.view(_F32)
-    # Not struct alone: its route through a Python float would not keep NaN
-    # payloads, so the packed bytes go to numpy's scalar constructor instead.
-    return _scalar_from_bytes(_F32, _pack_u32(u))
+    return _array_float(u) if isinstance(u, _ndarray) else _scalar_float(u)
 
 
 def u_and(a, b):
@@ -177,6 +216,35 @@ def u_not(a):
     if (buf := _active()) is not None:
         buf.append(OP_NOT)
     return ~a
+
+
+def _select(a, b, mask):
+    """Branchless two-way select on encodings: ``b`` where mask is all-ones.
+
+    ``(bits(a) & ~mask) | (bits(b) & mask)`` as one op, so -0.0, subnormals
+    and NaN payloads come through bit for bit.
+    """
+    if (buf := _active()) is not None:
+        buf.extend(_SELECT_OPS)
+    bits, value = (_SCALAR_CASTS if type(a) is type(b) is _F32_SCALAR
+                   and type(mask) is _U32_SCALAR else _ARRAY_CASTS)
+    return value((bits(a) & ~mask) | (bits(b) & mask))
+
+
+def _abs(x):
+    """|x| by clearing the sign bit."""
+    if (buf := _active()) is not None:
+        buf.extend(_ABS_OPS)
+    bits, value = _SCALAR_CASTS if type(x) is _F32_SCALAR else _ARRAY_CASTS
+    return value(bits(x) & U32_ABS_MASK)
+
+
+def _sign(x):
+    """The sign bit of x transplanted onto 1.0: +1.0 or -1.0, zeros included."""
+    if (buf := _active()) is not None:
+        buf.extend(_SIGN_OPS)
+    bits, value = _SCALAR_CASTS if type(x) is _F32_SCALAR else _ARRAY_CASTS
+    return value((bits(x) & U32_SIGN_BIT) | _ONE_BITS)
 
 
 def bool_to_mask(flag):
@@ -200,11 +268,13 @@ def cond_move(condition, if_true, if_false):
 
     Used only by the *unprotected* reference models (a compiler lowers a
     short ternary to a predicated move).  Constant-time kernels use explicit
-    mask arithmetic instead.
+    mask arithmetic instead.  ``np.where`` gives a 0-d array for scalar
+    operands; indexing it with ``()`` turns that into a scalar and leaves
+    any other array as it is.
     """
     if (buf := _active()) is not None:
         buf.append(OP_SELECT)
-    return np.where(condition, if_true, if_false)
+    return np.where(condition, if_true, if_false)[()]
 
 
 def take_branch() -> None:

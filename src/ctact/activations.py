@@ -40,8 +40,19 @@ from typing import Callable
 
 import numpy as np
 
-from ._ops import cond_move, f_add, f_div, f_gt, f_mul, f_neg, take_branch
-from .ctselect import _abs, _clamp, _gt_mask, _lt_mask, _select, _sign, as_f32
+from ._ops import (
+    _abs,
+    _select,
+    _sign,
+    cond_move,
+    f_add,
+    f_div,
+    f_gt,
+    f_mul,
+    f_neg,
+    take_branch,
+)
+from .ctselect import _clamp, _gt_mask, _lt_mask, as_f32
 from .pade import _rational_tanh
 
 __all__ = [

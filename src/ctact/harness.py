@@ -12,9 +12,9 @@ output is discarded and trace_eval returns the reference value, bit-equal to
 evaluate(kind, x, protected=False).
 
 check_uniformity records the same traces as trace_eval but resolves the
-kind and the traced callable once per grid, enters one errstate around a
-whole unprotected grid, and computes no reference value, since it reads
-only the opcodes.
+kind and the traced callable once per grid, enters one errstate and one
+recording around a whole grid, and computes no reference value, since it
+reads only the opcodes.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
     trace differs from the canonical one are reported with their lengths.
     The traces are the ones trace_eval records, but no value is kept: the
     reference of an unprotected kind is never evaluated, and one errstate
-    covers the whole grid rather than one per point.
+    and one recording cover the whole grid rather than one per point; the
+    buffer is cleared after each point.
     """
     kind = ActivationKind(kind)
     points = list(grid)
@@ -133,15 +134,14 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
     traced, quiet = _tracer(kind, protected)
     canonical = None
     deviating: list = []
-    with quiet:
+    with quiet, recording() as ops:
         for x in points:
-            v = as_f32(x)
-            with recording() as ops:
-                traced(v)
+            traced(as_f32(x))
             if canonical is None:
-                canonical = ops
+                canonical = ops.copy()
             elif ops != canonical:
                 deviating.append((float(x), len(ops)))
+            ops.clear()
     return UniformityReport(
         kind=kind,
         protected=protected,

@@ -15,13 +15,15 @@ from ctact._ops import (
     OP_MASK,
     OP_NOT,
     OP_OR,
+    _select,
+    _sign,
     bool_to_mask,
     from_bits,
     recording,
     to_bits,
     u_not,
 )
-from ctact.ctselect import _clamp, _gt_mask, _lt_mask, _select, _sign, as_f32
+from ctact.ctselect import _clamp, _gt_mask, _lt_mask, as_f32
 
 finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 

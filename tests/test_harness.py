@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ctact._ops import OP_BRANCH, OP_CMP, OP_SELECT
+from ctact._ops import OP_BRANCH, OP_CMP, OP_SELECT, recording
 from ctact.activations import ActivationKind, evaluate
 from ctact.grids import GRID_WIDE, inclusive_grid
 from ctact.harness import (
@@ -111,6 +111,13 @@ class TestUniformity:
         assert report.uniform == (not deviating)
         assert report.canonical_length == len(traces[0])
         assert report.deviating_inputs == deviating
+
+    def test_a_check_inside_an_outer_recording_leaves_it_empty(self):
+        # The check's own recording shadows the caller's for the whole grid.
+        with recording() as outer:
+            check_uniformity(ActivationKind.GELU, SMALL_GRID)
+            check_uniformity(ActivationKind.TANH, SMALL_GRID, protected=False)
+        assert outer == []
 
     def test_unprotected_check_restores_the_error_state(self):
         with np.errstate(all="warn"):  # not the check's own all-ignore state

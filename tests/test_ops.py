@@ -9,14 +9,24 @@ import numpy as np
 import pytest
 
 from ctact._ops import (
+    U32_ABS_MASK,
+    U32_ALL_ONES,
+    U32_SIGN_BIT,
+    _abs,
+    _select,
+    _sign,
     bool_to_mask,
     f_add,
     f_mul,
     from_bits,
     recording,
     to_bits,
+    u_and,
+    u_not,
+    u_or,
 )
 from ctact.activations import SPECS, ActivationKind
+from ctact.ctselect import as_f32
 from ctact.harness import trace_eval
 
 FLT_MAX = np.finfo(np.float32).max
@@ -98,6 +108,88 @@ class TestScalarMatchesArray:
         assert array.dtype == np.float32
         assert all(type(v) is np.float32 for v in scalars)
         assert _same_bits(scalars, array)
+
+
+def _select_by_helpers(a, b, mask):
+    ua = to_bits(a)
+    ub = to_bits(b)
+    keep_a = u_and(ua, u_not(mask))
+    keep_b = u_and(ub, mask)
+    return from_bits(u_or(keep_a, keep_b))
+
+
+def _abs_by_helpers(x):
+    return from_bits(u_and(to_bits(x), U32_ABS_MASK))
+
+
+def _sign_by_helpers(x):
+    one = np.float32(1.0).view(np.uint32)
+    return from_bits(u_or(u_and(to_bits(x), U32_SIGN_BIT), one))
+
+
+class TestLeafOps:
+    """select, abs and sign against the single-op helpers they replace.
+
+    Tags and result bits must be those of the helper composition, on scalars,
+    arrays and mixes of the two, NaN payloads, infinities and zeros included.
+    """
+
+    SPECIALS = np.array([0x7F800001, 0xFFC12345, 0x7FBFFFFF, 0x7F800000,
+                         0xFF800000, 0x00000000, 0x80000000],
+                        dtype=np.uint32).view(np.float32)
+    A = np.concatenate([SAMPLE, SPECIALS])
+    B = A[::-1].copy()
+    MASKS = np.where(np.arange(A.size) % 3 == 0, U32_ALL_ONES, np.uint32(0))
+
+    @staticmethod
+    def assert_same(leaf, composed, calls):
+        with recording() as ops:
+            out = [leaf(*args) for args in calls]
+        with recording() as expected_ops:
+            expected = [composed(*args) for args in calls]
+        assert ops == expected_ops
+        assert [type(v) for v in out] == [type(v) for v in expected]
+        for got, want in zip(out, expected):
+            assert np.array_equal(np.asarray(got).view(np.uint32),
+                                  np.asarray(want).view(np.uint32))
+
+    def test_select_on_scalars(self):
+        for mask in (np.uint32(0), U32_ALL_ONES):
+            calls = [(a, b, mask) for a, b in zip(self.A, self.B)]
+            self.assert_same(_select, _select_by_helpers, calls)
+            assert all(type(_select(*args)) is np.float32 for args in calls)
+
+    def test_select_on_arrays_and_mixes(self):
+        a, b, masks = self.A, self.B, self.MASKS
+        calls = [(a, b, masks), (a, b, np.uint32(0)), (a, b, U32_ALL_ONES),
+                 (a[0], b, masks), (a, b[0], U32_ALL_ONES), (a[0], b[0], masks),
+                 (a[-7:], np.float32(-0.0), masks[:7])]
+        self.assert_same(_select, _select_by_helpers, calls)
+
+    @pytest.mark.parametrize("leaf, composed", [(_abs, _abs_by_helpers),
+                                                (_sign, _sign_by_helpers)],
+                             ids=["abs", "sign"])
+    def test_abs_and_sign(self, leaf, composed):
+        self.assert_same(leaf, composed, [(x,) for x in self.A])
+        self.assert_same(leaf, composed, [(self.A,), (self.A[:1],)])
+        assert all(type(leaf(x)) is np.float32 for x in self.A)
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_models_return_binary32_scalars(kind):
+    # The relu model's predicated move goes through np.where, which gives a
+    # 0-d array for scalar operands unless cond_move unwraps it.
+    with np.errstate(all="ignore"):
+        for x in (np.float32(1.5), np.float32(-0.0), np.float32(-3.0)):
+            assert type(SPECS[kind].model(x)) is np.float32
+
+
+def test_as_f32_returns_binary32_scalars_as_they_are():
+    for x in _edge_values():
+        assert as_f32(x) is x
+    for value, shown in ((np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")):
+        with pytest.raises(ValueError, match=rf"finite in binary32, got np.float32\({shown}\)"):
+            as_f32(np.float32(value))
 
 
 def _digest(ops) -> str:

@@ -1,9 +1,9 @@
 """ctact: constant-time activation functions and a timing-leakage bench.
 
 The package has two halves.  The construction half provides branchless
-binary32 selection primitives and the one binary32 input check
-(:mod:`ctact.ctselect`), a shared fixed-shape rational core
-(:mod:`ctact.pade`), and five activation kernels built on them
+binary32 building blocks on IEEE-754 encodings (:mod:`ctact._ops`), the one
+binary32 input check (:mod:`ctact.ctselect`), a shared fixed-shape rational
+core (:mod:`ctact.pade`), and five activation kernels built on them
 (:mod:`ctact.activations`), whose ``SPECS`` registry defines each kind in
 one place: kernel, libm reference, trace model, threshold and sweep
 candidates.  The evaluation half checks what the construction claims:

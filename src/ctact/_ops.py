@@ -1,7 +1,8 @@
 """Instrumented binary32 arithmetic layer.
 
 Every arithmetic and bit operation performed by the constant-time kernels is
-routed through the helpers in this module.  Each helper does two things:
+routed through the helpers and leaf ops of this module, or through a leaf op
+that records with this module's recorder.  Each of them does two things:
 
 * computes its result in IEEE 754 binary32 (one rounding per operation,
   round-to-nearest-even; no fused multiply-add is ever introduced, which is
@@ -20,24 +21,36 @@ scalars, or arrays of the same dtypes.  Array inputs follow the exact same
 code path and emit the exact same opcode sequence as scalars; elementwise
 results are bit-identical to repeated scalar calls.
 
-Branchless selection, absolute value and sign transfer (``_select``,
-``_abs``, ``_sign``) are leaf ops: each records its fixed tag tuple with one
-``extend`` and computes its result word once, rather than calling one helper
-per bitcast and bit operation.  The tags and result bits are those of the
-composition of single-op helpers (``to_bits``, ``u_and``, ``u_or``,
-``u_not``, ``from_bits``); those helpers stay as the reference the tests
-compare against and for code that needs a single bit op.  Every op picks a
-scalar or an array reinterpretation by its operands' types, never by their
-values.  On a scalar, numpy's ``view`` and ``frombuffer`` build a temporary
-array, which costs several times a float32 multiply, so the scalar bitcasts
-move the four bytes themselves: ``_scalar_bits`` reads them with ``struct``,
-and ``_scalar_float`` packs the word with ``struct`` and hands the bytes to
-numpy's own scalar constructor, the callable numpy's pickling uses.  Neither
-goes through a Python float, so NaN payloads survive, and neither shares a
-buffer, so both are thread-safe.  Between the bitcasts a bit word is a
-``numpy.uint32``, never a Python int: a fixed-width word costs the same for
-every value, while a Python int's cost grows with its number of digits,
-which a timing test such as dudect would see.
+The fixed-shape blocks the kernels share are leaf ops: each records its
+fixed tag tuple with one ``extend`` and computes its result with plain numpy
+arithmetic, rather than calling one helper per operation.  They are
+
+* ``_select(a, b, mask)``: branchless two-way select on encodings (7 tags);
+* ``_abs(x)`` and ``_sign(x)``: sign-bit clear and sign transfer (3 and 4);
+* ``_gt_mask(x, t)`` and ``_lt_mask(x, t)``: a compare spread into an
+  all-ones or all-zeros lane mask (CMP, MASK);
+* ``_clamp(x, lo, hi)``: the lower-bound mask select, then the upper-bound
+  one (18 tags).
+
+The rational core (``pade._rational_tanh``) and the kernels' dummy
+arithmetic (``activations._burn``) are leaf ops too; they live with the code
+they serve and record through this module's recorder, ``_active``.  The tags
+and result bits of every leaf op are those of the composition of single-op
+helpers (``f_mul``, ``f_gt``, ``bool_to_mask``, ``to_bits``, ``u_and``,
+``u_or``, ``u_not``, ``from_bits`` and the rest); those helpers stay as the
+reference the tests compare against and for code that needs a single op.
+Each leaf body is straight-line code: it never branches on a value.  Every
+op picks a scalar or an array reinterpretation by its operands' types, never
+by their values.  On a scalar, numpy's ``view`` and ``frombuffer`` build a
+temporary array, which costs several times a float32 multiply, so the scalar
+bitcasts move the four bytes themselves: ``_scalar_bits`` reads them with
+``struct``, and ``_scalar_float`` packs the word with ``struct`` and hands
+the bytes to numpy's own scalar constructor, the callable numpy's pickling
+uses.  Neither goes through a Python float, so NaN payloads survive, and
+neither shares a buffer, so both are thread-safe.  Between the bitcasts a
+bit word is a ``numpy.uint32``, never a Python int: a fixed-width word costs
+the same for every value, while a Python int's cost grows with its number of
+digits, which a timing test such as dudect would see.
 """
 
 from __future__ import annotations
@@ -99,6 +112,8 @@ _ONE_BITS = np.uint32(0x3F800000)  # encoding of +1.0
 _SELECT_OPS = (OP_BITCAST, OP_BITCAST, OP_NOT, OP_AND, OP_AND, OP_OR, OP_BITCAST)
 _ABS_OPS = (OP_BITCAST, OP_AND, OP_BITCAST)
 _SIGN_OPS = (OP_BITCAST, OP_AND, OP_OR, OP_BITCAST)
+_MASK_OPS = (OP_CMP, OP_MASK)
+_CLAMP_OPS = (_MASK_OPS + _SELECT_OPS) * 2
 
 
 class recording:
@@ -245,6 +260,38 @@ def _sign(x):
         buf.extend(_SIGN_OPS)
     bits, value = _SCALAR_CASTS if type(x) is _F32_SCALAR else _ARRAY_CASTS
     return value((bits(x) & U32_SIGN_BIT) | _ONE_BITS)
+
+
+def _gt_mask(x, threshold):
+    """All-ones where x > threshold, else zero: a compare spread into a mask."""
+    if (buf := _active()) is not None:
+        buf.extend(_MASK_OPS)
+    return U32_ALL_ONES * (x > threshold)
+
+
+def _lt_mask(x, threshold):
+    """All-ones where x < threshold, else zero: a compare spread into a mask."""
+    if (buf := _active()) is not None:
+        buf.extend(_MASK_OPS)
+    return U32_ALL_ONES * (x < threshold)
+
+
+def _clamp(x, lo, hi):
+    """x clamped to [lo, hi] by two mask selects, lower bound first.
+
+    The ``_select`` of ``lo`` under ``_lt_mask(x, lo)``, then of ``hi`` under
+    ``_gt_mask`` of that result, as one op.  The first select's word feeds
+    the second without a round trip; its value is built only for the
+    second compare.
+    """
+    if (buf := _active()) is not None:
+        buf.extend(_CLAMP_OPS)
+    bits, value = (_SCALAR_CASTS if type(x) is type(lo) is type(hi) is _F32_SCALAR
+                   else _ARRAY_CASTS)
+    below = U32_ALL_ONES * (x < lo)
+    word = (bits(x) & ~below) | (bits(lo) & below)
+    above = U32_ALL_ONES * (value(word) > hi)
+    return value((word & ~above) | (bits(hi) & above))
 
 
 def bool_to_mask(flag):

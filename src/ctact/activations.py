@@ -41,7 +41,13 @@ from typing import Callable
 import numpy as np
 
 from ._ops import (
+    OP_ADD,
+    OP_MUL,
     _abs,
+    _active,
+    _clamp,
+    _gt_mask,
+    _lt_mask,
     _select,
     _sign,
     cond_move,
@@ -52,7 +58,7 @@ from ._ops import (
     f_neg,
     take_branch,
 )
-from .ctselect import _clamp, _gt_mask, _lt_mask, as_f32
+from .ctselect import as_f32
 from .pade import _rational_tanh
 
 __all__ = [
@@ -107,24 +113,36 @@ SQRT_2_OVER_PI = np.float32(math.sqrt(2.0 / math.pi))
 
 _PAD_SCALE = np.float32(1.25)
 _PAD_SHIFT = np.float32(0.5)
+# Tags of a pad of up to 64 ops, more than a whole trace holds.  A pad
+# slices it: a tag tuple built per call stays cached in CPython's tuple free
+# lists, which raised the peak RSS of a traced grid by about 0.3 MB.
+_PAD_OPS = (OP_MUL, OP_ADD) * 32
 
 
 def _burn(v, count: int):
     """Dummy arithmetic that pads a kernel to the shared trace length.
 
-    Alternates multiplies and adds on a dead value; the caller discards the
-    result.  Never a timing loop: the op count is a per-kernel constant.
+    Alternates multiplies and adds on a dead value, starting with a
+    multiply; the caller discards the result.  A leaf op: the ``count`` tags
+    go to ``_ops``'s recorder in one ``extend``.  Never a timing loop: the
+    op count is a per-kernel constant, and no step looks at the value.
     """
-    for i in range(count):
-        v = f_mul(v, _PAD_SCALE) if (i & 1) == 0 else f_add(v, _PAD_SHIFT)
+    if (buf := _active()) is not None:
+        buf.extend(_PAD_OPS[:count])
+    for _ in range(count >> 1):
+        v = v * _PAD_SCALE + _PAD_SHIFT
+    if count & 1:
+        v = v * _PAD_SCALE
     return v
 
 
 # -- constant-time kernels (scalar or array, binary32 in and out) -----------
 #
 # Trace-length budget: gelu is the longest kernel at 59 ops, so the others
-# pad up to 59 (tanh +10, sigmoid +5, swish +4, relu +5).  A harness test
-# asserts the five lengths are identical.
+# pad up to 59 with _burn (tanh +10, sigmoid +5, swish +4, relu +5).  The
+# shared blocks count as many ops as they record tags: a clamp 18, the
+# rational core 15, a comparison mask 2, a select 7, abs 3 and sign 4.  A
+# harness test asserts the five lengths are identical.
 
 def _tanh_core(x, threshold=TANH_THRESHOLD):
     clamped = _clamp(x, -threshold, threshold)
@@ -265,6 +283,12 @@ _ERF_C = tuple(np.float32(c) for c in
 _INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
 
 
+# Halvings that bring FLT_MAX to 1/2 or below: no finite argument needs
+# more.  An infinite one (the erf model's square overflows beyond about
+# 2.6e19) stops there rather than halving forever.
+_MAX_HALVINGS = 129
+
+
 def _model_exp(t):
     # Halve the argument until it is small (data-dependent trip count),
     # evaluate a fixed polynomial, then square once per halving.
@@ -272,7 +296,7 @@ def _model_exp(t):
     while True:
         reduce_more = f_gt(_abs(t), _HALF)
         take_branch()
-        if not reduce_more:
+        if not reduce_more or halvings == _MAX_HALVINGS:
             break
         t = f_mul(t, _HALF)
         halvings += 1

@@ -1,16 +1,10 @@
-"""Branchless comparison masks and clamping, and the binary32 input check.
+"""The binary32 input check.
 
-Data-independent building blocks for the constant-time activation kernels:
-comparison masks (a CMP then a MASK) and clamping, composed from the
-comparison ops of ``_ops`` and its branchless select leaf op, ``_select``;
-absolute value and sign transfer are ``_ops`` leaf ops too.  None of these
-functions contain conditional control flow on the value being processed;
-every call executes the same opcode sequence for every input (the trace
-harness verifies this).
-
-The kernels take binary32 scalars or arrays and do not validate them.
-as_f32 is the one place where scalar inputs are rounded to binary32 and
-checked for finiteness; every public scalar entry point calls it.
+The constant-time kernels take binary32 scalars or arrays and do not
+validate them.  as_f32 is the one place where scalar inputs are rounded to
+binary32 and checked for finiteness; every public scalar entry point calls
+it.  The branchless building blocks the kernels are made of (comparison
+masks, select, clamp, absolute value and sign) are leaf ops of ``_ops``.
 """
 
 from __future__ import annotations
@@ -18,8 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from ._ops import _select, bool_to_mask, f_gt, f_lt
 
 __all__ = ["as_f32"]
 
@@ -47,19 +39,3 @@ def as_f32(x) -> np.float32:
     with np.errstate(over="ignore"):
         v = np.float32(x)
     raise ValueError(f"input must be finite in binary32, got {v!r}")
-
-
-# -- array-capable kernels (no validation, used by the activation kernels) --
-
-def _gt_mask(x, threshold):
-    return bool_to_mask(f_gt(x, threshold))
-
-
-def _lt_mask(x, threshold):
-    return bool_to_mask(f_lt(x, threshold))
-
-
-def _clamp(x, lo, hi):
-    # Lower bound first, then upper; both substitutions are mask selects.
-    x = _select(x, lo, _lt_mask(x, lo))
-    return _select(x, hi, _gt_mask(x, hi))

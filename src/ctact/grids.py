@@ -11,6 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ctselect import _F32_OVERFLOW
+
 __all__ = ["GridSpec", "GRID_DENSE", "GRID_WIDE", "inclusive_grid"]
 
 
@@ -29,7 +31,8 @@ GRID_WIDE = GridSpec(-500.0, 500.0, 1.0)
 def inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Binary32 grid over [lo, hi] with both endpoints included.
 
-    The span must be an integral number of steps (to within rounding).
+    The span must be an integral number of steps (to within rounding), and
+    every point must be finite in binary32.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
@@ -40,4 +43,7 @@ def inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
     count = int(round((hi - lo) / step))
     if abs(lo + count * step - hi) > 1e-9 * max(1.0, abs(hi)):
         raise ValueError(f"step {step} does not divide [{lo}, {hi}] evenly")
-    return (lo + np.arange(count + 1) * step).astype(np.float32)
+    points = lo + np.arange(count + 1) * step
+    if max(abs(points[0]), abs(points[-1])) >= _F32_OVERFLOW:  # points are monotone
+        raise ValueError(f"grid [{lo}, {hi}] has points that overflow binary32")
+    return points.astype(np.float32)

@@ -14,6 +14,12 @@ evaluated by Horner's rule, so every call costs exactly
 independent of the input.  Q(u) >= 1 for u >= 0 and Q has no real zeros, so
 the divide cannot trap on any finite input.
 
+The evaluation is one leaf op: it records its 15 tags (MUL, then MUL ADD
+six times, DIV, MUL) with one ``extend`` through ``_ops``'s recorder, and
+runs the same Horner arithmetic in the same order on plain numpy binary32
+values, so its tags and bits are those of the ``f_mul``/``f_add``/``f_div``
+composition.
+
 R is odd bit-exactly: negating x flips only the sign of the final multiply,
 because u = (-x)*(-x) rounds to the identical product.
 """
@@ -24,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._ops import f_add, f_div, f_mul
+from ._ops import OP_ADD, OP_DIV, OP_MUL, _active
 from .ctselect import as_f32
 
 __all__ = [
@@ -57,17 +63,17 @@ DENOMINATOR_F32 = tuple(np.float32(float(c)) for c in DENOMINATOR_EXACT)
 _P0, _P1, _P2, _P3 = NUMERATOR_F32
 _Q0, _Q1, _Q2, _Q3 = DENOMINATOR_F32
 
+_RATIONAL_OPS = (OP_MUL,) + (OP_MUL, OP_ADD) * 6 + (OP_DIV, OP_MUL)
+
 
 def _rational_tanh(x):
     """Fixed-shape kernel; accepts binary32 scalars or arrays."""
-    u = f_mul(x, x)
-    p = f_add(f_mul(_P3, u), _P2)
-    p = f_add(f_mul(p, u), _P1)
-    p = f_add(f_mul(p, u), _P0)
-    q = f_add(f_mul(_Q3, u), _Q2)
-    q = f_add(f_mul(q, u), _Q1)
-    q = f_add(f_mul(q, u), _Q0)
-    return f_mul(x, f_div(p, q))
+    if (buf := _active()) is not None:
+        buf.extend(_RATIONAL_OPS)
+    u = x * x
+    p = ((_P3 * u + _P2) * u + _P1) * u + _P0
+    q = ((_Q3 * u + _Q2) * u + _Q1) * u + _Q0
+    return x * (p / q)
 
 
 def rational_tanh(x) -> np.float32:

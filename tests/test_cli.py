@@ -6,6 +6,7 @@ import inspect
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestTracesCommand:
         rows = read_csv(tmp_path / "traces.csv")
         assert len(rows) == 2 * 5  # 2 kinds x 5 grid points
         assert all(r["trace_len"] == "59" for r in rows)
+
+    def test_unprotected_gelu_beyond_the_erf_overflow(self, tmp_path):
+        # A subprocess, so a trace model that never ends fails by timeout.
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctact.cli", "traces", "--include-unprotected",
+             "--kinds", "gelu", "--interval", "0", "3e19", "--step", "3e19",
+             "--out", str(tmp_path)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rows = read_csv(tmp_path / "traces.csv")
+        assert [(r["protected"], r["input"]) for r in rows] == [
+            ("1", "0.0"), ("1", "3e+19"), ("0", "0.0"), ("0", "3e+19")]
 
     def test_a_non_uniform_protected_kind_fails_the_run(self, tmp_path, monkeypatch, capsys):
         tanh = SPECS[ActivationKind.TANH]
@@ -298,6 +310,16 @@ class TestUsageErrors:
         out = tmp_path / "new" / "sub"
         assert run(*argv, "--out", str(out)) == 2
         assert list(tmp_path.iterdir()) == []  # nothing created on usage errors
+
+    @pytest.mark.parametrize("command", ["traces", "errors", "bench"])
+    def test_grid_beyond_binary32(self, command, tmp_path, capsys):
+        out = tmp_path / "new"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, "--interval", "0", "1e39", "--step", "1e39",
+                       "--out", str(out)) == 2
+        assert "overflow binary32" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand(self, capsys):
         assert run() == 2

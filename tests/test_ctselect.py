@@ -15,6 +15,9 @@ from ctact._ops import (
     OP_MASK,
     OP_NOT,
     OP_OR,
+    _clamp,
+    _gt_mask,
+    _lt_mask,
     _select,
     _sign,
     bool_to_mask,
@@ -23,7 +26,7 @@ from ctact._ops import (
     to_bits,
     u_not,
 )
-from ctact.ctselect import _clamp, _gt_mask, _lt_mask, as_f32
+from ctact.ctselect import as_f32
 
 finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 

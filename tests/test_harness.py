@@ -1,5 +1,7 @@
 """Trace recording, uniformity checks, host timing, Welch test."""
 
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -63,6 +65,18 @@ class TestTraceEval:
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):
             trace_eval(ActivationKind.TANH, float("inf"))
+
+    def test_unprotected_models_end_on_the_largest_inputs(self):
+        # Beyond about 2.6e19 the gelu model's erf squares its argument to
+        # inf, which no number of halvings brings below 1/2.  Run in a
+        # subprocess, so a model that never ends fails by timeout.
+        code = ("import numpy as np\n"
+                "from ctact.harness import trace_eval\n"
+                "big = float(np.finfo(np.float32).max)\n"
+                "for kind in ('relu', 'sigmoid', 'tanh', 'gelu', 'swish'):\n"
+                "    for x in (3e19, -3e19, big, -big):\n"
+                "        trace_eval(kind, x, protected=False)\n")
+        subprocess.run([sys.executable, "-W", "error", "-c", code], timeout=60, check=True)
 
 
 class TestUniformity:

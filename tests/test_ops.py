@@ -13,10 +13,16 @@ from ctact._ops import (
     U32_ALL_ONES,
     U32_SIGN_BIT,
     _abs,
+    _clamp,
+    _gt_mask,
+    _lt_mask,
     _select,
     _sign,
     bool_to_mask,
     f_add,
+    f_div,
+    f_gt,
+    f_lt,
     f_mul,
     from_bits,
     recording,
@@ -25,9 +31,10 @@ from ctact._ops import (
     u_not,
     u_or,
 )
-from ctact.activations import SPECS, ActivationKind
+from ctact.activations import SPECS, ActivationKind, _burn
 from ctact.ctselect import as_f32
 from ctact.harness import trace_eval
+from ctact.pade import DENOMINATOR_F32, NUMERATOR_F32, _rational_tanh
 
 FLT_MAX = np.finfo(np.float32).max
 SMALLEST_SUBNORMAL = np.float32(1e-45)
@@ -127,8 +134,40 @@ def _sign_by_helpers(x):
     return from_bits(u_or(u_and(to_bits(x), U32_SIGN_BIT), one))
 
 
+def _gt_mask_by_helpers(x, threshold):
+    return bool_to_mask(f_gt(x, threshold))
+
+
+def _lt_mask_by_helpers(x, threshold):
+    return bool_to_mask(f_lt(x, threshold))
+
+
+def _clamp_by_helpers(x, lo, hi):
+    x = _select_by_helpers(x, lo, _lt_mask_by_helpers(x, lo))
+    return _select_by_helpers(x, hi, _gt_mask_by_helpers(x, hi))
+
+
+def _rational_tanh_by_helpers(x):
+    p0, p1, p2, p3 = NUMERATOR_F32
+    q0, q1, q2, q3 = DENOMINATOR_F32
+    u = f_mul(x, x)
+    p = f_add(f_mul(p3, u), p2)
+    p = f_add(f_mul(p, u), p1)
+    p = f_add(f_mul(p, u), p0)
+    q = f_add(f_mul(q3, u), q2)
+    q = f_add(f_mul(q, u), q1)
+    q = f_add(f_mul(q, u), q0)
+    return f_mul(x, f_div(p, q))
+
+
+def _burn_by_helpers(v, count):
+    for i in range(count):
+        v = f_mul(v, np.float32(1.25)) if i % 2 == 0 else f_add(v, np.float32(0.5))
+    return v
+
+
 class TestLeafOps:
-    """select, abs and sign against the single-op helpers they replace.
+    """Each leaf op against the single-op helper composition it replaces.
 
     Tags and result bits must be those of the helper composition, on scalars,
     arrays and mixes of the two, NaN payloads, infinities and zeros included.
@@ -141,12 +180,21 @@ class TestLeafOps:
     B = A[::-1].copy()
     MASKS = np.where(np.arange(A.size) % 3 == 0, U32_ALL_ONES, np.uint32(0))
 
+    # The kernels' bounds and thresholds, and relu's dummy-mask bound; the
+    # sample holds each kernel threshold and its neighbours one ulp away.
+    BOUNDS = [np.float32(0.0), np.float32(2.0)] + [
+        sign * spec.threshold for spec in SPECS.values() if spec.threshold is not None
+        for sign in (np.float32(1.0), np.float32(-1.0))]
+
     @staticmethod
     def assert_same(leaf, composed, calls):
-        with recording() as ops:
-            out = [leaf(*args) for args in calls]
-        with recording() as expected_ops:
-            expected = [composed(*args) for args in calls]
+        # The rational core and the pads overflow and divide inf by inf on
+        # the specials; both sides must do so alike.
+        with np.errstate(all="ignore"):
+            with recording() as ops:
+                out = [leaf(*args) for args in calls]
+            with recording() as expected_ops:
+                expected = [composed(*args) for args in calls]
         assert ops == expected_ops
         assert [type(v) for v in out] == [type(v) for v in expected]
         for got, want in zip(out, expected):
@@ -173,6 +221,43 @@ class TestLeafOps:
         self.assert_same(leaf, composed, [(x,) for x in self.A])
         self.assert_same(leaf, composed, [(self.A,), (self.A[:1],)])
         assert all(type(leaf(x)) is np.float32 for x in self.A)
+
+    @pytest.mark.parametrize("leaf, composed", [(_gt_mask, _gt_mask_by_helpers),
+                                                (_lt_mask, _lt_mask_by_helpers)],
+                             ids=["gt", "lt"])
+    def test_comparison_masks(self, leaf, composed):
+        a, b = self.A, self.B
+        scalar_calls = [(x, t) for t in self.BOUNDS for x in a] + list(zip(a, b))
+        self.assert_same(leaf, composed, scalar_calls)
+        assert all(type(leaf(*args)) is np.uint32 for args in scalar_calls)
+        array_calls = [(a, t) for t in self.BOUNDS] + [(a, b), (a[0], b), (a[-7:], b[0])]
+        self.assert_same(leaf, composed, array_calls)
+        assert all(leaf(*args).dtype == np.uint32 for args in array_calls)
+
+    def test_clamp(self):
+        a, b = self.A, self.B
+        c = np.roll(a, 5)
+        bounds = [(-t, t) for t in self.BOUNDS if t > 0]
+        # Kernel bounds, then arbitrary ones: inverted, infinite and NaN.
+        scalar_calls = [(x, lo, hi) for lo, hi in bounds for x in a] + list(zip(a, b, c))
+        self.assert_same(_clamp, _clamp_by_helpers, scalar_calls)
+        assert all(type(_clamp(*args)) is np.float32 for args in scalar_calls)
+        array_calls = [(a, lo, hi) for lo, hi in bounds] + [
+            (a, b, c), (a[0], b, c), (a, b[0], c[0]), (a[-7:], np.float32(-0.0), c[:7])]
+        self.assert_same(_clamp, _clamp_by_helpers, array_calls)
+
+    def test_rational_core(self):
+        self.assert_same(_rational_tanh, _rational_tanh_by_helpers, [(x,) for x in self.A])
+        self.assert_same(_rational_tanh, _rational_tanh_by_helpers, [(self.A,), (self.A[:1],)])
+        with np.errstate(all="ignore"):
+            assert all(type(_rational_tanh(x)) is np.float32 for x in self.A)
+
+    def test_pads(self):
+        counts = range(12)
+        self.assert_same(_burn, _burn_by_helpers, [(x, n) for n in counts for x in self.A[::9]])
+        self.assert_same(_burn, _burn_by_helpers, [(self.A, n) for n in counts])
+        with np.errstate(all="ignore"):
+            assert all(type(_burn(x, 5)) is np.float32 for x in self.A)
 
 
 @pytest.mark.parametrize("kind", list(ActivationKind))

@@ -5,9 +5,10 @@ Exit codes
 0  success
 1  check failure (an assertion bound was violated, or a kind that must be
    trace-uniform is not)
-2  usage error (bad flag, config value or grid, a non-finite number, repeated
-   kind, a missing delay parameter or one of the other distribution, a device
-   model the attack cannot profile); nothing is written
+2  usage error (bad flag, config value or grid, a config key the command
+   does not read, a non-finite number, repeated kind, a missing delay
+   parameter or one of the other distribution, a device model the attack
+   cannot profile); nothing is written
 3  runtime error (solver bracket failure and other unexpected conditions)
 
 Determinism: for a fixed seed and fixed config every output file is
@@ -17,11 +18,13 @@ bench_summary.json.  Floats are serialized with their shortest round-trip
 decimal form (binary32 fields round-trip through binary32, statistics
 through binary64).
 
-Configuration: flags override the config file, which overrides built-in
-defaults (84 MHz clock, both canonical grids, 5 repetitions, 10,000
-profiling measurements).  The config file is a flat JSON object whose keys
-are ExperimentConfig field names; unknown keys are rejected.  The
-CTACT_OUT_DIR environment variable supplies the default output directory.
+Configuration: each command declares its options once in ``_COMMANDS``;
+that table builds the flags, the config-file schema and the checks.  Flags
+override the config file, which overrides the declared defaults; a grid
+flag in either form replaces the file's grid.  The config file is a flat
+JSON object keyed by option name; a key the command does not read is
+rejected.  The CTACT_OUT_DIR environment variable supplies the default
+output directory.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .attack import (_DEFAULT_HISTORY_TRIALS, _DEFAULT_SWING_CYCLES, BASE_CYCLES
 from .grids import GRID_DENSE, GRID_WIDE, GridSpec, inclusive_grid
 from .harness import check_uniformity, measure_host
 
-__all__ = ["ExperimentConfig", "main", "entry",
+__all__ = ["main", "entry",
            "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_USAGE", "EXIT_RUNTIME"]
 
 EXIT_OK = 0
@@ -58,6 +61,7 @@ EXIT_RUNTIME = 3
 OUT_DIR_ENV = "CTACT_OUT_DIR"
 
 _ALL_KINDS = tuple(ActivationKind)
+_SMOOTH_KINDS = tuple(kind for kind, spec in SPECS.items() if spec.threshold is not None)
 _FORMATS = ("csv", "json")
 _GRIDS = {"dense": (GRID_DENSE,), "wide": (GRID_WIDE,), "both": (GRID_DENSE, GRID_WIDE)}
 _PROTECTION = {"protected": (True,), "unprotected": (False,), "both": (True, False)}
@@ -71,77 +75,57 @@ class CheckFailure(Exception):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat experiment configuration; also the config-file schema."""
-
-    seed: int = 0
-    format: str = "csv"
-    out: str | None = None
-    force: bool = False
-    kinds: object = None          # comma string or list; None = command default
-    grid: str | None = None       # dense | wide | both
-    interval: object = None       # [lo, hi] custom grid
-    step: float | None = None
-    repetitions: int = 5
-    protection: str = "protected"  # bench: protected | unprotected | both
-    include_unprotected: bool = False
-    classes: object = None
-    countermeasure: str = "desync"
-    n_prof: int = 10000
-    n_attack_max: int = 8000
-    trials: int = 100
-    delay_distribution: str = "uniform"
-    delay_low_us: float | None = None
-    delay_high_us: float | None = None
-    delay_mean_us: float | None = None
-    delay_std_us: float | None = None
-    input_swing_cycles: int = _DEFAULT_SWING_CYCLES
-    history_trials: int = _DEFAULT_HISTORY_TRIALS
-    clock_hz: float = DEFAULT_CLOCK_HZ
-    tolerance: float = 1e-9
-    sweep: bool = False
-    assert_max_abs: dict | None = None
-    assert_rmse: dict | None = None
-
-    def validate(self) -> None:
-        for field in dataclasses.fields(self):
-            _check_type(field.name, getattr(self, field.name), field.type)
-        if self.interval is not None and not (
-                isinstance(self.interval, (list, tuple)) and len(self.interval) == 2
-                and all(_is_number(v) for v in self.interval)):
-            raise UsageError(f"interval must be two numbers: lo hi, got {self.interval!r}")
-        for name in ("assert_max_abs", "assert_rmse"):
-            for kind_name, bound in (getattr(self, name) or {}).items():
-                _parse_kind_list([kind_name], (), label=f"{name} kind")
-                if not _is_number(bound):
-                    raise UsageError(f"{name} bound for {kind_name} must be a number, "
-                                     f"got {bound!r}")
-        for name, choices in (("format", _FORMATS), ("grid", _GRIDS),
-                              ("protection", _PROTECTION), ("countermeasure", COUNTERMEASURES),
-                              ("delay_distribution", DELAY_DISTRIBUTIONS)):
-            value = getattr(self, name)
-            if value is not None and value not in choices:
-                raise UsageError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
-        for name in ("repetitions", "n_attack_max", "trials"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be >= 1")
-        if self.n_prof < 2:
-            raise UsageError("n_prof must be >= 2")
-        for name in ("seed", "history_trials", "input_swing_cycles"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"{name} must be >= 0")
-        for name in ("clock_hz", "tolerance", "step"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise UsageError(f"{name} must be positive, got {value}")
+# Option type -> (what a config-file value may be, how argparse reads the flag).
+# list is a kind list, tuple an interval, dict a kind -> bound map.  bool is an
+# int subclass, so _check keeps it out of the numeric types explicitly.
+_TYPES = {
+    int: ((int,), {"type": int}),
+    float: ((int, float), {"type": float}),
+    str: ((str,), {}),
+    bool: ((bool,), {"action": "store_true"}),
+    list: ((str, list), {}),
+    tuple: ((list,), {"nargs": 2, "type": float, "metavar": ("LO", "HI")}),
+    dict: ((dict,), {}),
+}
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
+@dataclass(frozen=True)
+class Option:
+    """One option of a command: its config-file key, flag, type, default and checks.
 
-# Annotation (without "| None") -> accepted types.  bool is an int subclass,
-# so _check_type keeps it out of the numeric fields explicitly.
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict}
+    ``low`` is the smallest value an int option takes, or the value a float
+    option must exceed.  ``flag`` defaults to ``--name`` with dashes; a dict
+    option has no flag and is set in the config file only.
+    """
+
+    name: str
+    type: type
+    default: object = None
+    help: str = ""
+    choices: object = None
+    low: float | None = None
+    flag: str | None = None
+
+    def __post_init__(self):
+        if self.flag is None and self.type is not dict:
+            object.__setattr__(self, "flag", "--" + self.name.replace("_", "-"))
+
+
+def _kinds(default, name="kinds") -> Option:
+    return Option(name, list, ",".join(kind.value for kind in default), "comma list")
+
+
+_COMMON = (
+    Option("seed", int, 0, "master RNG seed", low=0),
+    Option("format", str, "csv", "primary artifact format", _FORMATS),
+    Option("out", str, None, f"output directory (default ${OUT_DIR_ENV} or .)"),
+    Option("force", bool, False, "overwrite existing output files"),
+)
+_GRID = (
+    Option("grid", str, None, "named grid selection", _GRIDS),
+    Option("interval", tuple, None, "custom grid bounds"),
+    Option("step", float, None, "custom grid step", low=0),
+)
 
 
 def _is_number(value) -> bool:
@@ -150,18 +134,33 @@ def _is_number(value) -> bool:
             and -math.inf < value < math.inf)
 
 
-def _check_type(name: str, value, annotation: str) -> None:
-    base, _, optional = annotation.partition(" | ")
-    if base not in _FIELD_TYPES or (value is None and optional == "None"):
+def _check(option: Option, value) -> None:
+    """Reject a value of the wrong type, non-finite, not a choice or below the bound."""
+    name, typ = option.name, option.type
+    if value is None and option.default is None:
         return
-    if not isinstance(value, _FIELD_TYPES[base]) or (
-            isinstance(value, bool) and base != "bool"):
-        raise UsageError(f"{name} must be of type {base}, got {value!r}")
-    if base == "float" and not _is_number(value):
+    accepted = _TYPES[typ][0]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and typ is not bool):
+        raise UsageError(f"{name} must be of type {' or '.join(t.__name__ for t in accepted)}, "
+                         f"got {value!r}")
+    if typ is float and not _is_number(value):
         raise UsageError(f"{name} must be finite, got {value!r}")
+    if typ is tuple and not (len(value) == 2 and all(map(_is_number, value))):
+        raise UsageError(f"{name} must be two numbers: lo hi, got {value!r}")
+    if typ is dict:
+        for kind_name, bound in value.items():
+            _parse_kind_list([kind_name], label=f"{name} kind")
+            if not _is_number(bound):
+                raise UsageError(f"{name} bound for {kind_name} must be a number, "
+                                 f"got {bound!r}")
+    if option.choices is not None and value not in option.choices:
+        raise UsageError(f"{name} must be one of {', '.join(option.choices)}, got {value!r}")
+    if option.low is not None and (value < option.low if typ is int else value <= option.low):
+        raise UsageError(f"{name} must be {'>=' if typ is int else '>'} {option.low}, "
+                         f"got {value!r}")
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str, names: set) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -171,33 +170,39 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = sorted(set(data) - _FIELD_NAMES)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    unread = sorted(set(data) - names)
+    if unread:
+        raise UsageError(f"config keys {command} does not read: {', '.join(unread)}")
     return data
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = dataclasses.asdict(ExperimentConfig())
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
-    for name in _FIELD_NAMES:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    cfg = ExperimentConfig(**merged)
-    cfg.validate()
-    return cfg
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Set each option of the command to its flag, config-file or default value."""
+    options = _COMMANDS[args.command][2]
+    given = {o.name for o in options if getattr(args, o.name, None) is not None}
+    file = (_load_config_file(args.config, args.command, {o.name for o in options})
+            if args.config else {})
+    # A grid flag in either form replaces the file's grid in either form.
+    if "grid" in given:
+        file.pop("interval", None)
+        file.pop("step", None)
+    if given & {"interval", "step"}:
+        file.pop("grid", None)
+    for option in options:
+        if option.name not in given:
+            value = file.get(option.name, option.default)
+            # A null kind list is the command's default, as when it is left out.
+            if value is None and option.type is list:
+                value = option.default
+            setattr(args, option.name, value)
+        _check(option, getattr(args, option.name))
+    return args
 
 
-def _parse_kind_list(value, default, label: str = "kind"):
-    if value is None:
-        return list(default)
+def _parse_kind_list(value, label: str = "kind"):
     items = value
     if isinstance(value, str):
         items = [part.strip() for part in value.split(",") if part.strip()]
-    elif not isinstance(value, list):
-        raise UsageError(f"{label} list must be a comma string or a list, got {value!r}")
     if not items:
         raise UsageError(f"empty {label} list")
     kinds = []
@@ -212,7 +217,7 @@ def _parse_kind_list(value, default, label: str = "kind"):
     return kinds
 
 
-def _resolve_grids(cfg: ExperimentConfig, default_named: str) -> tuple:
+def _resolve_grids(cfg: argparse.Namespace, default_named: str) -> tuple:
     custom = cfg.interval is not None or cfg.step is not None
     if custom:
         if cfg.grid is not None:
@@ -235,7 +240,7 @@ def _resolve_grids(cfg: ExperimentConfig, default_named: str) -> tuple:
 _CSV_BLOCK_ROWS = 512
 
 
-def _output_path(cfg: ExperimentConfig, filename: str) -> Path:
+def _output_path(cfg: argparse.Namespace, filename: str) -> Path:
     directory = Path(cfg.out or os.environ.get(OUT_DIR_ENV) or ".")
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / filename
@@ -291,10 +296,9 @@ _ERRORS_HEADER = ("kind", "lo", "hi", "step", "n_points",
                   "mse", "rmse", "max_abs", "argmax_input")
 
 
-def cmd_errors(cfg: ExperimentConfig) -> int:
-    smooth = [kind for kind, spec in SPECS.items() if spec.threshold is not None]
-    kinds = _parse_kind_list(cfg.kinds, smooth)
-    exact = [kind.value for kind in kinds if kind not in smooth]
+def cmd_errors(cfg: argparse.Namespace) -> int:
+    kinds = _parse_kind_list(cfg.kinds)
+    exact = [kind.value for kind in kinds if kind not in _SMOOTH_KINDS]
     if exact:
         raise UsageError(f"{', '.join(exact)} is exact; error metrics apply to the smooth kinds")
     bounds = (("max_abs", cfg.assert_max_abs or {}), ("rmse", cfg.assert_rmse or {}))
@@ -335,8 +339,8 @@ def cmd_errors(cfg: ExperimentConfig) -> int:
 _TRACES_HEADER = ("kind", "protected", "lo", "hi", "step", "input", "trace_len")
 
 
-def cmd_traces(cfg: ExperimentConfig) -> int:
-    kinds = _parse_kind_list(cfg.kinds, _ALL_KINDS)
+def cmd_traces(cfg: argparse.Namespace) -> int:
+    kinds = _parse_kind_list(cfg.kinds)
     grid_specs = _resolve_grids(cfg, "both")
     path = _output_path(cfg, f"traces.{cfg.format}")
     ok = True
@@ -400,8 +404,8 @@ _BENCH_SUMMARY_HEADER = ("kind", "protected", "n", "min_ns", "mean_ns",
                          "median_ns", "std_ns", "max_ns")
 
 
-def cmd_bench(cfg: ExperimentConfig) -> int:
-    kinds = _parse_kind_list(cfg.kinds, _ALL_KINDS)
+def cmd_bench(cfg: argparse.Namespace) -> int:
+    kinds = _parse_kind_list(cfg.kinds)
     grids = _resolve_grids(cfg, "wide")
     reps = int(cfg.repetitions)
     modes = _PROTECTION[cfg.protection]
@@ -440,7 +444,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
 _ATTACK_HEADER = ("true_kind", "trial", "n", "class", "score")
 
 
-def _resolve_delay(cfg: ExperimentConfig) -> DelaySpec | None:
+def _resolve_delay(cfg: argparse.Namespace) -> DelaySpec | None:
     """The configured delay, or None for the calibrated default.
 
     Parameters of the other distribution are rejected, not ignored.
@@ -463,8 +467,8 @@ def _resolve_delay(cfg: ExperimentConfig) -> DelaySpec | None:
                      std_us=float(gaussian[1]))
 
 
-def cmd_attack(cfg: ExperimentConfig) -> int:
-    classes = _parse_kind_list(cfg.classes, tuple(BASE_CYCLES_DESYNC), label="class")
+def cmd_attack(cfg: argparse.Namespace) -> int:
+    classes = _parse_kind_list(cfg.classes, label="class")
     if len(classes) < 2:
         raise UsageError("the attack needs at least 2 classes")
     try:
@@ -540,7 +544,7 @@ def cmd_attack(cfg: ExperimentConfig) -> int:
 
 # -- thresholds --------------------------------------------------------------------
 
-def cmd_thresholds(cfg: ExperimentConfig) -> int:
+def cmd_thresholds(cfg: argparse.Namespace) -> int:
     path = _output_path(cfg, f"thresholds.{cfg.format}")
     solution = solve_tanh_threshold(float(cfg.tolerance))
     approx_err, sat_err = balancing_errors(solution.threshold)
@@ -607,23 +611,47 @@ def cmd_thresholds(cfg: ExperimentConfig) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--format", choices=_FORMATS, default=None,
-                        help="primary artifact format")
-    parser.add_argument("--out", default=None,
-                        help=f"output directory (default: ${OUT_DIR_ENV} or .)")
-    parser.add_argument("--force", action="store_true", default=None,
-                        help="overwrite existing output files")
-    parser.add_argument("--config", default=None, help="JSON config file")
-
-
-def _add_grid_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid", choices=_GRIDS, default=None,
-                        help="named grid selection")
-    parser.add_argument("--interval", nargs=2, type=float, default=None,
-                        metavar=("LO", "HI"), help="custom grid bounds")
-    parser.add_argument("--step", type=float, default=None, help="custom grid step")
+# command -> (handler, help, options)
+_COMMANDS = {
+    "errors": (cmd_errors, "accuracy metrics vs libm references", (
+        *_COMMON, *_GRID, _kinds(_SMOOTH_KINDS),
+        Option("assert_max_abs", dict, None, "kind -> max_abs bound"),
+        Option("assert_rmse", dict, None, "kind -> rmse bound"))),
+    "traces": (cmd_traces, "operation-trace uniformity checks", (
+        *_COMMON, *_GRID, _kinds(_ALL_KINDS),
+        Option("include_unprotected", bool, False, "also report unprotected reference traces"))),
+    "bench": (cmd_bench, "host-process wall-time measurements", (
+        *_COMMON, *_GRID, _kinds(_ALL_KINDS),
+        Option("repetitions", int, 5, "timed passes over the grid", low=1),
+        Option("protection", str, "protected", "which implementations to time", _PROTECTION))),
+    "attack": (cmd_attack, "profiled Gaussian template attack", (
+        *_COMMON, _kinds(BASE_CYCLES_DESYNC, "classes"),
+        Option("countermeasure", str, "desync", "device configuration under attack",
+               COUNTERMEASURES),
+        Option("n_prof", int, 10000, "profiling measurements per class", low=2),
+        Option("n_attack_max", int, 8000, "attack measurements per trial", low=1,
+               flag="--n-max"),
+        Option("trials", int, 100, "trials per true class", low=1),
+        Option("delay_distribution", str, "uniform", "random delay distribution",
+               DELAY_DISTRIBUTIONS, flag="--delay-dist"),
+        Option("delay_low_us", float, None, "uniform delay lower bound, microseconds",
+               flag="--delay-low"),
+        Option("delay_high_us", float, None, "uniform delay upper bound, microseconds",
+               flag="--delay-high"),
+        Option("delay_mean_us", float, None, "truncated-gaussian delay mean, microseconds",
+               flag="--delay-mean"),
+        Option("delay_std_us", float, None, "truncated-gaussian delay std, microseconds",
+               flag="--delay-std"),
+        Option("input_swing_cycles", int, _DEFAULT_SWING_CYCLES,
+               "input-dependent base swing in cycles", low=0, flag="--input-swing"),
+        Option("history_trials", int, _DEFAULT_HISTORY_TRIALS,
+               "trials per class with saved score history", low=0),
+        Option("clock_hz", float, DEFAULT_CLOCK_HZ, "device clock, Hz", low=0))),
+    "thresholds": (cmd_thresholds, "balanced-threshold solve and sweeps", (
+        *_COMMON,
+        Option("tolerance", float, 1e-9, "solver residual tolerance", low=0),
+        Option("sweep", bool, False, "add gelu/swish threshold sensitivity sweeps"))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,86 +661,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "host timing, and a timing template attack.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_errors = sub.add_parser("errors", help="accuracy metrics vs libm references")
-    _add_common(p_errors)
-    _add_grid_options(p_errors)
-    p_errors.add_argument("--kinds", default=None,
-                          help="comma list (default: sigmoid,tanh,gelu,swish)")
-
-    p_traces = sub.add_parser("traces", help="operation-trace uniformity checks")
-    _add_common(p_traces)
-    _add_grid_options(p_traces)
-    p_traces.add_argument("--kinds", default=None, help="comma list (default: all five)")
-    p_traces.add_argument("--include-unprotected", dest="include_unprotected",
-                          action="store_true", default=None,
-                          help="also report unprotected reference traces")
-
-    p_bench = sub.add_parser("bench", help="host-process wall-time measurements")
-    _add_common(p_bench)
-    _add_grid_options(p_bench)
-    p_bench.add_argument("--kinds", default=None, help="comma list (default: all five)")
-    p_bench.add_argument("--repetitions", type=int, default=None,
-                         help="timed passes over the grid (default 5)")
-    p_bench.add_argument("--protection", choices=_PROTECTION,
-                         default=None, help="which implementations to time")
-
-    p_attack = sub.add_parser("attack", help="profiled Gaussian template attack")
-    _add_common(p_attack)
-    p_attack.add_argument("--classes", default=None,
-                          help="comma list (default: relu,sigmoid,tanh)")
-    p_attack.add_argument("--countermeasure", choices=COUNTERMEASURES,
-                          default=None, help="device configuration under attack")
-    p_attack.add_argument("--n-prof", dest="n_prof", type=int, default=None,
-                          help="profiling measurements per class (default 10000)")
-    p_attack.add_argument("--n-max", dest="n_attack_max", type=int, default=None,
-                          help="attack measurements per trial (default 8000)")
-    p_attack.add_argument("--trials", type=int, default=None,
-                          help="trials per true class (default 100)")
-    p_attack.add_argument("--delay-dist", dest="delay_distribution",
-                          choices=DELAY_DISTRIBUTIONS, default=None)
-    p_attack.add_argument("--delay-low", dest="delay_low_us", type=float, default=None,
-                          help="uniform delay lower bound, microseconds")
-    p_attack.add_argument("--delay-high", dest="delay_high_us", type=float, default=None,
-                          help="uniform delay upper bound, microseconds")
-    p_attack.add_argument("--delay-mean", dest="delay_mean_us", type=float, default=None,
-                          help="truncated-gaussian delay mean, microseconds")
-    p_attack.add_argument("--delay-std", dest="delay_std_us", type=float, default=None,
-                          help="truncated-gaussian delay std, microseconds")
-    p_attack.add_argument("--input-swing", dest="input_swing_cycles", type=int,
-                          default=None, help="input-dependent base swing in cycles")
-    p_attack.add_argument("--history-trials", dest="history_trials", type=int,
-                          default=None, help="trials per class with saved score history")
-    p_attack.add_argument("--clock-hz", dest="clock_hz", type=float, default=None)
-
-    p_thresh = sub.add_parser("thresholds", help="balanced-threshold solve and sweeps")
-    _add_common(p_thresh)
-    p_thresh.add_argument("--tolerance", type=float, default=None,
-                          help="solver residual tolerance (default 1e-9)")
-    p_thresh.add_argument("--sweep", action="store_true", default=None,
-                          help="add gelu/swish threshold sensitivity sweeps")
-
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for option in options:
+            if option.flag is None:
+                continue
+            text = option.help
+            if option.default is not None and option.type is not bool:
+                text += f" (default {option.default})"
+            kwargs = dict(_TYPES[option.type][1], dest=option.name, default=None, help=text)
+            if option.choices is not None:
+                kwargs["choices"] = option.choices
+            p.add_argument(option.flag, **kwargs)
+        p.add_argument("--config", default=None, help="JSON config file")
     return parser
 
 
-_HANDLERS = {
-    "errors": cmd_errors,
-    "traces": cmd_traces,
-    "bench": cmd_bench,
-    "attack": cmd_attack,
-    "thresholds": cmd_thresholds,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        cfg = _resolve_config(args)
-        return _HANDLERS[args.command](cfg)
+        return _COMMANDS[args.command][0](_resolve_config(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

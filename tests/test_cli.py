@@ -4,9 +4,11 @@ import csv
 import dataclasses
 import inspect
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,11 +212,12 @@ class TestAttackCommand:
                    "--out", str(tmp_path)) == 0
 
     def test_config_defaults_are_the_model_defaults(self):
-        cfg, model = cli.ExperimentConfig(), device_model()
-        assert (cfg.clock_hz, cfg.input_swing_cycles) == (model.clock_hz,
-                                                           model.input_swing_cycles)
+        _, _, options = cli._COMMANDS["attack"]
+        defaults, model = {o.name: o.default for o in options}, device_model()
+        assert (defaults["clock_hz"], defaults["input_swing_cycles"]) == (
+            model.clock_hz, model.input_swing_cycles)
         keep = inspect.signature(attack_experiment).parameters["keep_history_trials"]
-        assert cfg.history_trials == keep.default
+        assert defaults["history_trials"] == keep.default
 
 
 class TestThresholdsCommand:
@@ -394,6 +397,14 @@ class TestConfigFile:
         assert summary["config"]["seed"] == 5
         assert summary["config"]["clock_hz"] == 84e6   # built-in default
 
+    def test_a_null_kind_list_is_the_commands_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kinds": None}))
+        assert run("errors", "--config", str(cfg), "--interval", "0", "1", "--step", "1",
+                   "--out", str(tmp_path)) == 0
+        assert [r["kind"] for r in read_csv(tmp_path / "errors.csv")] == [
+            "sigmoid", "tanh", "gelu", "swish"]
+
     @pytest.mark.parametrize("content", [
         '{"bogus_key": 1}',
         '[1, 2, 3]',
@@ -415,6 +426,7 @@ class TestConfigFile:
         ("errors", {"assert_rmse": {"relu": 1.0}}),  # a bound that can never be checked
         ("thresholds", {"tolerance": float("inf")}),
         ("errors", {"assert_max_abs": {"tanh": float("nan")}}),  # would turn the gate off
+        ("errors", {"grid": "dense", "interval": [-1, 1], "step": 0.5}),  # both forms at once
     ])
     def test_bad_config_values_exit_two_before_any_output(self, command, content,
                                                           tmp_path):
@@ -424,9 +436,96 @@ class TestConfigFile:
         assert run(command, "--config", str(cfg), "--out", str(out)) == 2
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command,content", [
+        ("attack", {"kinds": "relu"}),
+        ("thresholds", {"trials": 3}),
+        ("errors", {"repetitions": 2}),
+        ("bench", {"tolerance": 1e-6}),
+    ])
+    def test_a_key_the_command_does_not_read_exits_two(self, command, content, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert not out.exists()
+        (key,) = content
+        assert f"{command} does not read: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,argv,grid", [
+        ({"grid": "dense"}, ("--interval", "0", "1", "--step", "0.5"), ("0.0", "1.0", "0.5")),
+        ({"interval": [0, 1], "step": 0.5}, ("--grid", "dense"), ("-8.0", "8.0", "0.01")),
+        ({"interval": [0, 1]}, ("--step", "0.5"), ("0.0", "1.0", "0.5")),
+    ])
+    def test_grid_flags_replace_the_files_grid(self, content, argv, grid, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        assert run("errors", "--kinds", "tanh", "--config", str(cfg), *argv,
+                   "--out", str(tmp_path)) == 0
+        (row,) = read_csv(tmp_path / "errors.csv")
+        assert (row["lo"], row["hi"], row["step"]) == grid
+
     def test_missing_config_file(self, tmp_path):
         assert run("thresholds", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)) == 2
+
+
+# The flags each command accepts; its declaration must give exactly these.
+_FLAGS = {
+    "errors": "--seed --format --out --force --grid --interval --step --kinds",
+    "traces": "--seed --format --out --force --grid --interval --step --kinds "
+              "--include-unprotected",
+    "bench": "--seed --format --out --force --grid --interval --step --kinds "
+             "--repetitions --protection",
+    "attack": "--seed --format --out --force --classes --countermeasure --n-prof --n-max "
+              "--trials --delay-dist --delay-low --delay-high --delay-mean --delay-std "
+              "--input-swing --history-trials --clock-hz",
+    "thresholds": "--seed --format --out --force --tolerance --sweep",
+}
+
+# README type column for each Option.type.
+_README_TYPES = {int: "int", float: "number", str: "string", bool: "bool",
+                 list: "kind list", tuple: "[lo, hi]", dict: "{kind: bound}"}
+
+
+class TestDeclaration:
+    @pytest.mark.parametrize("command", list(_FLAGS))
+    def test_help_names_exactly_the_declared_flags(self, command, capsys):
+        assert run(command, "--help") == 0
+        text = capsys.readouterr().out
+        declared = {o.flag for o in cli._COMMANDS[command][2] if o.flag}
+        assert declared == set(_FLAGS[command].split())
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) == declared | {"--help", "--config"}
+        assert ("--interval LO HI" in text) == ("--interval" in declared)
+
+    def test_readme_config_table_matches_the_declaration(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1].split("\n### ", 1)[0]
+        documented = {command: {} for command in cli._COMMANDS}
+        for line in section.splitlines():
+            cells = [c.strip().replace("`", "") for c in line.strip("|").split("|")]
+            if not line.startswith("| ") or cells[0] == "commands":
+                continue
+            commands, flag, key, kind, default, allowed = cells
+            for command in (cli._COMMANDS if commands == "all" else commands.split(", ")):
+                assert key not in documented[command], (command, key)
+                documented[command][key] = (flag.split()[0], kind, default, allowed)
+
+        def row(option):
+            if option.choices is not None:
+                allowed = ", ".join(option.choices)
+            elif option.low is not None:
+                allowed = f"{'>=' if option.type is int else '>'} {option.low}"
+            else:
+                allowed = ""
+            default = ("unset" if option.default is None
+                       else json.dumps(option.default) if option.type is bool
+                       else str(option.default))
+            return (option.flag or "none", _README_TYPES[option.type], default, allowed)
+
+        declared = {command: {o.name: row(o) for o in options}
+                    for command, (_, _, options) in cli._COMMANDS.items()}
+        assert documented == declared
 
 
 class TestDeterminism:

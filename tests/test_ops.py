@@ -33,6 +33,7 @@ from ctact._ops import (
 )
 from ctact.activations import SPECS, ActivationKind, _burn
 from ctact.ctselect import as_f32
+from ctact.grids import GRID_DENSE, GRID_WIDE, inclusive_grid
 from ctact.harness import trace_eval
 from ctact.pade import DENOMINATOR_F32, NUMERATOR_F32, _rational_tanh
 
@@ -336,6 +337,32 @@ class TestGoldenTraces:
         for x, (length, digest) in zip(UNPROTECTED_INPUTS, UNPROTECTED_DIGESTS[kind]):
             trace, _ = trace_eval(kind, x, protected=False)
             assert (trace.length, _digest(trace.ops)) == (length, digest), x
+
+
+def _model_inputs() -> np.ndarray:
+    """The two canonical grids, then zeros, subnormals, tiny, huge and extreme values."""
+    extremes = np.array([0.0, 1e-40, 1e-30, 3e19, FLT_MAX], dtype=np.float32)
+    return np.concatenate([inclusive_grid(*GRID_DENSE), inclusive_grid(*GRID_WIDE),
+                           extremes, -extremes])
+
+
+# sha256 over every kind's model trace at every _model_inputs() point, kinds
+# in ActivationKind order, each trace hashed as "|".join(ops) + "\n".
+# Recorded at the helper-composed models, before their blocks became leaf
+# ops; 3e19 and FLT_MAX square to inf in the erf model.
+MODEL_TRACES_DIGEST = "2b56c15664506b3858082e5d74c0b61440f5bf55f2793fa8343dd7f1ab21a05e"
+
+
+def test_model_traces_are_pinned_tag_for_tag():
+    digest = hashlib.sha256()
+    with np.errstate(all="ignore"), recording() as ops:
+        for kind in ActivationKind:
+            model = SPECS[kind].model
+            for x in _model_inputs():
+                model(x)
+                digest.update(("|".join(ops) + "\n").encode())
+                ops.clear()
+    assert digest.hexdigest() == MODEL_TRACES_DIGEST
 
 
 class TestRecorderScope:

@@ -32,14 +32,18 @@ arithmetic, rather than calling one helper per operation.  They are
 * ``_clamp(x, lo, hi)``: the lower-bound mask select, then the upper-bound
   one (18 tags).
 
-The rational core (``pade._rational_tanh``) and the kernels' dummy
-arithmetic (``activations._burn``) are leaf ops too; they live with the code
+The rational core (``pade._rational_tanh``), the kernels' dummy arithmetic
+(``activations._burn``) and the hot blocks of the instrumented reference
+models (``activations._model_exp``'s halving, polynomial and squaring steps,
+and ``_model_erf``'s fixed chains) are leaf ops too; they live with the code
 they serve and record through this module's recorder, ``_active``.  The tags
 and result bits of every leaf op are those of the composition of single-op
 helpers (``f_mul``, ``f_gt``, ``bool_to_mask``, ``to_bits``, ``u_and``,
 ``u_or``, ``u_not``, ``from_bits`` and the rest); those helpers stay as the
 reference the tests compare against and for code that needs a single op.
-Each leaf body is straight-line code: it never branches on a value.  Every
+Each leaf body of a constant-time kernel is straight-line code: it never
+branches on a value (the models' exp keeps its data-dependent loop, whose
+every step records its own tags, as the branchy code it models).  Every
 op picks a scalar or an array reinterpretation by its operands' types, never
 by their values.  On a scalar, numpy's ``view`` and ``frombuffer`` build a
 temporary array, which costs several times a float32 multiply, so the scalar

@@ -23,7 +23,12 @@ A libm call has no op sequence to record, so each reference comes with a
 small instrumented model of how such a function executes (an argument-
 reduction exponential with an input-dependent number of halving and
 squaring steps, plus a fixed polynomial).  The trace harness runs the model
-for its opcodes and discards its value.
+for its opcodes and discards its value.  The models' hot blocks are leaf ops
+like the kernels' shared ones: each halving step, the final test with the
+polynomial and each squaring of the exp model, and the erf model's fixed
+chains before and after its exp, record a constant tag tuple with one
+``extend``.  Their tags and values are those of the single-op helpers, so
+the unprotected trace is unchanged, tag for tag.
 
 SPECS is the one registry of what each kind is: its constant-time core, its
 reference, the reference's trace model, its saturation threshold and the
@@ -42,7 +47,13 @@ import numpy as np
 
 from ._ops import (
     OP_ADD,
+    OP_AND,
+    OP_BITCAST,
+    OP_BRANCH,
+    OP_CMP,
+    OP_DIV,
     OP_MUL,
+    OP_NEG,
     _abs,
     _active,
     _clamp,
@@ -56,7 +67,6 @@ from ._ops import (
     f_gt,
     f_mul,
     f_neg,
-    take_branch,
 )
 from .ctselect import as_f32
 from .pade import _rational_tanh
@@ -288,24 +298,38 @@ _INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
 # 2.6e19) stops there rather than halving forever.
 _MAX_HALVINGS = 129
 
+# Tag tuples of the models' leaf ops.  A halving records |t| > 1/2 as _abs
+# then f_gt, the branch it drives and the multiply; the last test, which
+# stops the loop, records no multiply and runs into the polynomial.
+_EXP_HALVE_OPS = (OP_BITCAST, OP_AND, OP_BITCAST, OP_CMP, OP_BRANCH, OP_MUL)
+_EXP_POLY_OPS = _EXP_HALVE_OPS[:-1] + (OP_MUL, OP_ADD) * 4
+_EXP_SQUARE_OPS = (OP_MUL, OP_BRANCH)
+# erf: 1/(1 + s*a), the Horner chain times t, then -(a*a) for the exp; and
+# after the exp, tail = poly * exp and 1 - tail.
+_ERF_HEAD_OPS = (OP_MUL, OP_ADD, OP_DIV) + (OP_MUL, OP_ADD) * 4 + (OP_MUL, OP_MUL, OP_NEG)
+_ERF_TAIL_OPS = (OP_MUL, OP_NEG, OP_ADD)
+
 
 def _model_exp(t):
     # Halve the argument until it is small (data-dependent trip count),
-    # evaluate a fixed polynomial, then square once per halving.
+    # evaluate a fixed polynomial, then square once per halving.  Each step
+    # is a leaf op that records a constant tag tuple; abs(t) > _HALF has the
+    # truth value of _abs then f_gt, for inf and NaN too.
+    buf = _active()
     halvings = 0
-    while True:
-        reduce_more = f_gt(_abs(t), _HALF)
-        take_branch()
-        if not reduce_more or halvings == _MAX_HALVINGS:
-            break
-        t = f_mul(t, _HALF)
+    while abs(t) > _HALF and halvings < _MAX_HALVINGS:
+        if buf is not None:
+            buf.extend(_EXP_HALVE_OPS)
+        t = t * _HALF
         halvings += 1
-    p = _EXP_C[4]
-    for c in (_EXP_C[3], _EXP_C[2], _EXP_C[1], _EXP_C[0]):
-        p = f_add(f_mul(p, t), c)
+    if buf is not None:
+        buf.extend(_EXP_POLY_OPS)
+    c0, c1, c2, c3, c4 = _EXP_C
+    p = (((c4 * t + c3) * t + c2) * t + c1) * t + c0
     for _ in range(halvings):
-        p = f_mul(p, p)
-        take_branch()
+        if buf is not None:
+            buf.extend(_EXP_SQUARE_OPS)
+        p = p * p
     return p
 
 
@@ -326,14 +350,21 @@ def _model_tanh(x):
 
 
 def _model_erf(u):
+    # Abramowitz-Stegun 7.1.26.  The fixed chains before and after the exp
+    # are leaf ops; _abs, _model_exp, _sign and the last multiply record
+    # where they stand.
     a = _abs(u)
-    t = f_div(_ONE, f_add(_ONE, f_mul(_ERF_SLOPE, a)))
-    poly = _ERF_C[4]
-    for c in (_ERF_C[3], _ERF_C[2], _ERF_C[1], _ERF_C[0]):
-        poly = f_add(f_mul(poly, t), c)
-    poly = f_mul(poly, t)
-    tail = f_mul(poly, _model_exp(f_neg(f_mul(a, a))))
-    return f_mul(f_add(_ONE, f_neg(tail)), _sign(u))
+    buf = _active()
+    if buf is not None:
+        buf.extend(_ERF_HEAD_OPS)
+    c0, c1, c2, c3, c4 = _ERF_C
+    t = _ONE / (_ONE + _ERF_SLOPE * a)
+    poly = ((((c4 * t + c3) * t + c2) * t + c1) * t + c0) * t
+    decay = _model_exp(-(a * a))
+    if buf is not None:
+        buf.extend(_ERF_TAIL_OPS)
+    tail = poly * decay
+    return f_mul(_ONE + -tail, _sign(u))
 
 
 def _model_gelu(x):

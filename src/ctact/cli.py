@@ -182,6 +182,13 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     given = {o.name for o in options if getattr(args, o.name, None) is not None}
     file = (_load_config_file(args.config, args.command, {o.name for o in options})
             if args.config else {})
+    # Every value the file holds is checked, also one that a flag overrides.
+    for option in options:
+        if option.name in file:
+            # A null kind list is the command's default, as when it is left out.
+            if file[option.name] is None and option.type is list:
+                file[option.name] = option.default
+            _check(option, file[option.name])
     # A grid flag in either form replaces the file's grid in either form.
     if "grid" in given:
         file.pop("interval", None)
@@ -189,13 +196,10 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     if given & {"interval", "step"}:
         file.pop("grid", None)
     for option in options:
-        if option.name not in given:
-            value = file.get(option.name, option.default)
-            # A null kind list is the command's default, as when it is left out.
-            if value is None and option.type is list:
-                value = option.default
-            setattr(args, option.name, value)
-        _check(option, getattr(args, option.name))
+        if option.name in given:
+            _check(option, getattr(args, option.name))
+        else:
+            setattr(args, option.name, file.get(option.name, option.default))
     return args
 
 

@@ -436,6 +436,19 @@ class TestConfigFile:
         assert run(command, "--config", str(cfg), "--out", str(out)) == 2
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command,content,argv", [
+        ("thresholds", {"tolerance": "tiny"}, ("--tolerance", "1e-6")),
+        ("errors", {"grid": "bogus"}, ("--interval", "0", "1", "--step", "0.5")),
+        ("attack", {"trials": 0}, ("--trials", "2")),
+    ])
+    def test_a_bad_value_under_a_flag_exits_two_before_any_output(self, command, content,
+                                                                  argv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), *argv, "--out", str(out)) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,content", [
         ("attack", {"kinds": "relu"}),
         ("thresholds", {"trials": 3}),

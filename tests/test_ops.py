@@ -24,14 +24,26 @@ from ctact._ops import (
     f_gt,
     f_lt,
     f_mul,
+    f_neg,
     from_bits,
     recording,
+    take_branch,
     to_bits,
     u_and,
     u_not,
     u_or,
 )
-from ctact.activations import SPECS, ActivationKind, _burn
+from ctact.activations import (
+    _ERF_C,
+    _ERF_SLOPE,
+    _EXP_C,
+    _MAX_HALVINGS,
+    SPECS,
+    ActivationKind,
+    _burn,
+    _model_erf,
+    _model_exp,
+)
 from ctact.ctselect import as_f32
 from ctact.grids import GRID_DENSE, GRID_WIDE, inclusive_grid
 from ctact.harness import trace_eval
@@ -167,6 +179,36 @@ def _burn_by_helpers(v, count):
     return v
 
 
+def _model_exp_by_helpers(t):
+    halvings = 0
+    while True:
+        reduce_more = f_gt(_abs(t), np.float32(0.5))
+        take_branch()
+        if not reduce_more or halvings == _MAX_HALVINGS:
+            break
+        t = f_mul(t, np.float32(0.5))
+        halvings += 1
+    p = _EXP_C[4]
+    for c in (_EXP_C[3], _EXP_C[2], _EXP_C[1], _EXP_C[0]):
+        p = f_add(f_mul(p, t), c)
+    for _ in range(halvings):
+        p = f_mul(p, p)
+        take_branch()
+    return p
+
+
+def _model_erf_by_helpers(u):
+    one = np.float32(1.0)
+    a = _abs(u)
+    t = f_div(one, f_add(one, f_mul(_ERF_SLOPE, a)))
+    poly = _ERF_C[4]
+    for c in (_ERF_C[3], _ERF_C[2], _ERF_C[1], _ERF_C[0]):
+        poly = f_add(f_mul(poly, t), c)
+    poly = f_mul(poly, t)
+    tail = f_mul(poly, _model_exp_by_helpers(f_neg(f_mul(a, a))))
+    return f_mul(f_add(one, f_neg(tail)), _sign(u))
+
+
 class TestLeafOps:
     """Each leaf op against the single-op helper composition it replaces.
 
@@ -259,6 +301,23 @@ class TestLeafOps:
         self.assert_same(_burn, _burn_by_helpers, [(self.A, n) for n in counts])
         with np.errstate(all="ignore"):
             assert all(type(_burn(x, 5)) is np.float32 for x in self.A)
+
+    @pytest.mark.parametrize("leaf, composed", [(_model_exp, _model_exp_by_helpers),
+                                                (_model_erf, _model_erf_by_helpers)],
+                             ids=["exp", "erf"])
+    def test_model_blocks(self, leaf, composed):
+        # The models branch on values, so they take scalars only.  +-inf
+        # (exp) and +-FLT_MAX (erf, whose square is inf) run to the
+        # halving cap; NaN halves no time.
+        self.assert_same(leaf, composed, [(x,) for x in self.A])
+        extremes = [np.float32(np.inf), FLT_MAX] if leaf is _model_exp else [FLT_MAX]
+        with np.errstate(all="ignore"):
+            for x in extremes:
+                for v in (x, -x):
+                    with recording() as ops:
+                        leaf(v)
+                    assert ops.count("BRANCH") == 2 * _MAX_HALVINGS + 1
+            assert all(type(leaf(x)) is np.float32 for x in self.A)
 
 
 @pytest.mark.parametrize("kind", list(ActivationKind))

@@ -23,7 +23,8 @@ that table builds the flags, the config-file schema and the checks.  Flags
 override the config file, which overrides the declared defaults; a grid
 flag in either form replaces the file's grid.  The config file is a flat
 JSON object keyed by option name; a key the command does not read is
-rejected.  The CTACT_OUT_DIR environment variable supplies the default
+rejected, and every value in it is checked, also one that a flag
+overrides.  The CTACT_OUT_DIR environment variable supplies the default
 output directory.
 """
 

@@ -16,8 +16,12 @@ Saturation thresholds:
   the max-abs error; analysis.threshold_sweep reproduces the sweep.
 
 The unprotected references compute with double-precision libm and round the
-result to binary32 once.  relu_ref, and relu_protected, return +0.0 for
-every non-positive input, including -0.0.
+result to binary32 once.  Each kind's reference is defined once, here, as a
+binary64 function of a Python float (math.tanh for tanh, _logistic for
+sigmoid, _gelu64, _swish64 and _relu64) and stored in SPECS.  The scalar
+*_ref functions round its value with np.float32; analysis maps it over a
+grid and rounds the grid with one astype, the same cast.  relu_ref, and
+relu_protected, return +0.0 for every non-positive input, including -0.0.
 
 A libm call has no op sequence to record, so each reference comes with a
 small instrumented model of how such a function executes (an argument-
@@ -254,9 +258,8 @@ def swish_protected(x) -> np.float32:
 
 # -- unprotected references (double-precision libm, rounded once) -----------
 
-def relu_ref(x) -> np.float32:
-    v = as_f32(x)
-    return v if v > 0 else np.float32(0.0)
+def _relu64(v: float) -> float:
+    return v if v > 0 else 0.0
 
 
 def _logistic(v: float) -> float:
@@ -264,6 +267,18 @@ def _logistic(v: float) -> float:
         return 1.0 / (1.0 + math.exp(-v))
     e = math.exp(v)  # stable form for large negative arguments
     return e / (1.0 + e)
+
+
+def _gelu64(v: float) -> float:
+    return 0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0)))
+
+
+def _swish64(v: float) -> float:
+    return v * _logistic(v)
+
+
+def relu_ref(x) -> np.float32:
+    return np.float32(_relu64(float(as_f32(x))))
 
 
 def sigmoid_ref(x) -> np.float32:
@@ -275,13 +290,11 @@ def tanh_ref(x) -> np.float32:
 
 
 def gelu_ref(x) -> np.float32:
-    v = float(as_f32(x))
-    return np.float32(0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))))
+    return np.float32(_gelu64(float(as_f32(x))))
 
 
 def swish_ref(x) -> np.float32:
-    v = float(as_f32(x))
-    return np.float32(v * _logistic(v))
+    return np.float32(_swish64(float(as_f32(x))))
 
 
 # -- instrumented models of the references (trace shape only) --------------
@@ -384,8 +397,9 @@ class KindSpec:
 
     ``core`` is the constant-time kernel on binary32 scalars or arrays; a
     core with a saturation threshold also takes it as the ``threshold``
-    keyword.  ``reference`` is the libm reference at a scalar and ``model``
-    the instrumented model of its execution.  ``threshold`` is None for a
+    keyword.  ``reference`` is the libm reference in binary64, a function of
+    a Python float that the caller rounds to binary32 once, and ``model`` the
+    instrumented model of its execution.  ``threshold`` is None for a
     kind that does not saturate (relu).  ``sweep`` holds the candidate
     thresholds analysis.threshold_sweep scans, and is empty for kinds whose
     threshold is solved rather than chosen empirically.
@@ -399,16 +413,16 @@ class KindSpec:
 
 
 SPECS = {
-    ActivationKind.RELU: KindSpec(_relu_core, relu_ref, _model_relu),
-    ActivationKind.SIGMOID: KindSpec(_sigmoid_core, sigmoid_ref, _model_sigmoid,
+    ActivationKind.RELU: KindSpec(_relu_core, _relu64, _model_relu),
+    ActivationKind.SIGMOID: KindSpec(_sigmoid_core, _logistic, _model_sigmoid,
                                      SIGMOID_THRESHOLD),
-    ActivationKind.TANH: KindSpec(_tanh_core, tanh_ref, _model_tanh, TANH_THRESHOLD),
+    ActivationKind.TANH: KindSpec(_tanh_core, math.tanh, _model_tanh, TANH_THRESHOLD),
     ActivationKind.GELU: KindSpec(
-        _gelu_core, gelu_ref, _model_gelu, GELU_THRESHOLD,
+        _gelu_core, _gelu64, _model_gelu, GELU_THRESHOLD,
         sweep=tuple(round(3.0 + 0.1 * i, 1) for i in range(15)),     # 3.0 .. 4.4
     ),
     ActivationKind.SWISH: KindSpec(
-        _swish_core, swish_ref, _model_swish, SWISH_THRESHOLD,
+        _swish_core, _swish64, _model_swish, SWISH_THRESHOLD,
         sweep=tuple(round(6.5 + 0.25 * i, 2) for i in range(13)),    # 6.5 .. 9.5
     ),
 }
@@ -423,4 +437,4 @@ def evaluate(kind: ActivationKind, x, protected: bool = True) -> np.float32:
     spec = SPECS[ActivationKind(kind)]
     if protected:
         return spec.core(as_f32(x))
-    return spec.reference(x)
+    return np.float32(spec.reference(float(as_f32(x))))

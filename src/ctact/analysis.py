@@ -6,6 +6,11 @@ pairwise summation over the full grid array (a fixed partition scheme, so
 results are bit-reproducible run to run), and the reported MSE/RMSE/max-abs
 are doubles.
 
+The libm references are the binary64 functions of activations.SPECS.  Each
+runs on every grid point as a Python float, and the grid of results is
+rounded to binary32 once, with one astype: the same cast, bit for bit, as
+the np.float32 of the scalar *_ref functions.
+
 The tanh saturation threshold is not a tuned constant: it is the point
 where the rational core's approximation error meets the saturation error
 1 - tanh(t), solved by bisection on the double-precision rational.  The
@@ -64,6 +69,19 @@ class ThresholdSolution:
     iterations: int
 
 
+def _reference_f32(spec, grid: np.ndarray) -> np.ndarray:
+    """The libm reference at every point of a binary32 grid, in binary32.
+
+    The binary64 reference runs on each point as a Python float and the
+    results are rounded to binary32 with one astype: the same C cast, and so
+    the same bits, as the scalar *_ref functions' np.float32.  numpy's own
+    vector tanh and exp are not the platform libm and may differ in the last
+    bit, so they are not used here.
+    """
+    exact = np.fromiter(map(spec.reference, grid.tolist()), np.float64, grid.size)
+    return exact.astype(np.float32)
+
+
 def error_metrics(kind, lo: float, hi: float, step: float) -> ErrorReport:
     """MSE, RMSE and max-abs error of a protected kernel over a grid.
 
@@ -79,7 +97,7 @@ def error_metrics(kind, lo: float, hi: float, step: float) -> ErrorReport:
         )
     grid = inclusive_grid(lo, hi, step)
     protected = spec.core(grid).astype(np.float64)
-    reference = np.array([spec.reference(x) for x in grid], dtype=np.float64)
+    reference = _reference_f32(spec, grid).astype(np.float64)
     diff = protected - reference
     mse = float(np.mean(diff * diff))
     abs_diff = np.abs(diff)
@@ -178,7 +196,7 @@ def threshold_sweep(kind, candidates: Sequence[float],
         sweepable = " and ".join(k.value for k, other in SPECS.items() if other.sweep)
         raise ValueError(f"threshold sweep applies to {sweepable}, not {kind}")
     grid = inclusive_grid(lo, hi, step)
-    reference = np.array([spec.reference(x) for x in grid], dtype=np.float64)
+    reference = _reference_f32(spec, grid).astype(np.float64)
     results = []
     for candidate in candidates:
         t32 = as_f32(candidate)

@@ -26,15 +26,22 @@ JSON object keyed by option name; a key the command does not read is
 rejected, and every value in it is checked, also one that a flag
 overrides.  The CTACT_OUT_DIR environment variable supplies the default
 output directory.
+
+The argparse parser is built once per process, on the first ``main`` call,
+and reused: every flag defaults to None and each parse returns a new
+Namespace, so no call sees another's values.  A negative decimal number,
+in exponent form such as ``-5e2`` too, is read as a value, not as a flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
+import re
 import statistics
 import sys
 from dataclasses import dataclass
@@ -353,7 +360,9 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
     table = []
     for spec in grid_specs:
         grid = inclusive_grid(*spec)
-        inputs, values = list(grid), grid.tolist()
+        # The input cells, rendered once per grid and shared by all its reports:
+        # str of an np.float32 is the shortest binary32 decimal _write gives it.
+        points = list(zip(map(str, grid), grid.tolist())) if cfg.format == "csv" else ()
         reports = []
         lengths = set()
         for protected in ((True, False) if cfg.include_unprotected else (True,)):
@@ -365,11 +374,12 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
                 if cfg.format == "csv":
                     # Per-input lengths reconstruct exactly from the report:
                     # everything off the deviating list matched the canonical
-                    # trace, so no second tracing pass is needed.
-                    deviating = dict(report.deviating_inputs)
-                    prefix = (kind.value, int(protected), *spec)
-                    table += [(*prefix, x, deviating.get(v, report.canonical_length))
-                              for x, v in zip(inputs, values)]
+                    # trace, so no second tracing pass is needed.  The cells
+                    # constant over the report are rendered once.
+                    deviating = {v: str(n) for v, n in report.deviating_inputs}
+                    prefix = tuple(map(str, (kind.value, int(protected), *spec)))
+                    canonical = str(report.canonical_length)
+                    table += [prefix + (x, deviating.get(v, canonical)) for x, v in points]
         aligned = len(lengths) == 1 and all(r.uniform for r in reports if r.protected)
         ok = ok and aligned
         label = f"[{spec.lo}, {spec.hi}] step {spec.step}"
@@ -659,15 +669,31 @@ _COMMANDS = {
 }
 
 
+# Any decimal literal with a leading minus, exponent forms included.  argparse
+# reads an argument that starts with "-" as a flag unless its own matcher calls
+# it a negative number, and Python 3.11's matcher knows only -\d+ and
+# -\d*.\d+, so "--interval -5e2 5e2" would fail where "-500 500" runs.
+# argparse offers no public hook for this; the matcher is set on each parser.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared.
+
+    Every option defaults to None and parse_args returns a new Namespace on
+    each call, so no value carries over from one parse to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="ctact",
         description="Constant-time activation laboratory: accuracy, traces, "
                     "host timing, and a timing template attack.",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for option in options:
             if option.flag is None:
                 continue

@@ -113,7 +113,7 @@ def trace_eval(kind, x, protected: bool = True):
     with recording() as ops, quiet:
         value = traced(v)
     if not protected:
-        value = SPECS[kind].reference(v)  # libm: emits no ops
+        value = evaluate(kind, v, protected=False)  # libm: emits no ops
     return OpTrace(kind, protected, tuple(ops)), value
 
 

@@ -11,19 +11,23 @@ import math
 import numpy as np
 import pytest
 
+from ctact import activations
 from ctact.activations import (
     GELU_THRESHOLD,
     SIGMOID_THRESHOLD,
+    SPECS,
     SWISH_THRESHOLD,
     TANH_THRESHOLD,
     ActivationKind,
 )
 from ctact.analysis import (
+    _reference_f32,
     balancing_errors,
     error_metrics,
     solve_tanh_threshold,
     threshold_sweep,
 )
+from ctact.grids import GRID_DENSE, GRID_WIDE, inclusive_grid
 
 K = ActivationKind
 
@@ -156,3 +160,32 @@ class TestThresholdSweep:
     def test_candidate_validation(self):
         with pytest.raises(ValueError):
             threshold_sweep(K.GELU, [0.0], -8.0, 8.0, 0.01)
+
+
+class TestGridReferences:
+    """The grid form of each libm reference is the scalar form, bit for bit."""
+
+    @staticmethod
+    def inputs() -> np.ndarray:
+        f32 = np.finfo(np.float32)
+        thresholds = np.array([spec.threshold for spec in SPECS.values()
+                               if spec.threshold is not None], dtype=np.float32)
+        near = np.concatenate([np.nextafter(thresholds, np.float32(0)), thresholds,
+                               np.nextafter(thresholds, np.float32(np.inf))])
+        special = np.array([0.0, 1e-45, 1e-40, 1e-30, f32.max], dtype=np.float32)
+        points = np.concatenate([inclusive_grid(*GRID_DENSE), inclusive_grid(*GRID_WIDE),
+                                 special, near])
+        return np.concatenate([points, -points]).astype(np.float32)
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_grid_and_scalar_references_agree(self, kind):
+        x = self.inputs()
+        assert {0x00000000, 0x80000000, 0x00000001, 0xFF7FFFFF} <= set(x.view(np.uint32).tolist())
+        grid = _reference_f32(SPECS[kind], x)
+        scalar_ref = getattr(activations, f"{kind.value}_ref")
+        scalar = np.array([scalar_ref(v) for v in x], dtype=np.float32)
+        assert grid.dtype == np.float32
+        assert np.array_equal(grid.view(np.uint32), scalar.view(np.uint32))
+        evaluated = np.array([activations.evaluate(kind, v, protected=False) for v in x[::97]],
+                             dtype=np.float32)
+        assert np.array_equal(evaluated.view(np.uint32), scalar[::97].view(np.uint32))

@@ -483,6 +483,83 @@ class TestConfigFile:
                    "--out", str(tmp_path)) == 2
 
 
+class TestNegativeNumbers:
+    # argparse on its own reads "-5e2" as a flag: "expected 2 arguments".
+    def test_exponent_form_writes_the_same_traces(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("traces", "--interval", "-5e2", "5e2", "--step", "1e2",
+                   "--out", str(a)) == 0
+        assert run("traces", "--interval", "-500", "500", "--step", "100",
+                   "--out", str(b)) == 0
+        assert (a / "traces.csv").read_bytes() == (b / "traces.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, name, value", [
+        (("traces", "--interval", "-1e-30", "1e-30", "--step", "1e-30"), "interval",
+         [-1e-30, 1e-30]),
+        (("errors", "--interval", "-2.5E+1", "-.5e1", "--step", "1"), "interval", [-25.0, -5.0]),
+        (("bench", "--interval", "-5.", "5", "--step", "1"), "interval", [-5.0, 5.0]),
+        (("attack", "--delay-dist", "truncated-gaussian", "--delay-mean", "-1e1"),
+         "delay_mean_us", -10.0),
+        (("thresholds", "--tolerance", "-1e-9"), "tolerance", -1e-9),
+    ])
+    def test_every_command_reads_a_negative_exponent_as_a_number(self, argv, name, value):
+        assert getattr(cli.build_parser().parse_args(argv), name) == value
+
+    def test_a_negative_number_is_still_checked(self, tmp_path, capsys):
+        assert run("thresholds", "--tolerance", "-1e-9", "--out", str(tmp_path / "new")) == 2
+        assert "tolerance must be > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestParserReuse:
+    """One parser per process: no call leaves anything behind for the next."""
+
+    def test_the_parser_is_built_once(self, tmp_path, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert run("traces", "--kinds", "relu", "--interval", "0", "1", "--step", "1",
+                       "--out", str(tmp_path), "--force") == 0
+            assert run("thresholds", "--out", str(tmp_path), "--force") == 0
+            assert run("errors", "--bogus") == 2
+        assert cli.build_parser.cache_info().misses == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("before, code", [
+        (("traces", "--include-unprotected", "--interval", "-2", "2", "--step", "0.5"), 0),
+        (("errors", "--config", "{config}"), 0),
+        (("traces", "--interval", "1"), 2),  # rejected by argparse
+        (("traces", "--kinds", "tanh,tanh"), 2),  # rejected after parsing
+    ])
+    def test_a_second_call_writes_what_a_first_call_writes(self, before, code, tmp_path,
+                                                           capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kinds": "tanh", "interval": [-1, 1], "step": 0.5}))
+        before = [str(config) if arg == "{config}" else arg for arg in before]
+        after = (before[0], "--interval", "-2", "2", "--step", "0.5")
+        name = f"{before[0]}.csv"
+        cli.build_parser.cache_clear()
+        assert run(*before, "--out", str(tmp_path / "before")) == code
+        assert run(*after, "--out", str(tmp_path / "reused")) == 0
+        cli.build_parser.cache_clear()
+        assert run(*after, "--out", str(tmp_path / "first")) == 0
+        capsys.readouterr()
+        first = (tmp_path / "first" / name).read_bytes()
+        assert (tmp_path / "reused" / name).read_bytes() == first
+        if code == 0:  # the leak this guards against would copy the first call's table
+            assert (tmp_path / "before" / name).read_bytes() != first
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_is_the_help_of_a_fresh_parser(self, command, tmp_path, capsys):
+        assert run("errors", "--interval", "-1", "1", "--step", "0.5",
+                   "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        assert run(command, "--help") == 0
+        reused = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args([command, "--help"])
+        assert capsys.readouterr().out == reused
+
+
 # The flags each command accepts; its declaration must give exactly these.
 _FLAGS = {
     "errors": "--seed --format --out --force --grid --interval --step --kinds",

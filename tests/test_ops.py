@@ -424,6 +424,34 @@ def test_model_traces_are_pinned_tag_for_tag():
     assert digest.hexdigest() == MODEL_TRACES_DIGEST
 
 
+def _core_output_blocks():
+    """(core, inputs) per block: each kind on the sample and both grids, then
+    gelu and swish at each sweep candidate threshold on the dense grid."""
+    dense, wide = inclusive_grid(*GRID_DENSE), inclusive_grid(*GRID_WIDE)
+    for kind in ActivationKind:
+        spec = SPECS[kind]
+        for x in (SAMPLE, dense, wide):
+            yield spec.core, x
+        for candidate in spec.sweep:
+            threshold = as_f32(candidate)
+            yield (lambda x, core=spec.core, t=threshold: core(x, threshold=t)), dense
+
+
+# sha256 over every _core_output_blocks() block, each hashed as the array
+# call's output bytes, then the bytes of one scalar call per element.
+# Recorded before the kernels passed bit words between their leaf ops.
+PROTECTED_OUTPUTS_DIGEST = "3938bc34bf4c3276e50f216814b8299f199f4b11dd5e7dc292bc5d72baa42b66"
+
+
+def test_protected_output_bits_are_pinned():
+    digest = hashlib.sha256()
+    with np.errstate(all="ignore"):
+        for core, x in _core_output_blocks():
+            digest.update(core(x).tobytes())
+            digest.update(np.array([core(v) for v in x], dtype=np.float32).tobytes())
+    assert digest.hexdigest() == PROTECTED_OUTPUTS_DIGEST
+
+
 class TestRecorderScope:
     def test_ops_outside_a_recording_emit_nothing(self):
         with recording() as before:

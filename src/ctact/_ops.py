@@ -23,14 +23,26 @@ results are bit-identical to repeated scalar calls.
 
 The fixed-shape blocks the kernels share are leaf ops: each records its
 fixed tag tuple with one ``extend`` and computes its result with plain numpy
-arithmetic, rather than calling one helper per operation.  They are
+arithmetic, rather than calling one helper per operation.  The blocks that
+work on encodings take and return bit words, not values:
 
-* ``_select(a, b, mask)``: branchless two-way select on encodings (7 tags);
-* ``_abs(x)`` and ``_sign(x)``: sign-bit clear and sign transfer (3 and 4);
-* ``_gt_mask(x, t)`` and ``_lt_mask(x, t)``: a compare spread into an
-  all-ones or all-zeros lane mask (CMP, MASK);
-* ``_clamp(x, lo, hi)``: the lower-bound mask select, then the upper-bound
-  one (18 tags).
+* ``_select(a, b, mask)``: branchless two-way select of two words (7 tags);
+* ``_abs(w)`` and ``_sign(w)``: sign-bit clear and sign transfer (3 and 4);
+* ``_gt_mask(x, t)`` and ``_lt_mask(x, t)``: a compare of values spread into
+  an all-ones or all-zeros lane mask (CMP, MASK);
+* ``_clamp(x, w, bound)``: x, given with its word, clamped to a ``Bound``
+  by the lower-bound mask select, then the upper-bound one (18 tags);
+* ``_saturate(w, x, bound, low, high)``: a kernel's saturation tail, the
+  word ``low`` selected where x is below the bound, then ``high`` where it
+  is above (the same 18 tags: mask, select, mask, select).
+
+Each of them records the bitcasts of the block it models, in and out, but
+its body does no cast: the kernel casts through the one ``(bits, value)``
+pair ``_casts`` picks for its operands, at most once per value and once per
+word, and hands the words on.  So x is cast once, however many blocks read
+its word; a ``Bound`` holds its endpoints' words, built once per interval
+rather than once per call; and a word that feeds another select or a
+saturation tail is never turned into a value in between.
 
 The rational core (``pade._rational_tanh``), the kernels' dummy arithmetic
 (``activations._burn``) and the hot blocks of the instrumented reference
@@ -44,8 +56,8 @@ reference the tests compare against and for code that needs a single op.
 Each leaf body of a constant-time kernel is straight-line code: it never
 branches on a value (the models' exp keeps its data-dependent loop, whose
 every step records its own tags, as the branchy code it models).  Every
-op picks a scalar or an array reinterpretation by its operands' types, never
-by their values.  On a scalar, numpy's ``view`` and ``frombuffer`` build a
+cast is picked, scalar or array, by the operands' types, never by their
+values.  On a scalar, numpy's ``view`` and ``frombuffer`` build a
 temporary array, which costs several times a float32 multiply, so the scalar
 bitcasts move the four bytes themselves: ``_scalar_bits`` reads them with
 ``struct``, and ``_scalar_float`` packs the word with ``struct`` and hands
@@ -61,6 +73,7 @@ from __future__ import annotations
 
 import contextvars
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,7 +122,6 @@ _unpack_u32 = struct.Struct("=I").unpack
 # every numpy version, rather than through the private module path.
 _scalar_from_bytes = np.float32(0).__reduce__()[0]
 _F32_SCALAR = np.float32
-_U32_SCALAR = np.uint32
 _ONE_BITS = np.uint32(0x3F800000)  # encoding of +1.0
 
 # Tag tuples of the leaf ops: one tag per bitcast and bit operation, in order.
@@ -117,7 +129,8 @@ _SELECT_OPS = (OP_BITCAST, OP_BITCAST, OP_NOT, OP_AND, OP_AND, OP_OR, OP_BITCAST
 _ABS_OPS = (OP_BITCAST, OP_AND, OP_BITCAST)
 _SIGN_OPS = (OP_BITCAST, OP_AND, OP_OR, OP_BITCAST)
 _MASK_OPS = (OP_CMP, OP_MASK)
-_CLAMP_OPS = (_MASK_OPS + _SELECT_OPS) * 2
+# A clamp and a saturation tail are each two mask selects.
+_CLAMP_OPS = _SATURATE_OPS = (_MASK_OPS + _SELECT_OPS) * 2
 
 
 class recording:
@@ -237,33 +250,61 @@ def u_not(a):
     return ~a
 
 
+def _casts(x, t=np.float32(0)):
+    """The (bits, value) reinterpretation pair for operands ``x`` and ``t``.
+
+    The scalar pair when both are binary32 scalars, else the array pair;
+    ``_casts(x)`` picks by x alone.  A kernel picks it once, from its input
+    and its bound's upper end, by their types, and casts with it wherever it
+    needs a word or a value.
+    """
+    return _SCALAR_CASTS if type(x) is type(t) is _F32_SCALAR else _ARRAY_CASTS
+
+
+class Bound(NamedTuple):
+    """An interval [lo, hi] with the encodings a clamp reads, built once.
+
+    ``inverted`` is the mask of ``lo > hi``: all-ones where the bounds are
+    crossed, zero where they are ordered or either is NaN.
+    """
+
+    lo: object
+    hi: object
+    lo_bits: object
+    hi_bits: object
+    inverted: object
+
+
+def _bound(lo, hi) -> Bound:
+    """The Bound of binary32 ``lo`` and ``hi``, scalars or arrays."""
+    bits, _ = _casts(lo, hi)
+    return Bound(lo, hi, bits(lo), bits(hi), U32_ALL_ONES * (lo > hi))
+
+
 def _select(a, b, mask):
     """Branchless two-way select on encodings: ``b`` where mask is all-ones.
 
-    ``(bits(a) & ~mask) | (bits(b) & mask)`` as one op, so -0.0, subnormals
-    and NaN payloads come through bit for bit.
+    Takes the words of ``a`` and ``b`` and returns the word
+    ``(a & ~mask) | (b & mask)``, so -0.0, subnormals and NaN payloads come
+    through bit for bit.  Records the two casts in and the one out.
     """
     if (buf := _active()) is not None:
         buf.extend(_SELECT_OPS)
-    bits, value = (_SCALAR_CASTS if type(a) is type(b) is _F32_SCALAR
-                   and type(mask) is _U32_SCALAR else _ARRAY_CASTS)
-    return value((bits(a) & ~mask) | (bits(b) & mask))
+    return (a & ~mask) | (b & mask)
 
 
-def _abs(x):
-    """|x| by clearing the sign bit."""
+def _abs(w):
+    """The word of |x| from the word of x: the sign bit cleared."""
     if (buf := _active()) is not None:
         buf.extend(_ABS_OPS)
-    bits, value = _SCALAR_CASTS if type(x) is _F32_SCALAR else _ARRAY_CASTS
-    return value(bits(x) & U32_ABS_MASK)
+    return w & U32_ABS_MASK
 
 
-def _sign(x):
-    """The sign bit of x transplanted onto 1.0: +1.0 or -1.0, zeros included."""
+def _sign(w):
+    """The word of sign(x) from the word of x: x's sign bit on 1.0, zeros included."""
     if (buf := _active()) is not None:
         buf.extend(_SIGN_OPS)
-    bits, value = _SCALAR_CASTS if type(x) is _F32_SCALAR else _ARRAY_CASTS
-    return value((bits(x) & U32_SIGN_BIT) | _ONE_BITS)
+    return (w & U32_SIGN_BIT) | _ONE_BITS
 
 
 def _gt_mask(x, threshold):
@@ -280,22 +321,41 @@ def _lt_mask(x, threshold):
     return U32_ALL_ONES * (x < threshold)
 
 
-def _clamp(x, lo, hi):
-    """x clamped to [lo, hi] by two mask selects, lower bound first.
+def _clamp(x, w, bound: Bound):
+    """The word of x clamped to ``bound`` by two mask selects, lower bound first.
 
-    The ``_select`` of ``lo`` under ``_lt_mask(x, lo)``, then of ``hi`` under
-    ``_gt_mask`` of that result, as one op.  The first select's word feeds
-    the second without a round trip; its value is built only for the
-    second compare.
+    ``x`` and its word ``w`` in, a word out: the ``_select`` of ``lo`` under
+    ``_lt_mask(x, lo)``, then of ``hi`` under ``_gt_mask`` of that result,
+    as one op.  The first result is x or lo, so its compare with ``hi`` is
+    ``x > hi`` where x was kept and ``lo > hi``, the bound's ``inverted``
+    mask, where lo was taken; there ``x < lo`` and ``x > hi`` together imply
+    ``lo > hi``, so OR-ing the two masks gives the same bits with no value
+    built in between.
     """
     if (buf := _active()) is not None:
         buf.extend(_CLAMP_OPS)
-    bits, value = (_SCALAR_CASTS if type(x) is type(lo) is type(hi) is _F32_SCALAR
-                   else _ARRAY_CASTS)
+    lo, hi, lo_bits, hi_bits, inverted = bound
     below = U32_ALL_ONES * (x < lo)
-    word = (bits(x) & ~below) | (bits(lo) & below)
-    above = U32_ALL_ONES * (value(word) > hi)
-    return value((word & ~above) | (bits(hi) & above))
+    above = (U32_ALL_ONES * (x > hi)) | (inverted & below)
+    w = (w & ~below) | (lo_bits & below)
+    return (w & ~above) | (hi_bits & above)
+
+
+def _saturate(w, x, bound: Bound, low, high):
+    """The word ``w``, with word ``low`` where x < lo and ``high`` where x > hi.
+
+    A kernel's saturation tail: the ``_select`` of ``low`` under
+    ``_lt_mask(x, lo)``, then of ``high`` under ``_gt_mask(x, hi)``, as one
+    op that records the tags of both masks and both selects in that order.
+    The first select's word feeds the second, and both compares read x, not
+    the selected value.
+    """
+    if (buf := _active()) is not None:
+        buf.extend(_SATURATE_OPS)
+    below = U32_ALL_ONES * (x < bound.lo)
+    above = U32_ALL_ONES * (x > bound.hi)
+    w = (w & ~below) | (low & below)
+    return (w & ~above) | (high & above)
 
 
 def bool_to_mask(flag):

@@ -15,6 +15,10 @@ Saturation thresholds:
 * gelu and swish use empirical constants (3.6 and 8.0) chosen by sweeping
   the max-abs error; analysis.threshold_sweep reproduces the sweep.
 
+Each threshold t enters its kernel as a Bound, the interval [-t, t] with
+the encodings of both ends, built once at import (the sweep builds one per
+candidate), so no call casts a constant.
+
 The unprotected references compute with double-precision libm and round the
 result to binary32 once.  Each kind's reference is defined once, here, as a
 binary64 function of a Python float (math.tanh for tanh, _logistic for
@@ -58,11 +62,15 @@ from ._ops import (
     OP_DIV,
     OP_MUL,
     OP_NEG,
+    _ONE_BITS,
+    Bound,
     _abs,
     _active,
+    _bound,
+    _casts,
     _clamp,
     _gt_mask,
-    _lt_mask,
+    _saturate,
     _select,
     _sign,
     cond_move,
@@ -116,10 +124,23 @@ SIGMOID_THRESHOLD = np.float32(2.0) * TANH_THRESHOLD
 GELU_THRESHOLD = np.float32(3.6)
 SWISH_THRESHOLD = np.float32(8.0)
 
+
+def _threshold_bound(threshold) -> Bound:
+    """The clamp interval [-threshold, threshold] of a binary32 threshold."""
+    return _bound(-threshold, threshold)
+
+
+# Each kernel's default interval, with its endpoint words, built once.
+_TANH_BOUND = _threshold_bound(TANH_THRESHOLD)
+_SIGMOID_BOUND = _threshold_bound(SIGMOID_THRESHOLD)
+_GELU_BOUND = _threshold_bound(GELU_THRESHOLD)
+_SWISH_BOUND = _threshold_bound(SWISH_THRESHOLD)
+
 _HALF = np.float32(0.5)
 _ONE = np.float32(1.0)
 _ZERO = np.float32(0.0)
 _TWO = np.float32(2.0)
+_ZERO_BITS = np.uint32(0)  # encoding of +0.0; _ONE_BITS is that of +1.0
 
 # gelu(x) ~ x/2 * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))
 GELU_CUBIC_COEFF = np.float32(0.044715)
@@ -155,59 +176,69 @@ def _burn(v, count: int):
 # Trace-length budget: gelu is the longest kernel at 59 ops, so the others
 # pad up to 59 with _burn (tanh +10, sigmoid +5, swish +4, relu +5).  The
 # shared blocks count as many ops as they record tags: a clamp 18, the
-# rational core 15, a comparison mask 2, a select 7, abs 3 and sign 4.  A
-# harness test asserts the five lengths are identical.
+# rational core 15, a saturation tail 18, a comparison mask 2, a select 7,
+# abs 3 and sign 4.  A harness test asserts the five lengths are identical.
+#
+# The blocks that work on encodings take and return words, and each kernel
+# casts through the one pair _casts picks for its operands: x once, each
+# value a later block reads as a word once, and each word a later block
+# reads as a value once.  A block records its casts in its own tags, so
+# a word handed on is not cast again and the trace does not change.
 
-def _tanh_core(x, threshold=TANH_THRESHOLD):
-    clamped = _clamp(x, -threshold, threshold)
-    approx = _rational_tanh(clamped)
-    saturated = _sign(x)
-    outside = _gt_mask(_abs(x), threshold)
-    y = _select(approx, saturated, outside)
+def _tanh_core(x, bound=_TANH_BOUND):
+    bits, value = _casts(x, bound.hi)
+    w = bits(x)
+    approx = _rational_tanh(value(_clamp(x, w, bound)))
+    saturated = _sign(w)
+    outside = _gt_mask(value(_abs(w)), bound.hi)
+    y = value(_select(bits(approx), saturated, outside))
     _burn(approx, 10)
     return y
 
 
-def _sigmoid_core(x, threshold=SIGMOID_THRESHOLD):
-    clamped = _clamp(x, -threshold, threshold)
+def _sigmoid_core(x, bound=_SIGMOID_BOUND):
+    bits, value = _casts(x, bound.hi)
+    clamped = value(_clamp(x, bits(x), bound))
     gate = f_add(_HALF, f_mul(_HALF, _rational_tanh(f_mul(clamped, _HALF))))
-    y = _select(gate, _ZERO, _lt_mask(x, -threshold))
-    y = _select(y, _ONE, _gt_mask(x, threshold))
+    y = value(_saturate(bits(gate), x, bound, _ZERO_BITS, _ONE_BITS))
     _burn(gate, 5)
     return y
 
 
-def _gelu_core(x, threshold=GELU_THRESHOLD):
-    clamped = _clamp(x, -threshold, threshold)
+def _gelu_core(x, bound=_GELU_BOUND):
+    bits, value = _casts(x, bound.hi)
+    w = bits(x)
+    clamped = value(_clamp(x, w, bound))
     squared = f_mul(clamped, clamped)
     cubed = f_mul(squared, clamped)
     skewed = f_add(clamped, f_mul(GELU_CUBIC_COEFF, cubed))
     approx = _rational_tanh(f_mul(SQRT_2_OVER_PI, skewed))
     y = f_mul(f_mul(clamped, _HALF), f_add(_ONE, approx))
-    y = _select(y, _ZERO, _lt_mask(x, -threshold))
-    y = _select(y, x, _gt_mask(x, threshold))
-    return y
+    return value(_saturate(bits(y), x, bound, _ZERO_BITS, w))
 
 
-def _swish_core(x, threshold=SWISH_THRESHOLD):
-    clamped = _clamp(x, -threshold, threshold)
+def _swish_core(x, bound=_SWISH_BOUND):
+    bits, value = _casts(x, bound.hi)
+    w = bits(x)
+    clamped = value(_clamp(x, w, bound))
     gate = f_add(_HALF, f_mul(_HALF, _rational_tanh(f_mul(clamped, _HALF))))
-    y = f_mul(clamped, gate)
-    y = _select(y, _ZERO, _lt_mask(x, -threshold))
-    y = _select(y, x, _gt_mask(x, threshold))
+    y = value(_saturate(bits(f_mul(clamped, gate)), x, bound, _ZERO_BITS, w))
     _burn(gate, 4)
     return y
 
 
 def _relu_core(x):
-    y = _select(_ZERO, x, _gt_mask(x, _ZERO))
+    bits, value = _casts(x)
+    w = bits(x)
+    y = _select(_ZERO_BITS, w, _gt_mask(x, _ZERO))
     # Dummy rational evaluation so relu costs what the smooth kernels cost.
     # The rational stays inside (-1.001, 1.001) on the clamp interval, so
     # the mask below is always all-zeros and y passes through untouched;
     # the compare consumes the dummy value, which keeps the work live.
-    dummy = _rational_tanh(_clamp(x, -TANH_THRESHOLD, TANH_THRESHOLD))
-    never = _gt_mask(_abs(dummy), _TWO)
-    y = _select(y, dummy, never)
+    dummy = _rational_tanh(value(_clamp(x, w, _TANH_BOUND)))
+    dummy_bits = bits(dummy)
+    never = _gt_mask(value(_abs(dummy_bits)), _TWO)
+    y = value(_select(y, dummy_bits, never))
     _burn(dummy, 5)
     return y
 
@@ -366,7 +397,9 @@ def _model_erf(u):
     # Abramowitz-Stegun 7.1.26.  The fixed chains before and after the exp
     # are leaf ops; _abs, _model_exp, _sign and the last multiply record
     # where they stand.
-    a = _abs(u)
+    bits, value = _casts(u)
+    w = bits(u)
+    a = value(_abs(w))
     buf = _active()
     if buf is not None:
         buf.extend(_ERF_HEAD_OPS)
@@ -377,7 +410,7 @@ def _model_erf(u):
     if buf is not None:
         buf.extend(_ERF_TAIL_OPS)
     tail = poly * decay
-    return f_mul(_ONE + -tail, _sign(u))
+    return f_mul(_ONE + -tail, value(_sign(w)))
 
 
 def _model_gelu(x):
@@ -396,8 +429,9 @@ class KindSpec:
     """Everything that defines one activation kind.
 
     ``core`` is the constant-time kernel on binary32 scalars or arrays; a
-    core with a saturation threshold also takes it as the ``threshold``
-    keyword.  ``reference`` is the libm reference in binary64, a function of
+    core with a saturation threshold also takes its clamp interval, a
+    ``_threshold_bound`` of the threshold, as the ``bound`` keyword, and
+    defaults to the bound of ``threshold`` built at import.  ``reference`` is the libm reference in binary64, a function of
     a Python float that the caller rounds to binary32 once, and ``model`` the
     instrumented model of its execution.  ``threshold`` is None for a
     kind that does not saturate (relu).  ``sweep`` holds the candidate

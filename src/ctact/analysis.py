@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .activations import SPECS, ActivationKind
+from .activations import SPECS, ActivationKind, _threshold_bound
 from .ctselect import as_f32
 from .grids import inclusive_grid
 from .pade import DENOMINATOR_EXACT, NUMERATOR_EXACT
@@ -202,6 +202,6 @@ def threshold_sweep(kind, candidates: Sequence[float],
         t32 = as_f32(candidate)
         if not t32 > 0:
             raise ValueError(f"candidate threshold must be positive, got {candidate}")
-        values = spec.core(grid, threshold=t32).astype(np.float64)
+        values = spec.core(grid, bound=_threshold_bound(t32)).astype(np.float64)
         results.append((float(t32), float(np.max(np.abs(values - reference)))))
     return results

@@ -27,6 +27,7 @@ from ctact.activations import (
     swish_ref,
     tanh_protected,
     tanh_ref,
+    _threshold_bound,
 )
 
 
@@ -80,6 +81,13 @@ class TestRegistry:
         assert SPECS[ActivationKind.TANH].threshold == TANH_THRESHOLD
         assert SPECS[ActivationKind.GELU].threshold == GELU_THRESHOLD
         assert SPECS[ActivationKind.SWISH].threshold == SWISH_THRESHOLD
+
+    def test_default_bounds_are_built_from_the_thresholds(self):
+        for spec in SPECS.values():
+            if spec.threshold is not None:
+                [bound] = spec.core.__defaults__
+                assert bound.hi is spec.threshold
+                assert bound == _threshold_bound(spec.threshold)
 
     def test_sweeps_bracket_the_empirical_thresholds(self):
         for kind in (ActivationKind.GELU, ActivationKind.SWISH):

@@ -161,6 +161,16 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep(K.GELU, [0.0], -8.0, 8.0, 0.01)
 
+    @pytest.mark.parametrize("kind", [K.GELU, K.SWISH])
+    @pytest.mark.parametrize("grid", [GRID_DENSE, GRID_WIDE], ids=["dense", "wide"])
+    def test_default_threshold_matches_error_metrics(self, kind, grid):
+        # The sweep builds its bound per candidate; the kernel's default
+        # bound is built once at import.  At the default threshold both
+        # must give the same kernel output, so the same max-abs.
+        [(threshold, max_abs)] = threshold_sweep(kind, [THRESHOLD_OF[kind]], *grid)
+        assert threshold == THRESHOLD_OF[kind]
+        assert max_abs == error_metrics(kind, *grid).max_abs
+
 
 class TestGridReferences:
     """The grid form of each libm reference is the scalar form, bit for bit."""

@@ -15,6 +15,7 @@ from ctact._ops import (
     OP_MASK,
     OP_NOT,
     OP_OR,
+    _bound,
     _clamp,
     _gt_mask,
     _lt_mask,
@@ -42,6 +43,27 @@ def f32(x) -> np.float32:
     return np.float32(x)
 
 
+def word(x) -> np.uint32:
+    return np.float32(x).view(np.uint32)
+
+
+def value(w) -> np.float32:
+    return w.view(np.float32)
+
+
+# The leaf ops work on encodings: these feed them words and read back values.
+def select(a, b, mask):
+    return value(_select(word(a), word(b), mask))
+
+
+def clamp(x, lo, hi):
+    return value(_clamp(x, word(x), _bound(lo, hi)))
+
+
+def sign(x):
+    return value(_sign(word(x)))
+
+
 class TestMask32:
     def test_valid_values(self):
         # Comparison masks are 32-bit words, all zeros or all ones.
@@ -62,25 +84,25 @@ class TestMask32:
 class TestSelect:
     def test_picks_by_mask(self):
         a, b = f32(1.5), f32(-2.25)
-        assert _select(a, b, ALL_ZEROS) == a
-        assert _select(a, b, ALL_ONES) == b
+        assert select(a, b, ALL_ZEROS) == a
+        assert select(a, b, ALL_ONES) == b
 
     def test_signed_zero_is_preserved(self):
         # Selection happens on encodings, so -0.0 survives.
-        out = _select(f32(0.0), f32(-0.0), ALL_ONES)
+        out = select(f32(0.0), f32(-0.0), ALL_ONES)
         assert bits(out) == 0x80000000
-        out = _select(f32(-0.0), f32(1.0), ALL_ZEROS)
+        out = select(f32(-0.0), f32(1.0), ALL_ZEROS)
         assert bits(out) == 0x80000000
 
     @given(a=finite_f32, b=finite_f32, pick_b=st.booleans())
     def test_matches_ternary(self, a, b, pick_b):
-        out = _select(f32(a), f32(b), bool_to_mask(np.bool_(pick_b)))
+        out = select(f32(a), f32(b), bool_to_mask(np.bool_(pick_b)))
         expect = f32(b) if pick_b else f32(a)
         assert bits(out) == bits(expect)
 
     def test_trace_is_seven_ops_and_branch_free(self):
         with recording() as ops:
-            _select(f32(1.0), f32(2.0), np.uint32(0))
+            select(f32(1.0), f32(2.0), np.uint32(0))
         # The exact shape: two casts in, NOT, two ANDs, OR, cast out.
         assert tuple(ops) == (
             OP_BITCAST, OP_BITCAST, OP_NOT, OP_AND, OP_AND, OP_OR, OP_BITCAST,
@@ -112,12 +134,12 @@ class TestComparisonMasks:
 class TestClamp:
     def test_interior_passthrough_bit_exact(self):
         tiny = f32(1e-42)  # denormal
-        assert bits(_clamp(tiny, f32(-1.0), f32(1.0))) == bits(tiny)
+        assert bits(clamp(tiny, f32(-1.0), f32(1.0))) == bits(tiny)
 
     def test_bounds_are_exact_encodings(self):
         lo, hi = f32(-4.971), f32(4.971)
-        assert bits(_clamp(f32(-100.0), lo, hi)) == bits(lo)
-        assert bits(_clamp(f32(513.0), lo, hi)) == bits(hi)
+        assert bits(clamp(f32(-100.0), lo, hi)) == bits(lo)
+        assert bits(clamp(f32(513.0), lo, hi)) == bits(hi)
 
     @given(x=finite_f32, a=finite_f32, b=finite_f32)
     def test_matches_branching_definition(self, a, b, x):
@@ -129,32 +151,32 @@ class TestClamp:
             expect = hi32
         else:
             expect = x32
-        assert bits(_clamp(x32, lo32, hi32)) == bits(expect)
+        assert bits(clamp(x32, lo32, hi32)) == bits(expect)
 
     def test_trace_is_eighteen_ops(self):
         with recording() as ops:
-            _clamp(f32(0.3), f32(-1.0), f32(1.0))
+            clamp(f32(0.3), f32(-1.0), f32(1.0))
         assert len(ops) == 18
         assert OP_BRANCH not in ops
         with recording() as ops2:
-            _clamp(f32(700.0), f32(-1.0), f32(1.0))
+            clamp(f32(700.0), f32(-1.0), f32(1.0))
         assert list(ops) == list(ops2)  # same trace clamped or not
 
 
 class TestSign:
     def test_sign_values(self):
-        assert _sign(f32(3.5)) == f32(1.0)
-        assert _sign(f32(-0.25)) == f32(-1.0)
-        assert _sign(f32(0.0)) == f32(1.0)
-        assert bits(_sign(f32(-0.0))) == bits(f32(-1.0))
+        assert sign(f32(3.5)) == f32(1.0)
+        assert sign(f32(-0.25)) == f32(-1.0)
+        assert sign(f32(0.0)) == f32(1.0)
+        assert bits(sign(f32(-0.0))) == bits(f32(-1.0))
 
     @given(x=finite_f32)
     def test_unit_magnitude(self, x):
-        assert abs(_sign(f32(x))) == f32(1.0)
+        assert abs(sign(f32(x))) == f32(1.0)
 
     def test_trace_is_four_ops(self):
         with recording() as ops:
-            _sign(f32(-2.0))
+            sign(f32(-2.0))
         assert len(ops) == 4
 
 

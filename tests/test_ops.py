@@ -8,14 +8,18 @@ import threading
 import numpy as np
 import pytest
 
+import ctact
+from ctact import _ops
 from ctact._ops import (
     U32_ABS_MASK,
     U32_ALL_ONES,
     U32_SIGN_BIT,
     _abs,
+    _bound,
     _clamp,
     _gt_mask,
     _lt_mask,
+    _saturate,
     _select,
     _sign,
     bool_to_mask,
@@ -38,11 +42,15 @@ from ctact.activations import (
     _ERF_SLOPE,
     _EXP_C,
     _MAX_HALVINGS,
+    GELU_CUBIC_COEFF,
     SPECS,
+    SQRT_2_OVER_PI,
+    TANH_THRESHOLD,
     ActivationKind,
     _burn,
     _model_erf,
     _model_exp,
+    _threshold_bound,
 )
 from ctact.ctselect import as_f32
 from ctact.grids import GRID_DENSE, GRID_WIDE, inclusive_grid
@@ -160,6 +168,34 @@ def _clamp_by_helpers(x, lo, hi):
     return _select_by_helpers(x, hi, _gt_mask_by_helpers(x, hi))
 
 
+def _saturate_by_helpers(y, x, lo, hi, low, high):
+    y = _select_by_helpers(y, low, _lt_mask_by_helpers(x, lo))
+    return _select_by_helpers(y, high, _gt_mask_by_helpers(x, hi))
+
+
+# The leaf ops that work on encodings take and return words.  These feed
+# them words and read back values through numpy views, which record nothing,
+# so a leaf op and its helper composition compare as value functions.
+def _word(x):
+    return x.view(np.uint32)  # a numpy scalar has a view too
+
+
+def _value(w):
+    return w.view(np.float32)
+
+
+def _select_on_values(a, b, mask):
+    return _value(_select(_word(a), _word(b), mask))
+
+
+def _clamp_on_values(x, lo, hi):
+    return _value(_clamp(x, _word(x), _bound(lo, hi)))
+
+
+def _saturate_on_values(y, x, lo, hi, low, high):
+    return _value(_saturate(_word(y), x, _bound(lo, hi), _word(low), _word(high)))
+
+
 def _rational_tanh_by_helpers(x):
     p0, p1, p2, p3 = NUMERATOR_F32
     q0, q1, q2, q3 = DENOMINATOR_F32
@@ -179,10 +215,67 @@ def _burn_by_helpers(v, count):
     return v
 
 
+# The parent kernels' bodies, one single-op helper per operation.
+def _tanh_by_helpers(x, t):
+    approx = _rational_tanh_by_helpers(_clamp_by_helpers(x, -t, t))
+    saturated = _sign_by_helpers(x)
+    outside = _gt_mask_by_helpers(_abs_by_helpers(x), t)
+    y = _select_by_helpers(approx, saturated, outside)
+    _burn_by_helpers(approx, 10)
+    return y
+
+
+def _sigmoid_by_helpers(x, t):
+    half, one, zero = np.float32(0.5), np.float32(1.0), np.float32(0.0)
+    clamped = _clamp_by_helpers(x, -t, t)
+    gate = f_add(half, f_mul(half, _rational_tanh_by_helpers(f_mul(clamped, half))))
+    y = _saturate_by_helpers(gate, x, -t, t, zero, one)
+    _burn_by_helpers(gate, 5)
+    return y
+
+
+def _gelu_by_helpers(x, t):
+    half, one, zero = np.float32(0.5), np.float32(1.0), np.float32(0.0)
+    clamped = _clamp_by_helpers(x, -t, t)
+    cubed = f_mul(f_mul(clamped, clamped), clamped)
+    skewed = f_add(clamped, f_mul(GELU_CUBIC_COEFF, cubed))
+    approx = _rational_tanh_by_helpers(f_mul(SQRT_2_OVER_PI, skewed))
+    y = f_mul(f_mul(clamped, half), f_add(one, approx))
+    return _saturate_by_helpers(y, x, -t, t, zero, x)
+
+
+def _swish_by_helpers(x, t):
+    half, zero = np.float32(0.5), np.float32(0.0)
+    clamped = _clamp_by_helpers(x, -t, t)
+    gate = f_add(half, f_mul(half, _rational_tanh_by_helpers(f_mul(clamped, half))))
+    y = _saturate_by_helpers(f_mul(clamped, gate), x, -t, t, zero, x)
+    _burn_by_helpers(gate, 4)
+    return y
+
+
+def _relu_by_helpers(x):
+    zero, t = np.float32(0.0), TANH_THRESHOLD
+    y = _select_by_helpers(zero, x, _gt_mask_by_helpers(x, zero))
+    dummy = _rational_tanh_by_helpers(_clamp_by_helpers(x, -t, t))
+    never = _gt_mask_by_helpers(_abs_by_helpers(dummy), np.float32(2.0))
+    y = _select_by_helpers(y, dummy, never)
+    _burn_by_helpers(dummy, 5)
+    return y
+
+
+_CORE_BY_HELPERS = {
+    ActivationKind.RELU: _relu_by_helpers,
+    ActivationKind.SIGMOID: _sigmoid_by_helpers,
+    ActivationKind.TANH: _tanh_by_helpers,
+    ActivationKind.GELU: _gelu_by_helpers,
+    ActivationKind.SWISH: _swish_by_helpers,
+}
+
+
 def _model_exp_by_helpers(t):
     halvings = 0
     while True:
-        reduce_more = f_gt(_abs(t), np.float32(0.5))
+        reduce_more = f_gt(_abs_by_helpers(t), np.float32(0.5))
         take_branch()
         if not reduce_more or halvings == _MAX_HALVINGS:
             break
@@ -199,14 +292,14 @@ def _model_exp_by_helpers(t):
 
 def _model_erf_by_helpers(u):
     one = np.float32(1.0)
-    a = _abs(u)
+    a = _abs_by_helpers(u)
     t = f_div(one, f_add(one, f_mul(_ERF_SLOPE, a)))
     poly = _ERF_C[4]
     for c in (_ERF_C[3], _ERF_C[2], _ERF_C[1], _ERF_C[0]):
         poly = f_add(f_mul(poly, t), c)
     poly = f_mul(poly, t)
     tail = f_mul(poly, _model_exp_by_helpers(f_neg(f_mul(a, a))))
-    return f_mul(f_add(one, f_neg(tail)), _sign(u))
+    return f_mul(f_add(one, f_neg(tail)), _sign_by_helpers(u))
 
 
 class TestLeafOps:
@@ -228,6 +321,8 @@ class TestLeafOps:
     BOUNDS = [np.float32(0.0), np.float32(2.0)] + [
         sign * spec.threshold for spec in SPECS.values() if spec.threshold is not None
         for sign in (np.float32(1.0), np.float32(-1.0))]
+    # The first and last threshold_sweep candidate of each swept kind.
+    SWEEP_ENDS = [as_f32(c) for spec in SPECS.values() for c in spec.sweep[:1] + spec.sweep[-1:]]
 
     @staticmethod
     def assert_same(leaf, composed, calls):
@@ -247,23 +342,26 @@ class TestLeafOps:
     def test_select_on_scalars(self):
         for mask in (np.uint32(0), U32_ALL_ONES):
             calls = [(a, b, mask) for a, b in zip(self.A, self.B)]
-            self.assert_same(_select, _select_by_helpers, calls)
-            assert all(type(_select(*args)) is np.float32 for args in calls)
+            self.assert_same(_select_on_values, _select_by_helpers, calls)
+            assert all(type(_select(_word(a), _word(b), m)) is np.uint32 for a, b, m in calls)
 
     def test_select_on_arrays_and_mixes(self):
         a, b, masks = self.A, self.B, self.MASKS
         calls = [(a, b, masks), (a, b, np.uint32(0)), (a, b, U32_ALL_ONES),
                  (a[0], b, masks), (a, b[0], U32_ALL_ONES), (a[0], b[0], masks),
                  (a[-7:], np.float32(-0.0), masks[:7])]
-        self.assert_same(_select, _select_by_helpers, calls)
+        self.assert_same(_select_on_values, _select_by_helpers, calls)
 
     @pytest.mark.parametrize("leaf, composed", [(_abs, _abs_by_helpers),
                                                 (_sign, _sign_by_helpers)],
                              ids=["abs", "sign"])
     def test_abs_and_sign(self, leaf, composed):
-        self.assert_same(leaf, composed, [(x,) for x in self.A])
-        self.assert_same(leaf, composed, [(self.A,), (self.A[:1],)])
-        assert all(type(leaf(x)) is np.float32 for x in self.A)
+        def on_values(x):
+            return _value(leaf(_word(x)))
+
+        self.assert_same(on_values, composed, [(x,) for x in self.A])
+        self.assert_same(on_values, composed, [(self.A,), (self.A[:1],)])
+        assert all(type(leaf(_word(x))) is np.uint32 for x in self.A)
 
     @pytest.mark.parametrize("leaf, composed", [(_gt_mask, _gt_mask_by_helpers),
                                                 (_lt_mask, _lt_mask_by_helpers)],
@@ -283,11 +381,58 @@ class TestLeafOps:
         bounds = [(-t, t) for t in self.BOUNDS if t > 0]
         # Kernel bounds, then arbitrary ones: inverted, infinite and NaN.
         scalar_calls = [(x, lo, hi) for lo, hi in bounds for x in a] + list(zip(a, b, c))
-        self.assert_same(_clamp, _clamp_by_helpers, scalar_calls)
-        assert all(type(_clamp(*args)) is np.float32 for args in scalar_calls)
+        self.assert_same(_clamp_on_values, _clamp_by_helpers, scalar_calls)
+        assert all(type(_clamp(x, _word(x), _bound(lo, hi))) is np.uint32
+                   for x, lo, hi in scalar_calls)
         array_calls = [(a, lo, hi) for lo, hi in bounds] + [
             (a, b, c), (a[0], b, c), (a, b[0], c[0]), (a[-7:], np.float32(-0.0), c[:7])]
-        self.assert_same(_clamp, _clamp_by_helpers, array_calls)
+        self.assert_same(_clamp_on_values, _clamp_by_helpers, array_calls)
+
+    def test_saturation_tail(self):
+        # The kernels' (low, high) pairs are (0, 1) and (0, x); arbitrary
+        # ones, and inverted, infinite and NaN bounds, come from the sample.
+        a, b = self.A, self.B
+        c, d = np.roll(a, 5), np.roll(a, 11)
+        zero, one = np.float32(0.0), np.float32(1.0)
+        bounds = [(-t, t) for t in self.BOUNDS if t > 0]
+        scalar_calls = ([(y, x, lo, hi, zero, one) for lo, hi in bounds for y, x in zip(a, b)]
+                        + [(y, x, lo, hi, zero, x) for lo, hi in bounds for y, x in zip(a, b)]
+                        + list(zip(a, b, c, d, np.roll(a, 3), np.roll(a, 7))))
+        self.assert_same(_saturate_on_values, _saturate_by_helpers, scalar_calls)
+        array_calls = [(a, b, lo, hi, zero, b) for lo, hi in bounds] + [
+            (a, b, c, d, zero, one), (a[0], b, c[0], d[0], zero, b), (a, b[0], c, d[0], a, one),
+            (a[-7:], b[-7:], np.float32(-0.0), d[:7], zero, b[-7:])]
+        self.assert_same(_saturate_on_values, _saturate_by_helpers, array_calls)
+
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_cores(self, kind):
+        # Each kernel, its words handed between leaf ops, against the parent
+        # body built from single-op helpers: at its own bound, at the sweep
+        # candidates' ends, and at a negative (inverted), infinite and NaN
+        # threshold; on scalars, arrays, a scalar against an array of
+        # thresholds, and arrays of both.
+        spec, composed = SPECS[kind], _CORE_BY_HELPERS[kind]
+        a = self.A
+        if spec.threshold is None:
+            self.assert_same(spec.core, composed,
+                             [(x,) for x in a] + [(a,), (a[:1],), (a[-7:],)])
+            return
+        self.assert_same(spec.core, lambda x: composed(x, spec.threshold),
+                         [(x,) for x in a] + [(a,), (a[:1],)])
+
+        def at(x, t):
+            return spec.core(x, bound=_threshold_bound(t))
+
+        thresholds = self.SWEEP_ENDS + [-spec.threshold, np.float32(np.inf),
+                                        np.float32(-np.inf), np.float32(np.nan)]
+        many = np.array(thresholds, dtype=np.float32)
+        calls = ([(x, t) for t in thresholds for x in a[::5]]
+                 + [(a, t) for t in thresholds]
+                 + [(x, many) for x in a[:: 97]]
+                 + [(a[:many.size], many), (a[-7:], many[:1])])
+        self.assert_same(at, composed, calls)
+        with np.errstate(all="ignore"):
+            assert all(type(at(x, t)) is np.float32 for t in thresholds for x in a[::50])
 
     def test_rational_core(self):
         self.assert_same(_rational_tanh, _rational_tanh_by_helpers, [(x,) for x in self.A])
@@ -433,8 +578,8 @@ def _core_output_blocks():
         for x in (SAMPLE, dense, wide):
             yield spec.core, x
         for candidate in spec.sweep:
-            threshold = as_f32(candidate)
-            yield (lambda x, core=spec.core, t=threshold: core(x, threshold=t)), dense
+            bound = _threshold_bound(as_f32(candidate))
+            yield (lambda x, core=spec.core, b=bound: core(x, bound=b)), dense
 
 
 # sha256 over every _core_output_blocks() block, each hashed as the array
@@ -450,6 +595,37 @@ def test_protected_output_bits_are_pinned():
             digest.update(core(x).tobytes())
             digest.update(np.array([core(v) for v in x], dtype=np.float32).tobytes())
     assert digest.hexdigest() == PROTECTED_OUTPUTS_DIGEST
+
+
+# (float -> word, word -> float) scalar bitcasts per protected call: x's
+# word, one word per computed value a select reads, and one value per word
+# read as a value (the clamped argument, tanh's and relu's |.|, the result).
+SCALAR_CASTS_PER_CALL = {
+    "relu": (2, 3), "sigmoid": (2, 2), "tanh": (2, 3), "gelu": (2, 2), "swish": (2, 2),
+}
+
+
+def test_protected_calls_cast_each_value_at_most_once(monkeypatch):
+    counts = [0, 0]
+
+    def counting(slot, cast):
+        def counted(v):
+            counts[slot] += 1
+            return cast(v)
+        return counted
+
+    def refuse(v):
+        raise AssertionError("a scalar call took the array casts")
+
+    bits, value = _ops._SCALAR_CASTS
+    monkeypatch.setattr(_ops, "_SCALAR_CASTS", (counting(0, bits), counting(1, value)))
+    monkeypatch.setattr(_ops, "_ARRAY_CASTS", (refuse, refuse))
+    for kind, expected in SCALAR_CASTS_PER_CALL.items():
+        protected = getattr(ctact, f"{kind}_protected")
+        for x in (0.0, -0.0, 0.3, -2.5, 7.9, -100.0, 1e-30, 3e38):
+            counts[:] = [0, 0]
+            protected(x)
+            assert tuple(counts) == expected, (kind, x)
 
 
 class TestRecorderScope:

@@ -23,13 +23,13 @@ results are bit-identical to repeated scalar calls.
 
 The fixed-shape blocks the kernels share are leaf ops: each records its
 fixed tag tuple with one ``extend`` and computes its result with plain numpy
-arithmetic, rather than calling one helper per operation.  The blocks that
-work on encodings take and return bit words, not values:
+arithmetic, rather than making one recorded call per operation.  The blocks
+that work on encodings take and return bit words, not values:
 
 * ``_select(a, b, mask)``: branchless two-way select of two words (7 tags);
 * ``_abs(w)`` and ``_sign(w)``: sign-bit clear and sign transfer (3 and 4);
-* ``_gt_mask(x, t)`` and ``_lt_mask(x, t)``: a compare of values spread into
-  an all-ones or all-zeros lane mask (CMP, MASK);
+* ``_gt_mask(x, t)``: a compare of values spread into an all-ones or
+  all-zeros lane mask (CMP, MASK);
 * ``_clamp(x, w, bound)``: x, given with its word, clamped to a ``Bound``
   by the lower-bound mask select, then the upper-bound one (18 tags);
 * ``_saturate(w, x, bound, low, high)``: a kernel's saturation tail, the
@@ -49,10 +49,9 @@ The rational core (``pade._rational_tanh``), the kernels' dummy arithmetic
 models (``activations._model_exp``'s halving, polynomial and squaring steps,
 and ``_model_erf``'s fixed chains) are leaf ops too; they live with the code
 they serve and record through this module's recorder, ``_active``.  The tags
-and result bits of every leaf op are those of the composition of single-op
-helpers (``f_mul``, ``f_gt``, ``bool_to_mask``, ``to_bits``, ``u_and``,
-``u_or``, ``u_not``, ``from_bits`` and the rest); those helpers stay as the
-reference the tests compare against and for code that needs a single op.
+and result bits of every leaf op equal those of its composition of one-tag
+operations in the test reference module, ``tests/reference_ops.py``, which
+``TestLeafOps`` in ``tests/test_ops.py`` checks on scalars and arrays.
 Each leaf body of a constant-time kernel is straight-line code: it never
 branches on a value (the models' exp keeps its data-dependent loop, whose
 every step records its own tags, as the branchy code it models).  Every
@@ -78,13 +77,9 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "OP_ADD", "OP_MUL", "OP_DIV", "OP_NEG", "OP_CMP", "OP_MASK", "OP_SELECT",
-    "OP_AND", "OP_OR", "OP_NOT", "OP_BITCAST", "OP_BRANCH",
-    "recording",
-    "f_add", "f_mul", "f_div", "f_neg", "f_gt", "f_lt",
-    "to_bits", "from_bits", "u_and", "u_or", "u_not", "bool_to_mask",
-    "cond_move", "take_branch",
-    "U32_ALL_ONES", "U32_SIGN_BIT", "U32_ABS_MASK",
+    "OP_ADD", "OP_MUL", "OP_DIV", "OP_NEG", "OP_CMP", "OP_AND", "OP_BITCAST",
+    "OP_BRANCH", "recording", "f_add", "f_mul", "f_div", "f_neg", "f_gt",
+    "cond_move", "Bound",
 ]
 
 # Opcode vocabulary.  BRANCH is the only control-flow tag; it never appears
@@ -111,7 +106,6 @@ _recorder: contextvars.ContextVar[list | None] = contextvars.ContextVar(
 )
 _active = _recorder.get  # each op calls this inline: one frame fewer than a helper
 
-_ndarray = np.ndarray
 _U32 = np.dtype(np.uint32)
 _F32 = np.dtype(np.float32)
 _U32_ZERO = np.uint32(0)
@@ -184,12 +178,6 @@ def f_gt(a, b):
     return a > b
 
 
-def f_lt(a, b):
-    if (buf := _active()) is not None:
-        buf.append(OP_CMP)
-    return a < b
-
-
 # -- bit-level operations ---------------------------------------------------
 
 def _scalar_bits(x):
@@ -216,38 +204,6 @@ def _array_float(u):
 # view too, so the array pair also serves a mix of scalars and arrays.
 _SCALAR_CASTS = (_scalar_bits, _scalar_float)
 _ARRAY_CASTS = (_array_bits, _array_float)
-
-
-def to_bits(x):
-    """Reinterpret a binary32 value as its 32-bit unsigned encoding."""
-    if (buf := _active()) is not None:
-        buf.append(OP_BITCAST)
-    return _array_bits(x) if isinstance(x, _ndarray) else _scalar_bits(x)
-
-
-def from_bits(u):
-    """Reinterpret a 32-bit unsigned word as the binary32 value it encodes."""
-    if (buf := _active()) is not None:
-        buf.append(OP_BITCAST)
-    return _array_float(u) if isinstance(u, _ndarray) else _scalar_float(u)
-
-
-def u_and(a, b):
-    if (buf := _active()) is not None:
-        buf.append(OP_AND)
-    return a & b
-
-
-def u_or(a, b):
-    if (buf := _active()) is not None:
-        buf.append(OP_OR)
-    return a | b
-
-
-def u_not(a):
-    if (buf := _active()) is not None:
-        buf.append(OP_NOT)
-    return ~a
 
 
 def _casts(x, t=np.float32(0)):
@@ -311,21 +267,18 @@ def _gt_mask(x, threshold):
     """All-ones where x > threshold, else zero: a compare spread into a mask."""
     if (buf := _active()) is not None:
         buf.extend(_MASK_OPS)
+    # All-ones times the 0-or-1 flag, so nothing wraps and nothing branches.
+    # The uint32 operand goes first: numpy's scalar multiply is fast on that
+    # order, and both ``flag * U32_ALL_ONES`` and ``flag.astype`` take a path
+    # that is more than ten times slower on scalars.
     return U32_ALL_ONES * (x > threshold)
-
-
-def _lt_mask(x, threshold):
-    """All-ones where x < threshold, else zero: a compare spread into a mask."""
-    if (buf := _active()) is not None:
-        buf.extend(_MASK_OPS)
-    return U32_ALL_ONES * (x < threshold)
 
 
 def _clamp(x, w, bound: Bound):
     """The word of x clamped to ``bound`` by two mask selects, lower bound first.
 
     ``x`` and its word ``w`` in, a word out: the ``_select`` of ``lo`` under
-    ``_lt_mask(x, lo)``, then of ``hi`` under ``_gt_mask`` of that result,
+    the mask of ``x < lo``, then of ``hi`` under ``_gt_mask`` of that result,
     as one op.  The first result is x or lo, so its compare with ``hi`` is
     ``x > hi`` where x was kept and ``lo > hi``, the bound's ``inverted``
     mask, where lo was taken; there ``x < lo`` and ``x > hi`` together imply
@@ -344,9 +297,9 @@ def _clamp(x, w, bound: Bound):
 def _saturate(w, x, bound: Bound, low, high):
     """The word ``w``, with word ``low`` where x < lo and ``high`` where x > hi.
 
-    A kernel's saturation tail: the ``_select`` of ``low`` under
-    ``_lt_mask(x, lo)``, then of ``high`` under ``_gt_mask(x, hi)``, as one
-    op that records the tags of both masks and both selects in that order.
+    A kernel's saturation tail: the ``_select`` of ``low`` under the mask
+    of ``x < lo``, then of ``high`` under ``_gt_mask(x, hi)``, as one op
+    that records the tags of both masks and both selects in that order.
     The first select's word feeds the second, and both compares read x, not
     the selected value.
     """
@@ -356,22 +309,6 @@ def _saturate(w, x, bound: Bound, low, high):
     above = U32_ALL_ONES * (x > bound.hi)
     w = (w & ~below) | (low & below)
     return (w & ~above) | (high & above)
-
-
-def bool_to_mask(flag):
-    """Spread a 0-or-1 comparison result into a 32-bit lane mask.
-
-    Equivalent to the two's-complement negation of the 0/1 word: the result
-    is 0x00000000 or 0xFFFFFFFF, a uint32 scalar or array.  Implemented as
-    all-ones times the flag (0 or 1, so nothing wraps), which is the same
-    function with no conditional control flow.  The uint32 operand goes
-    first: numpy's scalar multiply is fast on that order, and both
-    ``flag * U32_ALL_ONES`` and ``flag.astype`` take a path that is more
-    than ten times slower on scalars.
-    """
-    if (buf := _active()) is not None:
-        buf.append(OP_MASK)
-    return U32_ALL_ONES * flag
 
 
 def cond_move(condition, if_true, if_false):
@@ -386,13 +323,3 @@ def cond_move(condition, if_true, if_false):
     if (buf := _active()) is not None:
         buf.append(OP_SELECT)
     return np.where(condition, if_true, if_false)[()]
-
-
-def take_branch() -> None:
-    """Record a data-dependent branch decision (control flow).
-
-    Only the unprotected reference models emit this tag.  Its presence in a
-    protected trace is a defect by definition.
-    """
-    if (buf := _active()) is not None:
-        buf.append(OP_BRANCH)

@@ -35,8 +35,9 @@ for its opcodes and discards its value.  The models' hot blocks are leaf ops
 like the kernels' shared ones: each halving step, the final test with the
 polynomial and each squaring of the exp model, and the erf model's fixed
 chains before and after its exp, record a constant tag tuple with one
-``extend``.  Their tags and values are those of the single-op helpers, so
-the unprotected trace is unchanged, tag for tag.
+``extend``.  Their tags and values are those of the one-tag compositions in
+``tests/reference_ops.py``, and a test pins every unprotected trace, tag for
+tag.
 
 SPECS is the one registry of what each kind is: its constant-time core, its
 reference, the reference's trace model, its saturation threshold and the
@@ -431,12 +432,13 @@ class KindSpec:
     ``core`` is the constant-time kernel on binary32 scalars or arrays; a
     core with a saturation threshold also takes its clamp interval, a
     ``_threshold_bound`` of the threshold, as the ``bound`` keyword, and
-    defaults to the bound of ``threshold`` built at import.  ``reference`` is the libm reference in binary64, a function of
-    a Python float that the caller rounds to binary32 once, and ``model`` the
-    instrumented model of its execution.  ``threshold`` is None for a
-    kind that does not saturate (relu).  ``sweep`` holds the candidate
-    thresholds analysis.threshold_sweep scans, and is empty for kinds whose
-    threshold is solved rather than chosen empirically.
+    defaults to the bound of ``threshold`` built at import.  ``reference``
+    is the libm reference in binary64, a function of a Python float that
+    the caller rounds to binary32 once, and ``model`` the instrumented
+    model of its execution.  ``threshold`` is None for a kind that does not
+    saturate (relu).  ``sweep`` holds the candidate thresholds
+    analysis.threshold_sweep scans, and is empty for kinds whose threshold
+    is solved rather than chosen empirically.
     """
 
     core: Callable

@@ -3,10 +3,7 @@
 The constant-time kernels take binary32 scalars or arrays and do not
 validate them.  as_f32 is the one place where scalar inputs are rounded to
 binary32 and checked for finiteness; every public scalar entry point calls
-it.  The branchless building blocks the kernels are made of (comparison
-masks, select, clamp, saturation tail, absolute value and sign) are leaf ops
-of ``_ops``; all but the masks take and return bit words, which the kernels
-cast once per value and hand from block to block.
+it.
 """
 
 from __future__ import annotations

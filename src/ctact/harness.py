@@ -195,7 +195,10 @@ def welch_t_test(samples_a: Sequence[float], samples_b: Sequence[float],
     at significance ``alpha`` with Welch-Satterthwaite degrees of freedom.
     Degenerate variances are handled explicitly: when both sets are constant
     and equal the statistic is 0 (no leak); constant but different means is
-    reported as an unbounded statistic (leak).
+    reported as an unbounded statistic (leak).  Samples the test cannot
+    judge raise ValueError rather than read as no leak: a NaN or infinite
+    observation, or finite ones so large that the variance, and with it the
+    statistic or the degrees of freedom, overflows.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -204,19 +207,24 @@ def welch_t_test(samples_a: Sequence[float], samples_b: Sequence[float],
     b = np.asarray(samples_b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("both sample sets need at least 2 observations")
-    mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
-    var_a = float(np.var(a, ddof=1))
-    var_b = float(np.var(b, ddof=1))
-    se_sq = var_a / a.size + var_b / b.size
-    if se_sq == 0.0:
-        dof = float(a.size + b.size - 2)
-        threshold = float(stats.t.ppf(1.0 - alpha / 2.0, dof))
-        if mean_a == mean_b:
-            return WelchResult(0.0, dof, threshold, False)
-        return WelchResult(float("inf"), dof, threshold, True)
-    t_stat = (mean_a - mean_b) / np.sqrt(se_sq)
-    dof = se_sq**2 / (
-        (var_a / a.size) ** 2 / (a.size - 1) + (var_b / b.size) ** 2 / (b.size - 1)
-    )
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("samples must be finite")
+    # numpy float64 scalars, not Python floats: an overflow gives inf (and
+    # then inf / inf a NaN), which the check below turns into an error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_a, mean_b = np.mean(a), np.mean(b)
+        se_a = np.var(a, ddof=1) / a.size
+        se_b = np.var(b, ddof=1) / b.size
+        se_sq = se_a + se_b
+        if se_sq == 0.0:
+            dof = float(a.size + b.size - 2)
+            threshold = float(stats.t.ppf(1.0 - alpha / 2.0, dof))
+            if mean_a == mean_b:
+                return WelchResult(0.0, dof, threshold, False)
+            return WelchResult(float("inf"), dof, threshold, True)
+        t_stat = (mean_a - mean_b) / np.sqrt(se_sq)
+        dof = se_sq**2 / (se_a**2 / (a.size - 1) + se_b**2 / (b.size - 1))
+    if not (np.isfinite(t_stat) and np.isfinite(dof)):
+        raise ValueError(f"samples overflow the statistic: t={t_stat}, dof={dof}")
     threshold = float(stats.t.ppf(1.0 - alpha / 2.0, dof))
     return WelchResult(float(t_stat), float(dof), threshold, bool(abs(t_stat) > threshold))

@@ -1,4 +1,5 @@
-"""Branchless selection primitives: semantics, bit-exactness, trace shape."""
+"""Branchless selection leaf ops and the kernels' bitcasts on single values,
+and as_f32: semantics, bit-exactness, trace shape."""
 
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ctact import _ops
 from ctact._ops import (
     OP_AND,
     OP_BITCAST,
@@ -15,62 +17,42 @@ from ctact._ops import (
     OP_MASK,
     OP_NOT,
     OP_OR,
-    _bound,
-    _clamp,
     _gt_mask,
-    _lt_mask,
-    _select,
-    _sign,
-    bool_to_mask,
-    from_bits,
     recording,
-    to_bits,
-    u_not,
 )
 from ctact.ctselect import as_f32
+
+from reference_ops import (
+    bits,
+    bool_to_mask,
+    clamp_on_values,
+    select_on_values,
+    sign_on_values,
+    u_not,
+)
 
 finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 ALL_ZEROS = np.uint32(0x00000000)
 ALL_ONES = np.uint32(0xFFFFFFFF)
-
-
-def bits(x) -> int:
-    return int(np.float32(x).view(np.uint32))
+INF = np.float32(np.inf)
 
 
 def f32(x) -> np.float32:
     return np.float32(x)
 
 
-def word(x) -> np.uint32:
-    return np.float32(x).view(np.uint32)
-
-
-def value(w) -> np.float32:
-    return w.view(np.float32)
-
-
-# The leaf ops work on encodings: these feed them words and read back values.
-def select(a, b, mask):
-    return value(_select(word(a), word(b), mask))
-
-
-def clamp(x, lo, hi):
-    return value(_clamp(x, word(x), _bound(lo, hi)))
-
-
-def sign(x):
-    return value(_sign(word(x)))
-
-
 class TestMask32:
     def test_valid_values(self):
-        # Comparison masks are 32-bit words, all zeros or all ones.
-        for mask in (_gt_mask(f32(2.0), f32(1.0)), _gt_mask(f32(1.0), f32(2.0)),
-                     _lt_mask(f32(1.0), f32(2.0)), _lt_mask(f32(2.0), f32(1.0))):
+        # Comparison masks are 32-bit words, all zeros or all ones.  The
+        # below-bound mask is read through the lower-bound select of a clamp
+        # with no upper bound, where a partial mask would blend the encodings
+        # of 1.0 and 2.0.
+        for mask in (_gt_mask(f32(2.0), f32(1.0)), _gt_mask(f32(1.0), f32(2.0))):
             assert mask.dtype == np.uint32
             assert int(mask) in (0x00000000, 0xFFFFFFFF)
+        assert bits(clamp_on_values(f32(1.0), f32(2.0), INF)) == bits(2.0)
+        assert bits(clamp_on_values(f32(2.0), f32(1.0), INF)) == bits(2.0)
 
     def test_invert(self):
         assert u_not(ALL_ZEROS) == ALL_ONES
@@ -84,25 +66,25 @@ class TestMask32:
 class TestSelect:
     def test_picks_by_mask(self):
         a, b = f32(1.5), f32(-2.25)
-        assert select(a, b, ALL_ZEROS) == a
-        assert select(a, b, ALL_ONES) == b
+        assert select_on_values(a, b, ALL_ZEROS) == a
+        assert select_on_values(a, b, ALL_ONES) == b
 
     def test_signed_zero_is_preserved(self):
         # Selection happens on encodings, so -0.0 survives.
-        out = select(f32(0.0), f32(-0.0), ALL_ONES)
+        out = select_on_values(f32(0.0), f32(-0.0), ALL_ONES)
         assert bits(out) == 0x80000000
-        out = select(f32(-0.0), f32(1.0), ALL_ZEROS)
+        out = select_on_values(f32(-0.0), f32(1.0), ALL_ZEROS)
         assert bits(out) == 0x80000000
 
     @given(a=finite_f32, b=finite_f32, pick_b=st.booleans())
     def test_matches_ternary(self, a, b, pick_b):
-        out = select(f32(a), f32(b), bool_to_mask(np.bool_(pick_b)))
+        out = select_on_values(f32(a), f32(b), bool_to_mask(np.bool_(pick_b)))
         expect = f32(b) if pick_b else f32(a)
         assert bits(out) == bits(expect)
 
     def test_trace_is_seven_ops_and_branch_free(self):
         with recording() as ops:
-            select(f32(1.0), f32(2.0), np.uint32(0))
+            select_on_values(f32(1.0), f32(2.0), np.uint32(0))
         # The exact shape: two casts in, NOT, two ANDs, OR, cast out.
         assert tuple(ops) == (
             OP_BITCAST, OP_BITCAST, OP_NOT, OP_AND, OP_AND, OP_OR, OP_BITCAST,
@@ -117,8 +99,11 @@ class TestComparisonMasks:
         assert _gt_mask(f32(0.5), f32(1.0)) == ALL_ZEROS
 
     def test_lt_semantics(self):
-        assert _lt_mask(f32(-3.0), f32(-1.0)) == ALL_ONES
-        assert _lt_mask(f32(-1.0), f32(-1.0)) == ALL_ZEROS
+        # Through the lower-bound select of a clamp with no upper bound: the
+        # bound is taken strictly below it, so an equal -0.0 keeps its sign.
+        assert bits(clamp_on_values(f32(-3.0), f32(-1.0), INF)) == bits(-1.0)
+        assert bits(clamp_on_values(f32(-1.0), f32(-1.0), INF)) == bits(-1.0)
+        assert bits(clamp_on_values(f32(-0.0), f32(0.0), INF)) == 0x80000000
 
     @given(x=finite_f32, t=finite_f32)
     def test_gt_agrees_with_comparison(self, x, t):
@@ -134,12 +119,12 @@ class TestComparisonMasks:
 class TestClamp:
     def test_interior_passthrough_bit_exact(self):
         tiny = f32(1e-42)  # denormal
-        assert bits(clamp(tiny, f32(-1.0), f32(1.0))) == bits(tiny)
+        assert bits(clamp_on_values(tiny, f32(-1.0), f32(1.0))) == bits(tiny)
 
     def test_bounds_are_exact_encodings(self):
         lo, hi = f32(-4.971), f32(4.971)
-        assert bits(clamp(f32(-100.0), lo, hi)) == bits(lo)
-        assert bits(clamp(f32(513.0), lo, hi)) == bits(hi)
+        assert bits(clamp_on_values(f32(-100.0), lo, hi)) == bits(lo)
+        assert bits(clamp_on_values(f32(513.0), lo, hi)) == bits(hi)
 
     @given(x=finite_f32, a=finite_f32, b=finite_f32)
     def test_matches_branching_definition(self, a, b, x):
@@ -151,40 +136,42 @@ class TestClamp:
             expect = hi32
         else:
             expect = x32
-        assert bits(clamp(x32, lo32, hi32)) == bits(expect)
+        assert bits(clamp_on_values(x32, lo32, hi32)) == bits(expect)
 
     def test_trace_is_eighteen_ops(self):
         with recording() as ops:
-            clamp(f32(0.3), f32(-1.0), f32(1.0))
+            clamp_on_values(f32(0.3), f32(-1.0), f32(1.0))
         assert len(ops) == 18
         assert OP_BRANCH not in ops
         with recording() as ops2:
-            clamp(f32(700.0), f32(-1.0), f32(1.0))
+            clamp_on_values(f32(700.0), f32(-1.0), f32(1.0))
         assert list(ops) == list(ops2)  # same trace clamped or not
 
 
 class TestSign:
     def test_sign_values(self):
-        assert sign(f32(3.5)) == f32(1.0)
-        assert sign(f32(-0.25)) == f32(-1.0)
-        assert sign(f32(0.0)) == f32(1.0)
-        assert bits(sign(f32(-0.0))) == bits(f32(-1.0))
+        assert sign_on_values(f32(3.5)) == f32(1.0)
+        assert sign_on_values(f32(-0.25)) == f32(-1.0)
+        assert sign_on_values(f32(0.0)) == f32(1.0)
+        assert bits(sign_on_values(f32(-0.0))) == bits(f32(-1.0))
 
     @given(x=finite_f32)
     def test_unit_magnitude(self, x):
-        assert abs(sign(f32(x))) == f32(1.0)
+        assert abs(sign_on_values(f32(x))) == f32(1.0)
 
     def test_trace_is_four_ops(self):
         with recording() as ops:
-            sign(f32(-2.0))
+            sign_on_values(f32(-2.0))
         assert len(ops) == 4
 
 
 class TestBitEncoding:
     def test_round_trip(self):
-        for v in (0.0, -0.0, 1.0, -1.0, 0.1, 3.4e38, 1e-42):
-            assert bits(from_bits(to_bits(f32(v)))) == bits(v)
-        assert int(to_bits(f32(1.0))) == 0x3F800000
+        # The kernels' casts: struct on scalars, views on arrays.
+        for to_word, to_value in (_ops._SCALAR_CASTS, _ops._ARRAY_CASTS):
+            for v in (0.0, -0.0, 1.0, -1.0, 0.1, 3.4e38, 1e-42):
+                assert bits(to_value(to_word(f32(v)))) == bits(v)
+            assert int(to_word(f32(1.0))) == 0x3F800000
 
     def test_out_of_range_and_non_finite(self):
         # as_f32 is the one binary32 input check: doubles that overflow

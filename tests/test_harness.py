@@ -214,3 +214,16 @@ class TestWelch:
             welch_t_test([1.0, 2.0], [1.0, 2.0], alpha=0.0)
         with pytest.raises(ValueError):
             welch_t_test([1.0, 2.0], [1.0, 2.0], alpha=1.0)
+
+    @pytest.mark.parametrize("a, b", [
+        ([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, float("inf"), 3.0]),
+        ([1e308, -1e308] * 3, [-1e308, 1e308] * 3),
+        ([1e100, -1e100] * 3, [1e100, -1e100, 1.0] * 2),
+    ], ids=["nan", "inf", "overflow", "dof-overflow"])
+    def test_samples_it_cannot_judge_raise(self, a, b):
+        # None of these may come back as "no leak": a NaN or infinite
+        # sample, a variance that overflows (t 0.0, dof NaN), and a dof
+        # whose squared terms overflow.
+        with pytest.raises(ValueError):
+            welch_t_test(a, b)

@@ -1,9 +1,12 @@
-"""The instrumented op layer: scalar/array agreement, opcode sequences, recorder scope."""
+"""The instrumented op layer: leaf ops against their single-op reference,
+scalar/array agreement, opcode sequences, recorder scope."""
 
+import ast
 import hashlib
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,41 +14,20 @@ import pytest
 import ctact
 from ctact import _ops
 from ctact._ops import (
-    U32_ABS_MASK,
     U32_ALL_ONES,
-    U32_SIGN_BIT,
     _abs,
     _bound,
     _clamp,
     _gt_mask,
-    _lt_mask,
-    _saturate,
     _select,
     _sign,
-    bool_to_mask,
     f_add,
-    f_div,
-    f_gt,
-    f_lt,
     f_mul,
-    f_neg,
-    from_bits,
     recording,
-    take_branch,
-    to_bits,
-    u_and,
-    u_not,
-    u_or,
 )
 from ctact.activations import (
-    _ERF_C,
-    _ERF_SLOPE,
-    _EXP_C,
     _MAX_HALVINGS,
-    GELU_CUBIC_COEFF,
     SPECS,
-    SQRT_2_OVER_PI,
-    TANH_THRESHOLD,
     ActivationKind,
     _burn,
     _model_erf,
@@ -55,11 +37,33 @@ from ctact.activations import (
 from ctact.ctselect import as_f32
 from ctact.grids import GRID_DENSE, GRID_WIDE, inclusive_grid
 from ctact.harness import trace_eval
-from ctact.pade import DENOMINATOR_F32, NUMERATOR_F32, _rational_tanh
+from ctact.pade import _rational_tanh
+
+from reference_ops import (
+    CORE_BY_HELPERS,
+    abs_by_helpers,
+    abs_on_values,
+    burn_by_helpers,
+    clamp_by_helpers,
+    clamp_on_values,
+    gt_mask_by_helpers,
+    model_erf_by_helpers,
+    model_exp_by_helpers,
+    rational_tanh_by_helpers,
+    saturate_by_helpers,
+    saturate_on_values,
+    select_by_helpers,
+    select_on_values,
+    sign_by_helpers,
+    sign_on_values,
+    word,
+)
 
 FLT_MAX = np.finfo(np.float32).max
 SMALLEST_SUBNORMAL = np.float32(1e-45)
 LARGEST_SUBNORMAL = np.uint32(0x007FFFFF).view(np.float32)
+U32_ZERO = np.uint32(0)
+F32_INF = np.float32(np.inf)
 
 
 def _edge_values() -> np.ndarray:
@@ -82,48 +86,53 @@ def _sample() -> np.ndarray:
 SAMPLE = _sample()
 
 
+# The casts the kernels pick: struct on scalars, views on arrays.
+SCALAR_BITS, SCALAR_FLOAT = _ops._SCALAR_CASTS
+ARRAY_BITS, ARRAY_FLOAT = _ops._ARRAY_CASTS
+
+
 def _same_bits(scalars, array) -> bool:
     return np.array_equal(np.array(scalars).view(np.uint32), array.view(np.uint32))
 
 
 class TestScalarMatchesArray:
-    """Scalars take a different bitcast path from arrays; the bits must agree."""
+    """Scalars take other bitcasts than arrays (struct, not views); the bits must agree."""
 
     def test_to_bits(self):
-        scalars = [to_bits(x) for x in SAMPLE]
+        scalars = [SCALAR_BITS(x) for x in SAMPLE]
         assert all(type(u) is np.uint32 for u in scalars)
-        assert np.array_equal(np.array(scalars, dtype=np.uint32), to_bits(SAMPLE))
-        assert to_bits(SAMPLE).dtype == np.uint32
+        assert np.array_equal(np.array(scalars, dtype=np.uint32), ARRAY_BITS(SAMPLE))
+        assert ARRAY_BITS(SAMPLE).dtype == np.uint32
 
     def test_from_bits(self):
         words = SAMPLE.view(np.uint32)
-        scalars = [from_bits(u) for u in words]
+        scalars = [SCALAR_FLOAT(u) for u in words]
         assert all(type(v) is np.float32 for v in scalars)
-        assert from_bits(words).dtype == np.float32
-        assert _same_bits(scalars, from_bits(words))
+        assert ARRAY_FLOAT(words).dtype == np.float32
+        assert _same_bits(scalars, ARRAY_FLOAT(words))
         assert _same_bits(scalars, SAMPLE)
 
     def test_from_bits_keeps_nan_payloads(self):
         words = np.array([0x7F800001, 0xFFC12345, 0x7FBFFFFF], dtype=np.uint32)
-        scalars = [from_bits(u) for u in words]
+        scalars = [SCALAR_FLOAT(u) for u in words]
         assert [int(v.view(np.uint32)) for v in scalars] == words.tolist()
-        assert _same_bits(scalars, from_bits(words))
+        assert _same_bits(scalars, ARRAY_FLOAT(words))
 
     def test_from_bits_on_infinities_zeros_and_signed_payloads(self):
         # +-inf, +-0, a negative signalling NaN and the smallest negative
-        # subnormal: the scalar path must agree with the array view on each.
+        # subnormal: the scalar cast must agree with the array view on each.
         words = np.array([0x7F800000, 0xFF800000, 0x00000000, 0x80000000,
                           0xFF800001, 0x80000001], dtype=np.uint32)
-        scalars = [from_bits(u) for u in words]
+        scalars = [SCALAR_FLOAT(u) for u in words]
         assert all(type(v) is np.float32 for v in scalars)
         assert _same_bits(scalars, words.view(np.float32))
 
-    def test_bool_to_mask(self):
-        flags = SAMPLE > np.float32(0)
-        scalars = [bool_to_mask(flag) for flag in flags]
+    def test_gt_mask(self):
+        zero = np.float32(0)
+        scalars = [_gt_mask(x, zero) for x in SAMPLE]
         assert all(type(m) is np.uint32 for m in scalars)
         assert {int(m) for m in scalars} == {0, 0xFFFFFFFF}
-        masks = bool_to_mask(flags)
+        masks = _gt_mask(SAMPLE, zero)
         assert masks.dtype == np.uint32
         assert np.array_equal(np.array(scalars, dtype=np.uint32), masks)
 
@@ -138,174 +147,10 @@ class TestScalarMatchesArray:
         assert _same_bits(scalars, array)
 
 
-def _select_by_helpers(a, b, mask):
-    ua = to_bits(a)
-    ub = to_bits(b)
-    keep_a = u_and(ua, u_not(mask))
-    keep_b = u_and(ub, mask)
-    return from_bits(u_or(keep_a, keep_b))
-
-
-def _abs_by_helpers(x):
-    return from_bits(u_and(to_bits(x), U32_ABS_MASK))
-
-
-def _sign_by_helpers(x):
-    one = np.float32(1.0).view(np.uint32)
-    return from_bits(u_or(u_and(to_bits(x), U32_SIGN_BIT), one))
-
-
-def _gt_mask_by_helpers(x, threshold):
-    return bool_to_mask(f_gt(x, threshold))
-
-
-def _lt_mask_by_helpers(x, threshold):
-    return bool_to_mask(f_lt(x, threshold))
-
-
-def _clamp_by_helpers(x, lo, hi):
-    x = _select_by_helpers(x, lo, _lt_mask_by_helpers(x, lo))
-    return _select_by_helpers(x, hi, _gt_mask_by_helpers(x, hi))
-
-
-def _saturate_by_helpers(y, x, lo, hi, low, high):
-    y = _select_by_helpers(y, low, _lt_mask_by_helpers(x, lo))
-    return _select_by_helpers(y, high, _gt_mask_by_helpers(x, hi))
-
-
-# The leaf ops that work on encodings take and return words.  These feed
-# them words and read back values through numpy views, which record nothing,
-# so a leaf op and its helper composition compare as value functions.
-def _word(x):
-    return x.view(np.uint32)  # a numpy scalar has a view too
-
-
-def _value(w):
-    return w.view(np.float32)
-
-
-def _select_on_values(a, b, mask):
-    return _value(_select(_word(a), _word(b), mask))
-
-
-def _clamp_on_values(x, lo, hi):
-    return _value(_clamp(x, _word(x), _bound(lo, hi)))
-
-
-def _saturate_on_values(y, x, lo, hi, low, high):
-    return _value(_saturate(_word(y), x, _bound(lo, hi), _word(low), _word(high)))
-
-
-def _rational_tanh_by_helpers(x):
-    p0, p1, p2, p3 = NUMERATOR_F32
-    q0, q1, q2, q3 = DENOMINATOR_F32
-    u = f_mul(x, x)
-    p = f_add(f_mul(p3, u), p2)
-    p = f_add(f_mul(p, u), p1)
-    p = f_add(f_mul(p, u), p0)
-    q = f_add(f_mul(q3, u), q2)
-    q = f_add(f_mul(q, u), q1)
-    q = f_add(f_mul(q, u), q0)
-    return f_mul(x, f_div(p, q))
-
-
-def _burn_by_helpers(v, count):
-    for i in range(count):
-        v = f_mul(v, np.float32(1.25)) if i % 2 == 0 else f_add(v, np.float32(0.5))
-    return v
-
-
-# The parent kernels' bodies, one single-op helper per operation.
-def _tanh_by_helpers(x, t):
-    approx = _rational_tanh_by_helpers(_clamp_by_helpers(x, -t, t))
-    saturated = _sign_by_helpers(x)
-    outside = _gt_mask_by_helpers(_abs_by_helpers(x), t)
-    y = _select_by_helpers(approx, saturated, outside)
-    _burn_by_helpers(approx, 10)
-    return y
-
-
-def _sigmoid_by_helpers(x, t):
-    half, one, zero = np.float32(0.5), np.float32(1.0), np.float32(0.0)
-    clamped = _clamp_by_helpers(x, -t, t)
-    gate = f_add(half, f_mul(half, _rational_tanh_by_helpers(f_mul(clamped, half))))
-    y = _saturate_by_helpers(gate, x, -t, t, zero, one)
-    _burn_by_helpers(gate, 5)
-    return y
-
-
-def _gelu_by_helpers(x, t):
-    half, one, zero = np.float32(0.5), np.float32(1.0), np.float32(0.0)
-    clamped = _clamp_by_helpers(x, -t, t)
-    cubed = f_mul(f_mul(clamped, clamped), clamped)
-    skewed = f_add(clamped, f_mul(GELU_CUBIC_COEFF, cubed))
-    approx = _rational_tanh_by_helpers(f_mul(SQRT_2_OVER_PI, skewed))
-    y = f_mul(f_mul(clamped, half), f_add(one, approx))
-    return _saturate_by_helpers(y, x, -t, t, zero, x)
-
-
-def _swish_by_helpers(x, t):
-    half, zero = np.float32(0.5), np.float32(0.0)
-    clamped = _clamp_by_helpers(x, -t, t)
-    gate = f_add(half, f_mul(half, _rational_tanh_by_helpers(f_mul(clamped, half))))
-    y = _saturate_by_helpers(f_mul(clamped, gate), x, -t, t, zero, x)
-    _burn_by_helpers(gate, 4)
-    return y
-
-
-def _relu_by_helpers(x):
-    zero, t = np.float32(0.0), TANH_THRESHOLD
-    y = _select_by_helpers(zero, x, _gt_mask_by_helpers(x, zero))
-    dummy = _rational_tanh_by_helpers(_clamp_by_helpers(x, -t, t))
-    never = _gt_mask_by_helpers(_abs_by_helpers(dummy), np.float32(2.0))
-    y = _select_by_helpers(y, dummy, never)
-    _burn_by_helpers(dummy, 5)
-    return y
-
-
-_CORE_BY_HELPERS = {
-    ActivationKind.RELU: _relu_by_helpers,
-    ActivationKind.SIGMOID: _sigmoid_by_helpers,
-    ActivationKind.TANH: _tanh_by_helpers,
-    ActivationKind.GELU: _gelu_by_helpers,
-    ActivationKind.SWISH: _swish_by_helpers,
-}
-
-
-def _model_exp_by_helpers(t):
-    halvings = 0
-    while True:
-        reduce_more = f_gt(_abs_by_helpers(t), np.float32(0.5))
-        take_branch()
-        if not reduce_more or halvings == _MAX_HALVINGS:
-            break
-        t = f_mul(t, np.float32(0.5))
-        halvings += 1
-    p = _EXP_C[4]
-    for c in (_EXP_C[3], _EXP_C[2], _EXP_C[1], _EXP_C[0]):
-        p = f_add(f_mul(p, t), c)
-    for _ in range(halvings):
-        p = f_mul(p, p)
-        take_branch()
-    return p
-
-
-def _model_erf_by_helpers(u):
-    one = np.float32(1.0)
-    a = _abs_by_helpers(u)
-    t = f_div(one, f_add(one, f_mul(_ERF_SLOPE, a)))
-    poly = _ERF_C[4]
-    for c in (_ERF_C[3], _ERF_C[2], _ERF_C[1], _ERF_C[0]):
-        poly = f_add(f_mul(poly, t), c)
-    poly = f_mul(poly, t)
-    tail = f_mul(poly, _model_exp_by_helpers(f_neg(f_mul(a, a))))
-    return f_mul(f_add(one, f_neg(tail)), _sign_by_helpers(u))
-
-
 class TestLeafOps:
-    """Each leaf op against the single-op helper composition it replaces.
+    """Each leaf op against its single-op composition in ``reference_ops``.
 
-    Tags and result bits must be those of the helper composition, on scalars,
+    Tags and result bits must be those of the composition, on scalars,
     arrays and mixes of the two, NaN payloads, infinities and zeros included.
     """
 
@@ -314,7 +159,7 @@ class TestLeafOps:
                         dtype=np.uint32).view(np.float32)
     A = np.concatenate([SAMPLE, SPECIALS])
     B = A[::-1].copy()
-    MASKS = np.where(np.arange(A.size) % 3 == 0, U32_ALL_ONES, np.uint32(0))
+    MASKS = np.where(np.arange(A.size) % 3 == 0, U32_ALL_ONES, U32_ZERO)
 
     # The kernels' bounds and thresholds, and relu's dummy-mask bound; the
     # sample holds each kernel threshold and its neighbours one ulp away.
@@ -340,78 +185,86 @@ class TestLeafOps:
                                   np.asarray(want).view(np.uint32))
 
     def test_select_on_scalars(self):
-        for mask in (np.uint32(0), U32_ALL_ONES):
+        for mask in (U32_ZERO, U32_ALL_ONES):
             calls = [(a, b, mask) for a, b in zip(self.A, self.B)]
-            self.assert_same(_select_on_values, _select_by_helpers, calls)
-            assert all(type(_select(_word(a), _word(b), m)) is np.uint32 for a, b, m in calls)
+            self.assert_same(select_on_values, select_by_helpers, calls)
+            assert all(type(_select(word(a), word(b), m)) is np.uint32 for a, b, m in calls)
 
     def test_select_on_arrays_and_mixes(self):
         a, b, masks = self.A, self.B, self.MASKS
-        calls = [(a, b, masks), (a, b, np.uint32(0)), (a, b, U32_ALL_ONES),
+        calls = [(a, b, masks), (a, b, U32_ZERO), (a, b, U32_ALL_ONES),
                  (a[0], b, masks), (a, b[0], U32_ALL_ONES), (a[0], b[0], masks),
                  (a[-7:], np.float32(-0.0), masks[:7])]
-        self.assert_same(_select_on_values, _select_by_helpers, calls)
+        self.assert_same(select_on_values, select_by_helpers, calls)
 
-    @pytest.mark.parametrize("leaf, composed", [(_abs, _abs_by_helpers),
-                                                (_sign, _sign_by_helpers)],
+    @pytest.mark.parametrize("leaf, on_values, composed",
+                             [(_abs, abs_on_values, abs_by_helpers),
+                              (_sign, sign_on_values, sign_by_helpers)],
                              ids=["abs", "sign"])
-    def test_abs_and_sign(self, leaf, composed):
-        def on_values(x):
-            return _value(leaf(_word(x)))
-
+    def test_abs_and_sign(self, leaf, on_values, composed):
         self.assert_same(on_values, composed, [(x,) for x in self.A])
         self.assert_same(on_values, composed, [(self.A,), (self.A[:1],)])
-        assert all(type(leaf(_word(x))) is np.uint32 for x in self.A)
+        assert all(type(leaf(word(x))) is np.uint32 for x in self.A)
 
-    @pytest.mark.parametrize("leaf, composed", [(_gt_mask, _gt_mask_by_helpers),
-                                                (_lt_mask, _lt_mask_by_helpers)],
-                             ids=["gt", "lt"])
-    def test_comparison_masks(self, leaf, composed):
+    def test_gt_mask(self):
         a, b = self.A, self.B
         scalar_calls = [(x, t) for t in self.BOUNDS for x in a] + list(zip(a, b))
-        self.assert_same(leaf, composed, scalar_calls)
-        assert all(type(leaf(*args)) is np.uint32 for args in scalar_calls)
+        self.assert_same(_gt_mask, gt_mask_by_helpers, scalar_calls)
+        assert all(type(_gt_mask(*args)) is np.uint32 for args in scalar_calls)
         array_calls = [(a, t) for t in self.BOUNDS] + [(a, b), (a[0], b), (a[-7:], b[0])]
-        self.assert_same(leaf, composed, array_calls)
-        assert all(leaf(*args).dtype == np.uint32 for args in array_calls)
+        self.assert_same(_gt_mask, gt_mask_by_helpers, array_calls)
+        assert all(_gt_mask(*args).dtype == np.uint32 for args in array_calls)
 
     def test_clamp(self):
         a, b = self.A, self.B
         c = np.roll(a, 5)
         bounds = [(-t, t) for t in self.BOUNDS if t > 0]
-        # Kernel bounds, then arbitrary ones: inverted, infinite and NaN.
-        scalar_calls = [(x, lo, hi) for lo, hi in bounds for x in a] + list(zip(a, b, c))
-        self.assert_same(_clamp_on_values, _clamp_by_helpers, scalar_calls)
-        assert all(type(_clamp(x, _word(x), _bound(lo, hi))) is np.uint32
+        # Kernel bounds, then arbitrary ones: inverted, infinite and NaN;
+        # then each bound, and each of b, below +inf, so the lower-bound
+        # select alone sees every compare of a with them.
+        scalar_calls = ([(x, lo, hi) for lo, hi in bounds for x in a] + list(zip(a, b, c))
+                        + [(x, t, F32_INF) for t in self.BOUNDS for x in a]
+                        + [(x, t, F32_INF) for x, t in zip(a, b)])
+        self.assert_same(clamp_on_values, clamp_by_helpers, scalar_calls)
+        assert all(type(_clamp(x, word(x), _bound(lo, hi))) is np.uint32
                    for x, lo, hi in scalar_calls)
         array_calls = [(a, lo, hi) for lo, hi in bounds] + [
-            (a, b, c), (a[0], b, c), (a, b[0], c[0]), (a[-7:], np.float32(-0.0), c[:7])]
-        self.assert_same(_clamp_on_values, _clamp_by_helpers, array_calls)
+            (a, b, c), (a[0], b, c), (a, b[0], c[0]), (a[-7:], np.float32(-0.0), c[:7])] + [
+            (a, t, F32_INF) for t in self.BOUNDS] + [
+            (a, b, F32_INF), (a[0], b, F32_INF), (a[-7:], b[0], F32_INF)]
+        self.assert_same(clamp_on_values, clamp_by_helpers, array_calls)
 
     def test_saturation_tail(self):
         # The kernels' (low, high) pairs are (0, 1) and (0, x); arbitrary
         # ones, and inverted, infinite and NaN bounds, come from the sample.
+        # Then x = a below each bound, and below each of b, with +inf above.
         a, b = self.A, self.B
         c, d = np.roll(a, 5), np.roll(a, 11)
         zero, one = np.float32(0.0), np.float32(1.0)
         bounds = [(-t, t) for t in self.BOUNDS if t > 0]
         scalar_calls = ([(y, x, lo, hi, zero, one) for lo, hi in bounds for y, x in zip(a, b)]
                         + [(y, x, lo, hi, zero, x) for lo, hi in bounds for y, x in zip(a, b)]
-                        + list(zip(a, b, c, d, np.roll(a, 3), np.roll(a, 7))))
-        self.assert_same(_saturate_on_values, _saturate_by_helpers, scalar_calls)
+                        + list(zip(a, b, c, d, np.roll(a, 3), np.roll(a, 7)))
+                        + [(y, x, t, F32_INF, zero, one) for t in self.BOUNDS
+                           for y, x in zip(b, a)]
+                        + [(y, x, t, F32_INF, low, one) for y, x, t, low in zip(c, a, b, d)])
+        self.assert_same(saturate_on_values, saturate_by_helpers, scalar_calls)
         array_calls = [(a, b, lo, hi, zero, b) for lo, hi in bounds] + [
             (a, b, c, d, zero, one), (a[0], b, c[0], d[0], zero, b), (a, b[0], c, d[0], a, one),
-            (a[-7:], b[-7:], np.float32(-0.0), d[:7], zero, b[-7:])]
-        self.assert_same(_saturate_on_values, _saturate_by_helpers, array_calls)
+            (a[-7:], b[-7:], np.float32(-0.0), d[:7], zero, b[-7:])] + [
+            (b, a, t, F32_INF, zero, one) for t in self.BOUNDS] + [
+            (c, a, b, F32_INF, d, one), (c[0], a[0], b, F32_INF, d, one),
+            (c[-7:], a[-7:], b[0], F32_INF, d[-7:], one)]
+        self.assert_same(saturate_on_values, saturate_by_helpers, array_calls)
 
     @pytest.mark.parametrize("kind", list(ActivationKind))
     def test_cores(self, kind):
-        # Each kernel, its words handed between leaf ops, against the parent
-        # body built from single-op helpers: at its own bound, at the sweep
+        # Each kernel, its words handed between leaf ops, against its body
+        # built from single-op helpers: at its own bound, at the sweep
         # candidates' ends, and at a negative (inverted), infinite and NaN
         # threshold; on scalars, arrays, a scalar against an array of
         # thresholds, and arrays of both.
-        spec, composed = SPECS[kind], _CORE_BY_HELPERS[kind]
+        spec, composed = SPECS[kind], CORE_BY_HELPERS[kind]
         a = self.A
         if spec.threshold is None:
             self.assert_same(spec.core, composed,
@@ -435,20 +288,20 @@ class TestLeafOps:
             assert all(type(at(x, t)) is np.float32 for t in thresholds for x in a[::50])
 
     def test_rational_core(self):
-        self.assert_same(_rational_tanh, _rational_tanh_by_helpers, [(x,) for x in self.A])
-        self.assert_same(_rational_tanh, _rational_tanh_by_helpers, [(self.A,), (self.A[:1],)])
+        self.assert_same(_rational_tanh, rational_tanh_by_helpers, [(x,) for x in self.A])
+        self.assert_same(_rational_tanh, rational_tanh_by_helpers, [(self.A,), (self.A[:1],)])
         with np.errstate(all="ignore"):
             assert all(type(_rational_tanh(x)) is np.float32 for x in self.A)
 
     def test_pads(self):
         counts = range(12)
-        self.assert_same(_burn, _burn_by_helpers, [(x, n) for n in counts for x in self.A[::9]])
-        self.assert_same(_burn, _burn_by_helpers, [(self.A, n) for n in counts])
+        self.assert_same(_burn, burn_by_helpers, [(x, n) for n in counts for x in self.A[::9]])
+        self.assert_same(_burn, burn_by_helpers, [(self.A, n) for n in counts])
         with np.errstate(all="ignore"):
             assert all(type(_burn(x, 5)) is np.float32 for x in self.A)
 
-    @pytest.mark.parametrize("leaf, composed", [(_model_exp, _model_exp_by_helpers),
-                                                (_model_erf, _model_erf_by_helpers)],
+    @pytest.mark.parametrize("leaf, composed", [(_model_exp, model_exp_by_helpers),
+                                                (_model_erf, model_erf_by_helpers)],
                              ids=["exp", "erf"])
     def test_model_blocks(self, leaf, composed):
         # The models branch on values, so they take scalars only.  +-inf
@@ -686,6 +539,25 @@ class TestRecorderScope:
             assert len(traces[kind]) == rounds
             assert {len(ops) for ops in traces[kind]} == {59}
             assert {_digest(ops) for ops in traces[kind]} == {PROTECTED_DIGESTS[kind.value]}
+
+
+def test_every_exported_op_is_imported_by_another_module():
+    # _ops holds what the kernels, the models and the trace harness run.
+    # Each name it exports must be imported by another module of the
+    # package, and each function or class it defines without a leading
+    # underscore must be exported, so a helper only tests use cannot linger.
+    imported = set()
+    for path in Path(_ops.__file__).parent.glob("*.py"):
+        if path.name == "_ops.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("_ops", "ctact._ops"):
+                imported.update(alias.name for alias in node.names)
+    defined = {name for name, obj in vars(_ops).items()
+               if not name.startswith("_") and getattr(obj, "__module__", None) == _ops.__name__}
+    assert len(_ops.__all__) == len(set(_ops.__all__))
+    assert set(_ops.__all__) <= imported, set(_ops.__all__) - imported
+    assert defined <= set(_ops.__all__), defined - set(_ops.__all__)
 
 
 def test_import_leaves_scipy_stats_unloaded():

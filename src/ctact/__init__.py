@@ -2,8 +2,9 @@
 
 The package has two halves.  The construction half provides branchless
 binary32 building blocks on IEEE-754 encodings (:mod:`ctact._ops`), the one
-binary32 input check (:mod:`ctact.ctselect`), a shared fixed-shape rational
-core (:mod:`ctact.pade`), and five activation kernels built on them
+binary32 input check, beside the evaluation grids it also bounds
+(:mod:`ctact.grids`), a shared fixed-shape rational core
+(:mod:`ctact.pade`), and five activation kernels built on them
 (:mod:`ctact.activations`), whose ``SPECS`` registry defines each kind in
 one place: kernel, libm reference, trace model, threshold and sweep
 candidates.  The evaluation half checks what the construction claims:

@@ -108,7 +108,6 @@ _active = _recorder.get  # each op calls this inline: one frame fewer than a hel
 
 _U32 = np.dtype(np.uint32)
 _F32 = np.dtype(np.float32)
-_U32_ZERO = np.uint32(0)
 _pack_u32 = struct.Struct("=I").pack
 _unpack_u32 = struct.Struct("=I").unpack
 # numpy.core.multiarray.scalar (numpy._core on 2.x): builds a scalar of a
@@ -116,6 +115,7 @@ _unpack_u32 = struct.Struct("=I").unpack
 # every numpy version, rather than through the private module path.
 _scalar_from_bytes = np.float32(0).__reduce__()[0]
 _F32_SCALAR = np.float32
+_ZERO_BITS = np.uint32(0)  # encoding of +0.0
 _ONE_BITS = np.uint32(0x3F800000)  # encoding of +1.0
 
 # Tag tuples of the leaf ops: one tag per bitcast and bit operation, in order.
@@ -183,7 +183,7 @@ def f_gt(a, b):
 def _scalar_bits(x):
     # struct reads the scalar's four bytes as a Python int; OR-ing that into
     # a uint32 zero gives a numpy uint32 faster than np.uint32(word) does.
-    return _U32_ZERO | _unpack_u32(x)[0]
+    return _ZERO_BITS | _unpack_u32(x)[0]
 
 
 def _scalar_float(u):

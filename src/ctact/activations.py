@@ -64,6 +64,7 @@ from ._ops import (
     OP_MUL,
     OP_NEG,
     _ONE_BITS,
+    _ZERO_BITS,
     Bound,
     _abs,
     _active,
@@ -81,7 +82,7 @@ from ._ops import (
     f_mul,
     f_neg,
 )
-from .ctselect import as_f32
+from .grids import as_f32
 from .pade import _rational_tanh
 
 __all__ = [
@@ -141,7 +142,6 @@ _HALF = np.float32(0.5)
 _ONE = np.float32(1.0)
 _ZERO = np.float32(0.0)
 _TWO = np.float32(2.0)
-_ZERO_BITS = np.uint32(0)  # encoding of +0.0; _ONE_BITS is that of +1.0
 
 # gelu(x) ~ x/2 * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))
 GELU_CUBIC_COEFF = np.float32(0.044715)

@@ -27,8 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .activations import SPECS, ActivationKind, _threshold_bound
-from .ctselect import as_f32
-from .grids import inclusive_grid
+from .grids import as_f32, inclusive_grid
 from .pade import DENOMINATOR_EXACT, NUMERATOR_EXACT
 
 __all__ = [

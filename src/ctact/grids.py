@@ -1,19 +1,56 @@
-"""Evaluation grids.
+"""The binary32 input check and the evaluation grids.
 
-Grid points are computed as lo + i*step in double precision and rounded to
-binary32 once, never by repeated addition, so point i is the same value no
-matter how the grid is consumed.
+The constant-time kernels take binary32 scalars or arrays and do not
+validate them.  This module decides the binary32 range once: as_f32, which
+every public scalar entry point calls, rounds a scalar to binary32 and
+insists it is finite, and inclusive_grid holds every grid point to the same
+overflow bound.  Grid points are computed as lo + i*step in double precision
+and rounded to binary32 once, never by repeated addition, so point i is the
+same value no matter how the grid is consumed.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .ctselect import _F32_OVERFLOW
-
 __all__ = ["GridSpec", "GRID_DENSE", "GRID_WIDE", "inclusive_grid"]
+
+# Doubles of this magnitude or more round to infinity in binary32:
+# 2**128 - 2**103 lies halfway between FLT_MAX and 2**128, and ties round
+# to the even neighbour, which is 2**128.
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+# float() parses these as text, and np.float32 reads some as byte codes.
+_TEXT = (str, bytes, bytearray, memoryview)
+
+
+def as_f32(x) -> np.float32:
+    """Round a numeric scalar to binary32 and insist on a finite result.
+
+    A finite ``np.float32`` comes back as it is, since rebuilding it would
+    cost most of the call, and text is a ``TypeError`` before float() can
+    parse it.  Other inputs are checked on the double before the cast, so
+    one that would overflow is rejected without numpy's overflow warning
+    and without an errstate context on every call.  An int too large even
+    for a double is rejected the same way, as an infinity.
+    """
+    if type(x) is np.float32:
+        if abs(float(x)) < _F32_OVERFLOW:  # false for NaN and infinities
+            return x
+    elif isinstance(x, _TEXT):
+        raise TypeError(f"input must be a number, not {type(x).__name__}")
+    else:
+        try:
+            if abs(float(x)) < _F32_OVERFLOW:  # false for NaN
+                return np.float32(x)
+        except OverflowError:  # float() of an int beyond the double range
+            x = math.inf if x > 0 else -math.inf
+    with np.errstate(over="ignore"):
+        v = np.float32(x)
+    raise ValueError(f"input must be finite in binary32, got {v!r}")
 
 
 class GridSpec(NamedTuple):

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._ops import recording
 from .activations import SPECS, ActivationKind, evaluate
-from .ctselect import as_f32
+from .grids import as_f32
 
 __all__ = [
     "OpTrace",

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._ops import OP_ADD, OP_DIV, OP_MUL, _active
-from .ctselect import as_f32
+from .grids import as_f32
 
 __all__ = [
     "NUMERATOR_EXACT",

@@ -12,9 +12,10 @@ those of its composition.
 
 The bitcasts here are numpy views, not the struct-based scalar casts of
 ``_ops``, so a kernel's casts are checked against an independent route.
-The adapters at the end hand the leaf ops that work on encodings the
+The adapters near the end hand the leaf ops that work on encodings the
 words of their values and read their result words back as values, through
-views, which record nothing.
+views, which record nothing.  ``edge_values`` is the binary32 edge sample
+that the tests of the ops and of the input check share.
 """
 
 import numpy as np
@@ -49,6 +50,7 @@ from ctact.activations import (
     _EXP_C,
     _MAX_HALVINGS,
     GELU_CUBIC_COEFF,
+    SPECS,
     SQRT_2_OVER_PI,
     TANH_THRESHOLD,
     ActivationKind,
@@ -284,3 +286,22 @@ def abs_on_values(x):
 
 def sign_on_values(x):
     return value(_sign(word(x)))
+
+
+# -- edge values --------------------------------------------------------------
+
+FLT_MAX = np.finfo(np.float32).max
+SMALLEST_SUBNORMAL = np.float32(1e-45)
+LARGEST_SUBNORMAL = np.uint32(0x007FFFFF).view(np.float32)
+
+
+def edge_values() -> np.ndarray:
+    """Signed zeros, subnormal and FLT_MAX extremes, and each threshold with
+    its two neighbours, in both signs."""
+    values = [0.0, -0.0, SMALLEST_SUBNORMAL, LARGEST_SUBNORMAL, FLT_MAX]
+    for spec in SPECS.values():
+        if spec.threshold is not None:
+            t = spec.threshold
+            values += [np.nextafter(t, np.float32(0)), t, np.nextafter(t, np.float32(np.inf))]
+    edges = np.array(values, dtype=np.float32)
+    return np.concatenate([edges, -edges])

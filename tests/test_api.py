@@ -1,4 +1,4 @@
-"""The package API is the union of the module ``__all__`` lists.
+"""The package API is the union of the module ``__all__`` lists, pinned by name.
 
 ``ctact/__init__`` star-imports six modules, so each module's ``__all__`` is
 the one declaration of what it exports.  A name listed by two modules would
@@ -14,6 +14,24 @@ from ctact import activations, analysis, attack, grids, harness, pade
 
 MODULES = (activations, pade, grids, harness, attack, analysis)
 
+# The sorted ``ctact.__all__``.  A name that enters or leaves the package API,
+# moved helpers included, must change this list on purpose.
+PUBLIC_API = [
+    "ActivationKind", "AttackResult", "BASE_CYCLES_DESYNC", "CONSTANT_TIME_CYCLES",
+    "COUNTERMEASURES", "DEFAULT_CLOCK_HZ", "DELAY_DISTRIBUTIONS", "DENOMINATOR_EXACT",
+    "DENOMINATOR_F32", "DESYNC_CALIBRATION", "DelaySpec", "DeviceTimingModel",
+    "ErrorReport", "GELU_THRESHOLD", "GRID_DENSE", "GRID_WIDE", "GaussianTemplate",
+    "GridSpec", "INPUT_RANGE", "KindSpec", "NUMERATOR_EXACT", "NUMERATOR_F32", "OpTrace",
+    "SIGMOID_THRESHOLD", "SPECS", "SWISH_THRESHOLD", "TANH_THRESHOLD", "ThresholdSolution",
+    "TimingSample", "UniformityReport", "WelchResult", "__version__", "attack_experiment",
+    "balancing_errors", "calibrated_delay", "check_uniformity", "device_model",
+    "error_metrics", "evaluate", "fit_template", "gelu_protected", "gelu_ref",
+    "inclusive_grid", "measure_host", "profile_phase", "rational_tanh", "relu_protected",
+    "relu_ref", "run_attack", "score_increment", "sigmoid_protected", "sigmoid_ref",
+    "solve_tanh_threshold", "swish_protected", "swish_ref", "tanh_protected", "tanh_ref",
+    "threshold_sweep", "trace_eval", "welch_t_test",
+]
+
 
 def test_no_name_is_exported_by_two_modules():
     owner = {}
@@ -27,6 +45,10 @@ def test_package_all_is_the_union_of_the_module_lists():
     exported = {name for module in MODULES for name in module.__all__}
     assert set(ctact.__all__) == {"__version__", *exported}
     assert len(ctact.__all__) == len(set(ctact.__all__))
+
+
+def test_package_all_is_pinned():
+    assert sorted(ctact.__all__) == PUBLIC_API
 
 
 def test_every_package_name_is_the_module_object():

@@ -1,5 +1,6 @@
 """The instrumented op layer: leaf ops against their single-op reference,
-scalar/array agreement, opcode sequences, recorder scope."""
+scalar/array agreement, the selection blocks and bitcasts on single values,
+opcode sequences, recorder scope."""
 
 import ast
 import hashlib
@@ -10,10 +11,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ctact
 from ctact import _ops
 from ctact._ops import (
+    OP_AND,
+    OP_BITCAST,
+    OP_BRANCH,
+    OP_CMP,
+    OP_MASK,
+    OP_NOT,
+    OP_OR,
     U32_ALL_ONES,
     _abs,
     _bound,
@@ -34,18 +44,21 @@ from ctact.activations import (
     _model_exp,
     _threshold_bound,
 )
-from ctact.ctselect import as_f32
-from ctact.grids import GRID_DENSE, GRID_WIDE, inclusive_grid
+from ctact.grids import GRID_DENSE, GRID_WIDE, as_f32, inclusive_grid
 from ctact.harness import trace_eval
 from ctact.pade import _rational_tanh
 
 from reference_ops import (
     CORE_BY_HELPERS,
+    FLT_MAX,
     abs_by_helpers,
     abs_on_values,
+    bits,
+    bool_to_mask,
     burn_by_helpers,
     clamp_by_helpers,
     clamp_on_values,
+    edge_values,
     gt_mask_by_helpers,
     model_erf_by_helpers,
     model_exp_by_helpers,
@@ -56,31 +69,20 @@ from reference_ops import (
     select_on_values,
     sign_by_helpers,
     sign_on_values,
+    u_not,
     word,
 )
 
-FLT_MAX = np.finfo(np.float32).max
-SMALLEST_SUBNORMAL = np.float32(1e-45)
-LARGEST_SUBNORMAL = np.uint32(0x007FFFFF).view(np.float32)
 U32_ZERO = np.uint32(0)
 F32_INF = np.float32(np.inf)
-
-
-def _edge_values() -> np.ndarray:
-    values = [0.0, -0.0, SMALLEST_SUBNORMAL, LARGEST_SUBNORMAL, FLT_MAX]
-    for spec in SPECS.values():
-        if spec.threshold is not None:
-            t = spec.threshold
-            values += [np.nextafter(t, np.float32(0)), t, np.nextafter(t, np.float32(np.inf))]
-    edges = np.array(values, dtype=np.float32)
-    return np.concatenate([edges, -edges])
+finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 
 def _sample() -> np.ndarray:
     """About 2,000 finite binary32 values, uniform over bit patterns, plus edges."""
     words = np.random.default_rng(2024).integers(0, 2**32, 2100, dtype=np.uint64)
     values = words.astype(np.uint32).view(np.float32)
-    return np.concatenate([values[np.isfinite(values)][:2000], _edge_values()])
+    return np.concatenate([values[np.isfinite(values)][:2000], edge_values()])
 
 
 SAMPLE = _sample()
@@ -327,12 +329,138 @@ def test_models_return_binary32_scalars(kind):
             assert type(SPECS[kind].model(x)) is np.float32
 
 
-def test_as_f32_returns_binary32_scalars_as_they_are():
-    for x in _edge_values():
-        assert as_f32(x) is x
-    for value, shown in ((np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")):
-        with pytest.raises(ValueError, match=rf"finite in binary32, got np.float32\({shown}\)"):
-            as_f32(np.float32(value))
+class TestMask32:
+    def test_valid_values(self):
+        # Comparison masks are 32-bit words, all zeros or all ones.  The
+        # below-bound mask is read through the lower-bound select of a clamp
+        # with no upper bound, where a partial mask would blend the encodings
+        # of 1.0 and 2.0.
+        one, two = np.float32(1.0), np.float32(2.0)
+        for mask in (_gt_mask(two, one), _gt_mask(one, two)):
+            assert mask.dtype == np.uint32
+            assert int(mask) in (0x00000000, 0xFFFFFFFF)
+        assert bits(clamp_on_values(one, two, F32_INF)) == bits(2.0)
+        assert bits(clamp_on_values(two, one, F32_INF)) == bits(2.0)
+
+    def test_invert(self):
+        assert u_not(U32_ZERO) == U32_ALL_ONES
+        assert u_not(U32_ALL_ONES) == U32_ZERO
+
+    def test_from_bool(self):
+        assert bool_to_mask(np.bool_(True)) == U32_ALL_ONES
+        assert bool_to_mask(np.bool_(False)) == U32_ZERO
+
+
+class TestSelect:
+    def test_picks_by_mask(self):
+        a, b = np.float32(1.5), np.float32(-2.25)
+        assert select_on_values(a, b, U32_ZERO) == a
+        assert select_on_values(a, b, U32_ALL_ONES) == b
+
+    def test_signed_zero_is_preserved(self):
+        # Selection happens on encodings, so -0.0 survives.
+        out = select_on_values(np.float32(0.0), np.float32(-0.0), U32_ALL_ONES)
+        assert bits(out) == 0x80000000
+        out = select_on_values(np.float32(-0.0), np.float32(1.0), U32_ZERO)
+        assert bits(out) == 0x80000000
+
+    @given(a=finite_f32, b=finite_f32, pick_b=st.booleans())
+    def test_matches_ternary(self, a, b, pick_b):
+        out = select_on_values(np.float32(a), np.float32(b), bool_to_mask(np.bool_(pick_b)))
+        expect = np.float32(b) if pick_b else np.float32(a)
+        assert bits(out) == bits(expect)
+
+    def test_trace_is_seven_ops_and_branch_free(self):
+        with recording() as ops:
+            select_on_values(np.float32(1.0), np.float32(2.0), np.uint32(0))
+        # The exact shape: two casts in, NOT, two ANDs, OR, cast out.
+        assert tuple(ops) == (
+            OP_BITCAST, OP_BITCAST, OP_NOT, OP_AND, OP_AND, OP_OR, OP_BITCAST,
+        )
+        assert OP_BRANCH not in ops
+
+
+class TestComparisonMasks:
+    def test_gt_semantics(self):
+        assert _gt_mask(np.float32(2.0), np.float32(1.0)) == U32_ALL_ONES
+        assert _gt_mask(np.float32(1.0), np.float32(1.0)) == U32_ZERO
+        assert _gt_mask(np.float32(0.5), np.float32(1.0)) == U32_ZERO
+
+    def test_lt_semantics(self):
+        # Through the lower-bound select of a clamp with no upper bound: the
+        # bound is taken strictly below it, so an equal -0.0 keeps its sign.
+        assert bits(clamp_on_values(np.float32(-3.0), np.float32(-1.0), F32_INF)) == bits(-1.0)
+        assert bits(clamp_on_values(np.float32(-1.0), np.float32(-1.0), F32_INF)) == bits(-1.0)
+        assert bits(clamp_on_values(np.float32(-0.0), np.float32(0.0), F32_INF)) == 0x80000000
+
+    @given(x=finite_f32, t=finite_f32)
+    def test_gt_agrees_with_comparison(self, x, t):
+        expect = U32_ALL_ONES if np.float32(x) > np.float32(t) else U32_ZERO
+        assert _gt_mask(np.float32(x), np.float32(t)) == expect
+
+    def test_trace_is_cmp_then_mask(self):
+        with recording() as ops:
+            _gt_mask(np.float32(1.0), np.float32(2.0))
+        assert tuple(ops) == (OP_CMP, OP_MASK)
+
+
+class TestClamp:
+    def test_interior_passthrough_bit_exact(self):
+        tiny = np.float32(1e-42)  # denormal
+        assert bits(clamp_on_values(tiny, np.float32(-1.0), np.float32(1.0))) == bits(tiny)
+
+    def test_bounds_are_exact_encodings(self):
+        lo, hi = np.float32(-4.971), np.float32(4.971)
+        assert bits(clamp_on_values(np.float32(-100.0), lo, hi)) == bits(lo)
+        assert bits(clamp_on_values(np.float32(513.0), lo, hi)) == bits(hi)
+
+    @given(x=finite_f32, a=finite_f32, b=finite_f32)
+    def test_matches_branching_definition(self, a, b, x):
+        lo, hi = (a, b) if a <= b else (b, a)
+        lo32, hi32, x32 = np.float32(lo), np.float32(hi), np.float32(x)
+        if x32 < lo32:
+            expect = lo32
+        elif x32 > hi32:
+            expect = hi32
+        else:
+            expect = x32
+        assert bits(clamp_on_values(x32, lo32, hi32)) == bits(expect)
+
+    def test_trace_is_eighteen_ops(self):
+        with recording() as ops:
+            clamp_on_values(np.float32(0.3), np.float32(-1.0), np.float32(1.0))
+        assert len(ops) == 18
+        assert OP_BRANCH not in ops
+        with recording() as ops2:
+            clamp_on_values(np.float32(700.0), np.float32(-1.0), np.float32(1.0))
+        assert list(ops) == list(ops2)  # same trace clamped or not
+
+
+class TestSign:
+    def test_sign_values(self):
+        assert sign_on_values(np.float32(3.5)) == np.float32(1.0)
+        assert sign_on_values(np.float32(-0.25)) == np.float32(-1.0)
+        assert sign_on_values(np.float32(0.0)) == np.float32(1.0)
+        assert bits(sign_on_values(np.float32(-0.0))) == bits(np.float32(-1.0))
+
+    @given(x=finite_f32)
+    def test_unit_magnitude(self, x):
+        assert abs(sign_on_values(np.float32(x))) == np.float32(1.0)
+
+    def test_trace_is_four_ops(self):
+        with recording() as ops:
+            sign_on_values(np.float32(-2.0))
+        assert len(ops) == 4
+
+
+class TestBitEncoding:
+    def test_round_trip(self):
+        # The kernels' casts: struct on scalars, views on arrays.
+        for to_word, to_value in (_ops._SCALAR_CASTS, _ops._ARRAY_CASTS):
+            for v in (0.0, -0.0, 1.0, -1.0, 0.1, 3.4e38, 1e-42):
+                assert bits(to_value(to_word(np.float32(v)))) == bits(v)
+            assert int(to_word(np.float32(1.0))) == 0x3F800000
+
 
 
 def _digest(ops) -> str:

@@ -26,15 +26,14 @@ fixed tag tuple with one ``extend`` and computes its result with plain numpy
 arithmetic, rather than making one recorded call per operation.  The blocks
 that work on encodings take and return bit words, not values:
 
-* ``_select(a, b, mask)``: branchless two-way select of two words (7 tags);
-* ``_abs(w)`` and ``_sign(w)``: sign-bit clear and sign transfer (3 and 4);
-* ``_gt_mask(x, t)``: a compare of values spread into an all-ones or
-  all-zeros lane mask (CMP, MASK);
-* ``_clamp(x, w, bound)``: x, given with its word, clamped to a ``Bound``
-  by the lower-bound mask select, then the upper-bound one (18 tags);
-* ``_saturate(w, x, bound, low, high)``: a kernel's saturation tail, the
-  word ``low`` selected where x is below the bound, then ``high`` where it
-  is above (the same 18 tags: mask, select, mask, select).
+* ``_select_above(a, b, x, t)``: the word ``b`` where x > t and ``a``
+  elsewhere, a compare of values spread into an all-ones or all-zeros lane
+  mask, then a branchless two-way select of two words (CMP, MASK, 7 tags);
+* ``_saturate(w, x, bound, low, high)``: two such selects on x, the word
+  ``low`` where x is below a ``Bound`` and ``high`` where it is above (18
+  tags); a kernel's saturation tail, and, with the bound's own ends as
+  ``low`` and ``high``, its clamp;
+* ``_abs(w)`` and ``_sign(w)``: sign-bit clear and sign transfer (3 and 4).
 
 Each of them records the bitcasts of the block it models, in and out, but
 its body does no cast: the kernel casts through the one ``(bits, value)``
@@ -119,12 +118,13 @@ _ZERO_BITS = np.uint32(0)  # encoding of +0.0
 _ONE_BITS = np.uint32(0x3F800000)  # encoding of +1.0
 
 # Tag tuples of the leaf ops: one tag per bitcast and bit operation, in order.
-_SELECT_OPS = (OP_BITCAST, OP_BITCAST, OP_NOT, OP_AND, OP_AND, OP_OR, OP_BITCAST)
+# A compare-then-select is the compare spread into a mask (CMP, MASK), then
+# the select: two casts in, NOT, two ANDs, OR, one cast out.
+_SELECT_ABOVE_OPS = (OP_CMP, OP_MASK,
+                     OP_BITCAST, OP_BITCAST, OP_NOT, OP_AND, OP_AND, OP_OR, OP_BITCAST)
+_SATURATE_OPS = _SELECT_ABOVE_OPS * 2
 _ABS_OPS = (OP_BITCAST, OP_AND, OP_BITCAST)
 _SIGN_OPS = (OP_BITCAST, OP_AND, OP_OR, OP_BITCAST)
-_MASK_OPS = (OP_CMP, OP_MASK)
-# A clamp and a saturation tail are each two mask selects.
-_CLAMP_OPS = _SATURATE_OPS = (_MASK_OPS + _SELECT_OPS) * 2
 
 
 class recording:
@@ -218,34 +218,35 @@ def _casts(x, t=np.float32(0)):
 
 
 class Bound(NamedTuple):
-    """An interval [lo, hi] with the encodings a clamp reads, built once.
-
-    ``inverted`` is the mask of ``lo > hi``: all-ones where the bounds are
-    crossed, zero where they are ordered or either is NaN.
-    """
+    """An interval [lo, hi] with the encodings of its ends, built once."""
 
     lo: object
     hi: object
     lo_bits: object
     hi_bits: object
-    inverted: object
 
 
 def _bound(lo, hi) -> Bound:
     """The Bound of binary32 ``lo`` and ``hi``, scalars or arrays."""
     bits, _ = _casts(lo, hi)
-    return Bound(lo, hi, bits(lo), bits(hi), U32_ALL_ONES * (lo > hi))
+    return Bound(lo, hi, bits(lo), bits(hi))
 
 
-def _select(a, b, mask):
-    """Branchless two-way select on encodings: ``b`` where mask is all-ones.
+def _select_above(a, b, x, t):
+    """The word ``b`` where x > t, and the word ``a`` elsewhere.
 
-    Takes the words of ``a`` and ``b`` and returns the word
-    ``(a & ~mask) | (b & mask)``, so -0.0, subnormals and NaN payloads come
-    through bit for bit.  Records the two casts in and the one out.
+    A compare spread into an all-ones or all-zeros mask, then the
+    branchless select ``(a & ~mask) | (b & mask)`` on encodings, so -0.0,
+    subnormals and NaN payloads come through bit for bit.  Records the
+    compare, the mask, and the select's two casts in and one out.
     """
     if (buf := _active()) is not None:
-        buf.extend(_SELECT_OPS)
+        buf.extend(_SELECT_ABOVE_OPS)
+    # All-ones times the 0-or-1 flag, so nothing wraps and nothing branches.
+    # The uint32 operand goes first: numpy's scalar multiply is fast on that
+    # order, and both ``flag * U32_ALL_ONES`` and ``flag.astype`` take a path
+    # that is more than ten times slower on scalars.
+    mask = U32_ALL_ONES * (x > t)
     return (a & ~mask) | (b & mask)
 
 
@@ -263,45 +264,15 @@ def _sign(w):
     return (w & U32_SIGN_BIT) | _ONE_BITS
 
 
-def _gt_mask(x, threshold):
-    """All-ones where x > threshold, else zero: a compare spread into a mask."""
-    if (buf := _active()) is not None:
-        buf.extend(_MASK_OPS)
-    # All-ones times the 0-or-1 flag, so nothing wraps and nothing branches.
-    # The uint32 operand goes first: numpy's scalar multiply is fast on that
-    # order, and both ``flag * U32_ALL_ONES`` and ``flag.astype`` take a path
-    # that is more than ten times slower on scalars.
-    return U32_ALL_ONES * (x > threshold)
-
-
-def _clamp(x, w, bound: Bound):
-    """The word of x clamped to ``bound`` by two mask selects, lower bound first.
-
-    ``x`` and its word ``w`` in, a word out: the ``_select`` of ``lo`` under
-    the mask of ``x < lo``, then of ``hi`` under ``_gt_mask`` of that result,
-    as one op.  The first result is x or lo, so its compare with ``hi`` is
-    ``x > hi`` where x was kept and ``lo > hi``, the bound's ``inverted``
-    mask, where lo was taken; there ``x < lo`` and ``x > hi`` together imply
-    ``lo > hi``, so OR-ing the two masks gives the same bits with no value
-    built in between.
-    """
-    if (buf := _active()) is not None:
-        buf.extend(_CLAMP_OPS)
-    lo, hi, lo_bits, hi_bits, inverted = bound
-    below = U32_ALL_ONES * (x < lo)
-    above = (U32_ALL_ONES * (x > hi)) | (inverted & below)
-    w = (w & ~below) | (lo_bits & below)
-    return (w & ~above) | (hi_bits & above)
-
-
 def _saturate(w, x, bound: Bound, low, high):
     """The word ``w``, with word ``low`` where x < lo and ``high`` where x > hi.
 
-    A kernel's saturation tail: the ``_select`` of ``low`` under the mask
-    of ``x < lo``, then of ``high`` under ``_gt_mask(x, hi)``, as one op
-    that records the tags of both masks and both selects in that order.
-    The first select's word feeds the second, and both compares read x, not
-    the selected value.
+    Two compare-then-selects as one op, which records the tags of both in
+    that order.  The first select's word feeds the second, and both
+    compares read x, not the selected value.  With the bound's own words
+    as ``low`` and ``high`` this is the clamp of x: where x was replaced by
+    lo, ``lo > hi`` is false for an ordered bound (lo <= hi, or either end
+    NaN), so comparing x with hi gives the clamp's bits.
     """
     if (buf := _active()) is not None:
         buf.extend(_SATURATE_OPS)

@@ -70,10 +70,8 @@ from ._ops import (
     _active,
     _bound,
     _casts,
-    _clamp,
-    _gt_mask,
     _saturate,
-    _select,
+    _select_above,
     _sign,
     cond_move,
     f_add,
@@ -176,9 +174,9 @@ def _burn(v, count: int):
 #
 # Trace-length budget: gelu is the longest kernel at 59 ops, so the others
 # pad up to 59 with _burn (tanh +10, sigmoid +5, swish +4, relu +5).  The
-# shared blocks count as many ops as they record tags: a clamp 18, the
-# rational core 15, a saturation tail 18, a comparison mask 2, a select 7,
-# abs 3 and sign 4.  A harness test asserts the five lengths are identical.
+# shared blocks count as many ops as they record tags: a clamp or a
+# saturation tail 18, the rational core 15, a compare-and-select 9, abs 3
+# and sign 4.  A harness test asserts the five lengths are identical.
 #
 # The blocks that work on encodings take and return words, and each kernel
 # casts through the one pair _casts picks for its operands: x once, each
@@ -189,17 +187,16 @@ def _burn(v, count: int):
 def _tanh_core(x, bound=_TANH_BOUND):
     bits, value = _casts(x, bound.hi)
     w = bits(x)
-    approx = _rational_tanh(value(_clamp(x, w, bound)))
+    approx = _rational_tanh(value(_saturate(w, x, bound, bound.lo_bits, bound.hi_bits)))
     saturated = _sign(w)
-    outside = _gt_mask(value(_abs(w)), bound.hi)
-    y = value(_select(bits(approx), saturated, outside))
+    y = value(_select_above(bits(approx), saturated, value(_abs(w)), bound.hi))
     _burn(approx, 10)
     return y
 
 
 def _sigmoid_core(x, bound=_SIGMOID_BOUND):
     bits, value = _casts(x, bound.hi)
-    clamped = value(_clamp(x, bits(x), bound))
+    clamped = value(_saturate(bits(x), x, bound, bound.lo_bits, bound.hi_bits))
     gate = f_add(_HALF, f_mul(_HALF, _rational_tanh(f_mul(clamped, _HALF))))
     y = value(_saturate(bits(gate), x, bound, _ZERO_BITS, _ONE_BITS))
     _burn(gate, 5)
@@ -209,7 +206,7 @@ def _sigmoid_core(x, bound=_SIGMOID_BOUND):
 def _gelu_core(x, bound=_GELU_BOUND):
     bits, value = _casts(x, bound.hi)
     w = bits(x)
-    clamped = value(_clamp(x, w, bound))
+    clamped = value(_saturate(w, x, bound, bound.lo_bits, bound.hi_bits))
     squared = f_mul(clamped, clamped)
     cubed = f_mul(squared, clamped)
     skewed = f_add(clamped, f_mul(GELU_CUBIC_COEFF, cubed))
@@ -221,7 +218,7 @@ def _gelu_core(x, bound=_GELU_BOUND):
 def _swish_core(x, bound=_SWISH_BOUND):
     bits, value = _casts(x, bound.hi)
     w = bits(x)
-    clamped = value(_clamp(x, w, bound))
+    clamped = value(_saturate(w, x, bound, bound.lo_bits, bound.hi_bits))
     gate = f_add(_HALF, f_mul(_HALF, _rational_tanh(f_mul(clamped, _HALF))))
     y = value(_saturate(bits(f_mul(clamped, gate)), x, bound, _ZERO_BITS, w))
     _burn(gate, 4)
@@ -231,15 +228,15 @@ def _swish_core(x, bound=_SWISH_BOUND):
 def _relu_core(x):
     bits, value = _casts(x)
     w = bits(x)
-    y = _select(_ZERO_BITS, w, _gt_mask(x, _ZERO))
+    y = _select_above(_ZERO_BITS, w, x, _ZERO)
     # Dummy rational evaluation so relu costs what the smooth kernels cost.
     # The rational stays inside (-1.001, 1.001) on the clamp interval, so
-    # the mask below is always all-zeros and y passes through untouched;
+    # the select below never takes the dummy and y passes through untouched;
     # the compare consumes the dummy value, which keeps the work live.
-    dummy = _rational_tanh(value(_clamp(x, w, _TANH_BOUND)))
+    clamped = value(_saturate(w, x, _TANH_BOUND, _TANH_BOUND.lo_bits, _TANH_BOUND.hi_bits))
+    dummy = _rational_tanh(clamped)
     dummy_bits = bits(dummy)
-    never = _gt_mask(value(_abs(dummy_bits)), _TWO)
-    y = value(_select(y, dummy_bits, never))
+    y = value(_select_above(y, dummy_bits, value(_abs(dummy_bits)), _TWO))
     _burn(dummy, 5)
     return y
 

@@ -24,23 +24,27 @@ __all__ = ["GridSpec", "GRID_DENSE", "GRID_WIDE", "inclusive_grid"]
 _F32_OVERFLOW = 2.0**128 - 2.0**103
 
 # float() parses these as text, and np.float32 reads some as byte codes.
-_TEXT = (str, bytes, bytearray, memoryview)
+# numpy's own str_ and bytes_ subclass them, and have __float__ besides.
+_TEXT = (str, bytes)
 
 
 def as_f32(x) -> np.float32:
     """Round a numeric scalar to binary32 and insist on a finite result.
 
     A finite ``np.float32`` comes back as it is, since rebuilding it would
-    cost most of the call, and text is a ``TypeError`` before float() can
-    parse it.  Other inputs are checked on the double before the cast, so
-    one that would overflow is rejected without numpy's overflow warning
-    and without an errstate context on every call.  An int too large even
-    for a double is rejected the same way, as an infinity.
+    cost most of the call.  Text, and any object without ``__float__`` or
+    ``__index__`` (a bytearray, a memoryview, an ``array.array``: buffers,
+    which float() would parse as text while np.float32 reads their
+    elements), is a ``TypeError`` before float() sees it.  Other inputs are
+    checked on the double before the cast, so one that would overflow is
+    rejected without numpy's overflow warning and without an errstate
+    context on every call.  An int too large even for a double is rejected
+    the same way, as an infinity.
     """
     if type(x) is np.float32:
         if abs(float(x)) < _F32_OVERFLOW:  # false for NaN and infinities
             return x
-    elif isinstance(x, _TEXT):
+    elif isinstance(x, _TEXT) or not (hasattr(x, "__float__") or hasattr(x, "__index__")):
         raise TypeError(f"input must be a number, not {type(x).__name__}")
     else:
         try:

@@ -15,7 +15,8 @@ The bitcasts here are numpy views, not the struct-based scalar casts of
 The adapters near the end hand the leaf ops that work on encodings the
 words of their values and read their result words back as values, through
 views, which record nothing.  ``edge_values`` is the binary32 edge sample
-that the tests of the ops and of the input check share.
+that the tests of the ops and of the input check share, and
+``PROTECTED_TRACE_LENGTH`` the one pin of every protected trace's length.
 """
 
 import numpy as np
@@ -34,9 +35,8 @@ from ctact._ops import (
     _abs,
     _active,
     _bound,
-    _clamp,
     _saturate,
-    _select,
+    _select_above,
     _sign,
     f_add,
     f_div,
@@ -56,6 +56,10 @@ from ctact.activations import (
     ActivationKind,
 )
 from ctact.pade import DENOMINATOR_F32, NUMERATOR_F32
+
+# gelu's 59 ops, which every other protected kernel pads up to.
+PROTECTED_TRACE_LENGTH = 59
+
 
 # -- one-tag ops --------------------------------------------------------------
 
@@ -132,6 +136,10 @@ def gt_mask_by_helpers(x, threshold):
 
 def lt_mask_by_helpers(x, threshold):
     return bool_to_mask(f_lt(x, threshold))
+
+
+def select_above_by_helpers(a, b, x, threshold):
+    return select_by_helpers(a, b, gt_mask_by_helpers(x, threshold))
 
 
 def clamp_by_helpers(x, lo, hi):
@@ -268,12 +276,14 @@ def value(w):
     return w.view(np.float32)
 
 
-def select_on_values(a, b, mask):
-    return value(_select(word(a), word(b), mask))
+def select_above_on_values(a, b, x, threshold):
+    return value(_select_above(word(a), word(b), x, threshold))
 
 
 def clamp_on_values(x, lo, hi):
-    return value(_clamp(x, word(x), _bound(lo, hi)))
+    """x clamped to [lo, hi] as the kernels clamp: ``_saturate`` with the bound's ends."""
+    bound = _bound(lo, hi)
+    return value(_saturate(word(x), x, bound, bound.lo_bits, bound.hi_bits))
 
 
 def saturate_on_values(y, x, lo, hi, low, high):

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erf, expit
 
-from ctact._ops import OP_BRANCH, recording
+from ctact import analysis
+from ctact._ops import OP_BRANCH, Bound, recording
 from ctact.analysis import error_metrics, threshold_sweep
 
 from ctact.activations import (
@@ -27,6 +28,7 @@ from ctact.activations import (
     swish_ref,
     tanh_protected,
     tanh_ref,
+    _TANH_BOUND,
     _threshold_bound,
 )
 
@@ -88,6 +90,30 @@ class TestRegistry:
                 [bound] = spec.core.__defaults__
                 assert bound.hi is spec.threshold
                 assert bound == _threshold_bound(spec.threshold)
+
+    def test_clamp_bounds_are_ordered(self, monkeypatch):
+        # A kernel clamps with _saturate on its bound's own ends, which is
+        # the clamp only on an ordered bound.  Each default bound, relu's
+        # dummy bound and every bound threshold_sweep builds must be [-t, t]
+        # with t > 0, holding the words of both ends.
+        built = []
+
+        def recorded(threshold):
+            built.append(_threshold_bound(threshold))
+            return built[-1]
+
+        monkeypatch.setattr(analysis, "_threshold_bound", recorded)
+        for kind, spec in SPECS.items():
+            if spec.sweep:
+                threshold_sweep(kind, spec.sweep, -1.0, 1.0, 1.0)
+        assert len(built) == sum(len(spec.sweep) for spec in SPECS.values())
+        defaults = [spec.core.__defaults__[0] for spec in SPECS.values()
+                    if spec.threshold is not None]
+        assert Bound._fields == ("lo", "hi", "lo_bits", "hi_bits")
+        for lo, hi, lo_bits, hi_bits in defaults + [_TANH_BOUND] + built:
+            assert lo == -hi < hi
+            assert (lo_bits, hi_bits) == (bits(lo), bits(hi))
+            assert lo_bits == hi_bits | 0x80000000
 
     def test_sweeps_bracket_the_empirical_thresholds(self):
         for kind in (ActivationKind.GELU, ActivationKind.SWISH):

@@ -3,14 +3,19 @@
 ``ctact/__init__`` star-imports six modules, so each module's ``__all__`` is
 the one declaration of what it exports.  A name listed by two modules would
 be silently shadowed by the later star import; a name the package exposes
-that no module lists is a second, drifting declaration.
+that no module lists is a second, drifting declaration.  Below the API, a
+private name that no package code reads is dead code, however many tests
+call it.
 """
 
+import ast
 import re
 from pathlib import Path
 
 import ctact
 from ctact import activations, analysis, attack, grids, harness, pade
+
+from reference_ops import PROTECTED_TRACE_LENGTH
 
 MODULES = (activations, pade, grids, harness, attack, analysis)
 
@@ -75,6 +80,49 @@ def test_readme_python_examples_run():
     for block in blocks:
         exec(compile(block, str(readme), "exec"), namespace)
     assert namespace["report"].uniform
-    assert namespace["trace"].length == 59
+    assert namespace["trace"].length == PROTECTED_TRACE_LENGTH
     results = namespace["results"]
     assert sum(r.success for r in results.values()) / len(results) == 1.0
+
+
+def _defined_names(stmt) -> set:
+    """The names a module-level statement defines: a function, a class or constants."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def _read_names(stmt) -> set:
+    """The names a statement reads: loaded names, augmented targets and attributes."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)  # x += y reads x
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+    return names
+
+
+def test_every_private_name_is_read_by_the_package():
+    # Each module-level private function, class or constant of src/ctact
+    # must be read by package code other than its own definition; an
+    # import alone is no read.
+    statements = [stmt for path in sorted(Path(ctact.__file__).parent.glob("*.py"))
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [_read_names(stmt) for stmt in statements]
+    dead = set()
+    for i, stmt in enumerate(statements):
+        for name in _defined_names(stmt):
+            if name.startswith("_") and not name.endswith("__"):
+                if not any(name in read for j, read in enumerate(reads) if j != i):
+                    dead.add(name)
+    assert not dead, sorted(dead)

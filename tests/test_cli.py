@@ -19,6 +19,8 @@ from ctact.analysis import error_metrics
 from ctact.attack import attack_experiment, device_model
 from ctact.activations import SPECS, ActivationKind
 
+from reference_ops import PROTECTED_TRACE_LENGTH
+
 
 def run(*argv) -> int:
     return cli.main(list(argv))
@@ -80,7 +82,7 @@ class TestTracesCommand:
         assert payload["ok"] is True
         grid = payload["grids"][0]
         assert grid["protected_aligned"] is True
-        assert grid["shared_length"] == 59
+        assert grid["shared_length"] == PROTECTED_TRACE_LENGTH
         assert len(grid["reports"]) == 5
 
     def test_unprotected_reports_do_not_fail_the_run(self, tmp_path):
@@ -96,7 +98,7 @@ class TestTracesCommand:
                    "--kinds", "relu,tanh", "--out", str(tmp_path)) == 0
         rows = read_csv(tmp_path / "traces.csv")
         assert len(rows) == 2 * 5  # 2 kinds x 5 grid points
-        assert all(r["trace_len"] == "59" for r in rows)
+        assert all(r["trace_len"] == str(PROTECTED_TRACE_LENGTH) for r in rows)
 
     def test_unprotected_gelu_beyond_the_erf_overflow(self, tmp_path):
         # A subprocess, so a trace model that never ends fails by timeout.
@@ -128,15 +130,17 @@ class TestTracesCommand:
         assert payload["ok"] is False
         grid = payload["grids"][0]
         assert grid["protected_aligned"] is False
-        assert grid["shared_length"] == 59  # the four kinds that stayed uniform
+        # the four kinds that stayed uniform
+        assert grid["shared_length"] == PROTECTED_TRACE_LENGTH
         reports = {r["kind"]: r for r in grid["reports"]}
         assert reports["tanh"]["uniform"] is False
         assert reports["tanh"]["n_deviating"] == 8  # 0.25, 0.5, ..., 2.0
-        assert reports["tanh"]["deviating_inputs"][0] == [0.25, 60]
+        assert reports["tanh"]["deviating_inputs"][0] == [0.25, PROTECTED_TRACE_LENGTH + 1]
         assert all(r["uniform"] for kind, r in reports.items() if kind != "tanh")
         for row in read_csv(tmp_path / "traces.csv"):
             longer = row["kind"] == "tanh" and float(row["input"]) > 0
-            assert row["trace_len"] == ("60" if longer else "59"), row
+            length = PROTECTED_TRACE_LENGTH + 1 if longer else PROTECTED_TRACE_LENGTH
+            assert row["trace_len"] == str(length), row
 
 
 class TestBenchCommand:

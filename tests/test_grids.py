@@ -1,7 +1,10 @@
 """The binary32 input check: as_f32 on scalars, and the grid bound it shares."""
 
+import array
 import functools
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,13 +52,24 @@ def test_as_f32_returns_binary32_scalars_as_they_are():
             as_f32(np.float32(value))
 
 
+def test_as_f32_takes_numbers_of_every_kind():
+    # Python and numpy numbers, a 0-d array and the numeric tower all round
+    # to a binary32 scalar.
+    for number in (1.5, 3, True, np.float64(1.5), np.int8(3), np.array(1.5),
+                   np.array(3, dtype=np.int64), Fraction(3, 2), Decimal("1.5")):
+        v = as_f32(number)
+        assert type(v) is np.float32 and v == np.float32(number), number
+
+
 @pytest.mark.parametrize("entry", SCALAR_ENTRIES.values(), ids=SCALAR_ENTRIES.keys())
 def test_text_inputs_are_type_errors(entry):
-    # float() parses text, while np.float32 reads a bytearray or memoryview
-    # as an array of its byte codes; neither may reach a kernel.  "inf" is
-    # refused as text, not as an infinity.
+    # float() parses text, and any byte buffer as text, while np.float32
+    # reads a buffer as an array of its elements; neither may reach a
+    # kernel.  "inf" is refused as text, not as an infinity, and an
+    # array.array of doubles is refused before float() fails to parse it.
     for text in ("1.5", "inf", np.str_("1.5"), b"1.5", bytearray(b"1.5"),
-                 bytearray(b"-7"), memoryview(b"1.5")):
+                 bytearray(b"-7"), memoryview(b"1.5"), np.bytes_(b"1.5"),
+                 array.array("b", b"1.5"), array.array("d", [1.5])):
         with pytest.raises(TypeError, match="must be a number"):
             entry(text)
 

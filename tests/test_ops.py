@@ -26,10 +26,7 @@ from ctact._ops import (
     OP_OR,
     U32_ALL_ONES,
     _abs,
-    _bound,
-    _clamp,
-    _gt_mask,
-    _select,
+    _select_above,
     _sign,
     f_add,
     f_mul,
@@ -51,6 +48,7 @@ from ctact.pade import _rational_tanh
 from reference_ops import (
     CORE_BY_HELPERS,
     FLT_MAX,
+    PROTECTED_TRACE_LENGTH,
     abs_by_helpers,
     abs_on_values,
     bits,
@@ -65,16 +63,18 @@ from reference_ops import (
     rational_tanh_by_helpers,
     saturate_by_helpers,
     saturate_on_values,
-    select_by_helpers,
-    select_on_values,
+    select_above_by_helpers,
+    select_above_on_values,
     sign_by_helpers,
     sign_on_values,
     u_not,
+    value,
     word,
 )
 
 U32_ZERO = np.uint32(0)
 F32_INF = np.float32(np.inf)
+HALF = np.float32(0.5)
 finite_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 
@@ -86,6 +86,21 @@ def _sample() -> np.ndarray:
 
 
 SAMPLE = _sample()
+
+
+def gt_mask(x, t):
+    """The mask of x > t: ``_select_above`` between the all-zeros and all-ones words."""
+    return _select_above(U32_ZERO, U32_ALL_ONES, x, t)
+
+
+def gt_mask_by_select_helpers(x, t):
+    return word(select_above_by_helpers(value(U32_ZERO), value(U32_ALL_ONES), x, t))
+
+
+def above_half(mask):
+    """The x that ``_select_above(a, b, x, HALF)`` reads as ``mask``: 1.0 where
+    the mask is all-ones, 0.0 where it is all-zeros."""
+    return np.float32(1.0) * (mask == U32_ALL_ONES)
 
 
 # The casts the kernels pick: struct on scalars, views on arrays.
@@ -131,10 +146,10 @@ class TestScalarMatchesArray:
 
     def test_gt_mask(self):
         zero = np.float32(0)
-        scalars = [_gt_mask(x, zero) for x in SAMPLE]
+        scalars = [gt_mask(x, zero) for x in SAMPLE]
         assert all(type(m) is np.uint32 for m in scalars)
         assert {int(m) for m in scalars} == {0, 0xFFFFFFFF}
-        masks = _gt_mask(SAMPLE, zero)
+        masks = gt_mask(SAMPLE, zero)
         assert masks.dtype == np.uint32
         assert np.array_equal(np.array(scalars, dtype=np.uint32), masks)
 
@@ -161,7 +176,14 @@ class TestLeafOps:
                         dtype=np.uint32).view(np.float32)
     A = np.concatenate([SAMPLE, SPECIALS])
     B = A[::-1].copy()
+    C = np.roll(A, 5)
     MASKS = np.where(np.arange(A.size) % 3 == 0, U32_ALL_ONES, U32_ZERO)
+    # x, then the ends of an arbitrary bound, on arrays and mixes.  Where an
+    # end pair is crossed (lo > hi) it is no clamp interval: test_clamp
+    # takes the pairs in order, and test_saturation_tail takes them as
+    # they are, with the bound's own ends as the words selected.
+    ARBITRARY_BOUNDS = [(A, B, C), (A[0], B, C), (A, B[0], C[0]),
+                        (A[-7:], np.float32(-0.0), C[:7])]
 
     # The kernels' bounds and thresholds, and relu's dummy-mask bound; the
     # sample holds each kernel threshold and its neighbours one ulp away.
@@ -188,16 +210,19 @@ class TestLeafOps:
 
     def test_select_on_scalars(self):
         for mask in (U32_ZERO, U32_ALL_ONES):
-            calls = [(a, b, mask) for a, b in zip(self.A, self.B)]
-            self.assert_same(select_on_values, select_by_helpers, calls)
-            assert all(type(_select(word(a), word(b), m)) is np.uint32 for a, b, m in calls)
+            calls = [(a, b, above_half(mask), HALF) for a, b in zip(self.A, self.B)]
+            self.assert_same(select_above_on_values, select_above_by_helpers, calls)
+            assert all(type(_select_above(word(a), word(b), x, t)) is np.uint32
+                       for a, b, x, t in calls)
 
     def test_select_on_arrays_and_mixes(self):
-        a, b, masks = self.A, self.B, self.MASKS
-        calls = [(a, b, masks), (a, b, U32_ZERO), (a, b, U32_ALL_ONES),
-                 (a[0], b, masks), (a, b[0], U32_ALL_ONES), (a[0], b[0], masks),
-                 (a[-7:], np.float32(-0.0), masks[:7])]
-        self.assert_same(select_on_values, select_by_helpers, calls)
+        a, b, picks = self.A, self.B, above_half(self.MASKS)
+        none, every = above_half(U32_ZERO), above_half(U32_ALL_ONES)
+        calls = [(a, b, picks), (a, b, none), (a, b, every),
+                 (a[0], b, picks), (a, b[0], every), (a[0], b[0], picks),
+                 (a[-7:], np.float32(-0.0), picks[:7])]
+        self.assert_same(select_above_on_values, select_above_by_helpers,
+                         [call + (HALF,) for call in calls])
 
     @pytest.mark.parametrize("leaf, on_values, composed",
                              [(_abs, abs_on_values, abs_by_helpers),
@@ -209,39 +234,51 @@ class TestLeafOps:
         assert all(type(leaf(word(x))) is np.uint32 for x in self.A)
 
     def test_gt_mask(self):
+        # Between the all-zeros and all-ones words, the compare-then-select
+        # gives the mask itself: the single-op compare spread into a mask.
         a, b = self.A, self.B
         scalar_calls = [(x, t) for t in self.BOUNDS for x in a] + list(zip(a, b))
-        self.assert_same(_gt_mask, gt_mask_by_helpers, scalar_calls)
-        assert all(type(_gt_mask(*args)) is np.uint32 for args in scalar_calls)
+        self.assert_same(gt_mask, gt_mask_by_select_helpers, scalar_calls)
+        assert all(type(gt_mask(*args)) is np.uint32 for args in scalar_calls)
+        assert all(gt_mask(*args) == gt_mask_by_helpers(*args) for args in scalar_calls)
         array_calls = [(a, t) for t in self.BOUNDS] + [(a, b), (a[0], b), (a[-7:], b[0])]
-        self.assert_same(_gt_mask, gt_mask_by_helpers, array_calls)
-        assert all(_gt_mask(*args).dtype == np.uint32 for args in array_calls)
+        self.assert_same(gt_mask, gt_mask_by_select_helpers, array_calls)
+        assert all(gt_mask(*args).dtype == np.uint32 for args in array_calls)
+        assert all(np.array_equal(gt_mask(*args), gt_mask_by_helpers(*args))
+                   for args in array_calls)
 
     def test_clamp(self):
-        a, b = self.A, self.B
-        c = np.roll(a, 5)
+        a, b, c = self.A, self.B, self.C
         bounds = [(-t, t) for t in self.BOUNDS if t > 0]
-        # Kernel bounds, then arbitrary ones: inverted, infinite and NaN;
-        # then each bound, and each of b, below +inf, so the lower-bound
-        # select alone sees every compare of a with them.
-        scalar_calls = ([(x, lo, hi) for lo, hi in bounds for x in a] + list(zip(a, b, c))
+
+        def in_order(lo, hi):
+            # Ends swapped where crossed; a bound with none crossed stays as it is.
+            crossed = lo > hi
+            if not np.any(crossed):
+                return lo, hi
+            return np.where(crossed, hi, lo), np.where(crossed, lo, hi)
+
+        # Kernel bounds, then arbitrary ordered ones, infinite and NaN ends
+        # included; then each bound, and each of b, below +inf, so the
+        # lower-bound select alone sees every compare of a with them.
+        scalar_calls = ([(x, lo, hi) for lo, hi in bounds for x in a]
+                        + [(x, lo, hi) for x, lo, hi in zip(a, b, c) if not lo > hi]
                         + [(x, t, F32_INF) for t in self.BOUNDS for x in a]
                         + [(x, t, F32_INF) for x, t in zip(a, b)])
         self.assert_same(clamp_on_values, clamp_by_helpers, scalar_calls)
-        assert all(type(_clamp(x, word(x), _bound(lo, hi))) is np.uint32
-                   for x, lo, hi in scalar_calls)
         array_calls = [(a, lo, hi) for lo, hi in bounds] + [
-            (a, b, c), (a[0], b, c), (a, b[0], c[0]), (a[-7:], np.float32(-0.0), c[:7])] + [
+            (x, *in_order(lo, hi)) for x, lo, hi in self.ARBITRARY_BOUNDS] + [
             (a, t, F32_INF) for t in self.BOUNDS] + [
             (a, b, F32_INF), (a[0], b, F32_INF), (a[-7:], b[0], F32_INF)]
         self.assert_same(clamp_on_values, clamp_by_helpers, array_calls)
 
     def test_saturation_tail(self):
         # The kernels' (low, high) pairs are (0, 1) and (0, x); arbitrary
-        # ones, and inverted, infinite and NaN bounds, come from the sample.
-        # Then x = a below each bound, and below each of b, with +inf above.
-        a, b = self.A, self.B
-        c, d = np.roll(a, 5), np.roll(a, 11)
+        # ones, and crossed, infinite and NaN bounds, come from the sample.
+        # Then x = a below each bound, and below each of b, with +inf above;
+        # then test_clamp's crossed bounds, with their own ends selected.
+        a, b, c = self.A, self.B, self.C
+        d = np.roll(a, 11)
         zero, one = np.float32(0.0), np.float32(1.0)
         bounds = [(-t, t) for t in self.BOUNDS if t > 0]
         scalar_calls = ([(y, x, lo, hi, zero, one) for lo, hi in bounds for y, x in zip(a, b)]
@@ -249,14 +286,16 @@ class TestLeafOps:
                         + list(zip(a, b, c, d, np.roll(a, 3), np.roll(a, 7)))
                         + [(y, x, t, F32_INF, zero, one) for t in self.BOUNDS
                            for y, x in zip(b, a)]
-                        + [(y, x, t, F32_INF, low, one) for y, x, t, low in zip(c, a, b, d)])
+                        + [(y, x, t, F32_INF, low, one) for y, x, t, low in zip(c, a, b, d)]
+                        + [(x, x, lo, hi, lo, hi) for x, lo, hi in zip(a, b, c) if lo > hi])
         self.assert_same(saturate_on_values, saturate_by_helpers, scalar_calls)
         array_calls = [(a, b, lo, hi, zero, b) for lo, hi in bounds] + [
             (a, b, c, d, zero, one), (a[0], b, c[0], d[0], zero, b), (a, b[0], c, d[0], a, one),
             (a[-7:], b[-7:], np.float32(-0.0), d[:7], zero, b[-7:])] + [
             (b, a, t, F32_INF, zero, one) for t in self.BOUNDS] + [
             (c, a, b, F32_INF, d, one), (c[0], a[0], b, F32_INF, d, one),
-            (c[-7:], a[-7:], b[0], F32_INF, d[-7:], one)]
+            (c[-7:], a[-7:], b[0], F32_INF, d[-7:], one)] + [
+            (x, x, lo, hi, lo, hi) for x, lo, hi in self.ARBITRARY_BOUNDS if np.any(lo > hi)]
         self.assert_same(saturate_on_values, saturate_by_helpers, array_calls)
 
     @pytest.mark.parametrize("kind", list(ActivationKind))
@@ -336,7 +375,7 @@ class TestMask32:
         # with no upper bound, where a partial mask would blend the encodings
         # of 1.0 and 2.0.
         one, two = np.float32(1.0), np.float32(2.0)
-        for mask in (_gt_mask(two, one), _gt_mask(one, two)):
+        for mask in (gt_mask(two, one), gt_mask(one, two)):
             assert mask.dtype == np.uint32
             assert int(mask) in (0x00000000, 0xFFFFFFFF)
         assert bits(clamp_on_values(one, two, F32_INF)) == bits(2.0)
@@ -354,27 +393,32 @@ class TestMask32:
 class TestSelect:
     def test_picks_by_mask(self):
         a, b = np.float32(1.5), np.float32(-2.25)
-        assert select_on_values(a, b, U32_ZERO) == a
-        assert select_on_values(a, b, U32_ALL_ONES) == b
+        assert select_above_on_values(a, b, above_half(U32_ZERO), HALF) == a
+        assert select_above_on_values(a, b, above_half(U32_ALL_ONES), HALF) == b
 
     def test_signed_zero_is_preserved(self):
         # Selection happens on encodings, so -0.0 survives.
-        out = select_on_values(np.float32(0.0), np.float32(-0.0), U32_ALL_ONES)
+        out = select_above_on_values(np.float32(0.0), np.float32(-0.0),
+                                     above_half(U32_ALL_ONES), HALF)
         assert bits(out) == 0x80000000
-        out = select_on_values(np.float32(-0.0), np.float32(1.0), U32_ZERO)
+        out = select_above_on_values(np.float32(-0.0), np.float32(1.0),
+                                     above_half(U32_ZERO), HALF)
         assert bits(out) == 0x80000000
 
     @given(a=finite_f32, b=finite_f32, pick_b=st.booleans())
     def test_matches_ternary(self, a, b, pick_b):
-        out = select_on_values(np.float32(a), np.float32(b), bool_to_mask(np.bool_(pick_b)))
+        out = select_above_on_values(np.float32(a), np.float32(b), np.float32(pick_b), HALF)
         expect = np.float32(b) if pick_b else np.float32(a)
         assert bits(out) == bits(expect)
 
-    def test_trace_is_seven_ops_and_branch_free(self):
+    def test_trace_is_nine_ops_and_branch_free(self):
         with recording() as ops:
-            select_on_values(np.float32(1.0), np.float32(2.0), np.uint32(0))
-        # The exact shape: two casts in, NOT, two ANDs, OR, cast out.
+            select_above_on_values(np.float32(1.0), np.float32(2.0),
+                                   np.float32(0.0), HALF)
+        # The exact shape: the compare spread into a mask, then two casts
+        # in, NOT, two ANDs, OR, cast out.
         assert tuple(ops) == (
+            OP_CMP, OP_MASK,
             OP_BITCAST, OP_BITCAST, OP_NOT, OP_AND, OP_AND, OP_OR, OP_BITCAST,
         )
         assert OP_BRANCH not in ops
@@ -382,9 +426,9 @@ class TestSelect:
 
 class TestComparisonMasks:
     def test_gt_semantics(self):
-        assert _gt_mask(np.float32(2.0), np.float32(1.0)) == U32_ALL_ONES
-        assert _gt_mask(np.float32(1.0), np.float32(1.0)) == U32_ZERO
-        assert _gt_mask(np.float32(0.5), np.float32(1.0)) == U32_ZERO
+        assert gt_mask(np.float32(2.0), np.float32(1.0)) == U32_ALL_ONES
+        assert gt_mask(np.float32(1.0), np.float32(1.0)) == U32_ZERO
+        assert gt_mask(np.float32(0.5), np.float32(1.0)) == U32_ZERO
 
     def test_lt_semantics(self):
         # Through the lower-bound select of a clamp with no upper bound: the
@@ -396,12 +440,13 @@ class TestComparisonMasks:
     @given(x=finite_f32, t=finite_f32)
     def test_gt_agrees_with_comparison(self, x, t):
         expect = U32_ALL_ONES if np.float32(x) > np.float32(t) else U32_ZERO
-        assert _gt_mask(np.float32(x), np.float32(t)) == expect
+        assert gt_mask(np.float32(x), np.float32(t)) == expect
 
     def test_trace_is_cmp_then_mask(self):
+        # The compare and its mask come first, before the select they drive.
         with recording() as ops:
-            _gt_mask(np.float32(1.0), np.float32(2.0))
-        assert tuple(ops) == (OP_CMP, OP_MASK)
+            gt_mask(np.float32(1.0), np.float32(2.0))
+        assert tuple(ops[:2]) == (OP_CMP, OP_MASK)
 
 
 class TestClamp:
@@ -514,7 +559,7 @@ class TestGoldenTraces:
     def test_protected_opcode_sequence(self, kind):
         for x in (0.0, 1e-30, 3.0, -500.0):
             trace, _ = trace_eval(kind, x, protected=True)
-            assert trace.length == 59
+            assert trace.length == PROTECTED_TRACE_LENGTH
             assert _digest(trace.ops) == PROTECTED_DIGESTS[kind]
 
     @pytest.mark.parametrize("kind", sorted(UNPROTECTED_DIGESTS))
@@ -665,7 +710,7 @@ class TestRecorderScope:
         assert not any(t.is_alive() for t in threads)
         for kind in kinds:
             assert len(traces[kind]) == rounds
-            assert {len(ops) for ops in traces[kind]} == {59}
+            assert {len(ops) for ops in traces[kind]} == {PROTECTED_TRACE_LENGTH}
             assert {_digest(ops) for ops in traces[kind]} == {PROTECTED_DIGESTS[kind.value]}
 
 

@@ -43,17 +43,17 @@ its word; a ``Bound`` holds its endpoints' words, built once per interval
 rather than once per call; and a word that feeds another select or a
 saturation tail is never turned into a value in between.
 
-The rational core (``pade._rational_tanh``), the kernels' dummy arithmetic
-(``activations._burn``) and the hot blocks of the instrumented reference
-models (``activations._model_exp``'s halving, polynomial and squaring steps,
-and ``_model_erf``'s fixed chains) are leaf ops too; they live with the code
+The rational core (``pade._rational_tanh``) and the kernels' dummy
+arithmetic (``activations._burn``) are leaf ops too; they live with the code
 they serve and record through this module's recorder, ``_active``.  The tags
 and result bits of every leaf op equal those of its composition of one-tag
 operations in the test reference module, ``tests/reference_ops.py``, which
 ``TestLeafOps`` in ``tests/test_ops.py`` checks on scalars and arrays.
 Each leaf body of a constant-time kernel is straight-line code: it never
-branches on a value (the models' exp keeps its data-dependent loop, whose
-every step records its own tags, as the branchy code it models).  Every
+branches on a value.  The instrumented models of the unprotected references
+(``activations.SPECS``) record through ``_active`` as well, but compute no
+value: they record the tags of the branchy code they model, and the only
+arithmetic they do is the argument of their exp's data-dependent loop.  Every
 cast is picked, scalar or array, by the operands' types, never by their
 values.  On a scalar, numpy's ``view`` and ``frombuffer`` build a
 temporary array, which costs several times a float32 multiply, so the scalar
@@ -77,8 +77,7 @@ import numpy as np
 
 __all__ = [
     "OP_ADD", "OP_MUL", "OP_DIV", "OP_NEG", "OP_CMP", "OP_AND", "OP_BITCAST",
-    "OP_BRANCH", "recording", "f_add", "f_mul", "f_div", "f_neg", "f_gt",
-    "cond_move", "Bound",
+    "OP_BRANCH", "recording", "f_add", "f_mul", "Bound",
 ]
 
 # Opcode vocabulary.  BRANCH is the only control-flow tag; it never appears
@@ -158,24 +157,6 @@ def f_mul(a, b):
     if (buf := _active()) is not None:
         buf.append(OP_MUL)
     return a * b
-
-
-def f_div(a, b):
-    if (buf := _active()) is not None:
-        buf.append(OP_DIV)
-    return a / b
-
-
-def f_neg(a):
-    if (buf := _active()) is not None:
-        buf.append(OP_NEG)
-    return -a
-
-
-def f_gt(a, b):
-    if (buf := _active()) is not None:
-        buf.append(OP_CMP)
-    return a > b
 
 
 # -- bit-level operations ---------------------------------------------------
@@ -280,17 +261,3 @@ def _saturate(w, x, bound: Bound, low, high):
     above = U32_ALL_ONES * (x > bound.hi)
     w = (w & ~below) | (low & below)
     return (w & ~above) | (high & above)
-
-
-def cond_move(condition, if_true, if_false):
-    """Predicated move: the hardware-style conditional select.
-
-    Used only by the *unprotected* reference models (a compiler lowers a
-    short ternary to a predicated move).  Constant-time kernels use explicit
-    mask arithmetic instead.  ``np.where`` gives a 0-d array for scalar
-    operands; indexing it with ``()`` turns that into a scalar and leaves
-    any other array as it is.
-    """
-    if (buf := _active()) is not None:
-        buf.append(OP_SELECT)
-    return np.where(condition, if_true, if_false)[()]

@@ -28,16 +28,15 @@ grid and rounds the grid with one astype, the same cast.  relu_ref, and
 relu_protected, return +0.0 for every non-positive input, including -0.0.
 
 A libm call has no op sequence to record, so each reference comes with a
-small instrumented model of how such a function executes (an argument-
+small instrumented model of how such a function executes: an argument-
 reduction exponential with an input-dependent number of halving and
-squaring steps, plus a fixed polynomial).  The trace harness runs the model
-for its opcodes and discards its value.  The models' hot blocks are leaf ops
-like the kernels' shared ones: each halving step, the final test with the
-polynomial and each squaring of the exp model, and the erf model's fixed
-chains before and after its exp, record a constant tag tuple with one
-``extend``.  Their tags and values are those of the one-tag compositions in
-``tests/reference_ops.py``, and a test pins every unprotected trace, tag for
-tag.
+squaring steps around a fixed polynomial, inside the fixed chains of the
+kind's formula.  The trace harness runs a model for its opcodes only: it
+records the reference's trace and returns None, and its only arithmetic is
+the binary32 argument of each exp, whose halving count is all of the trace
+that depends on the input.  Each step records a constant tag tuple with
+one ``extend``; the tags are those of the one-tag compositions in
+``tests/reference_ops.py``, and a test pins every unprotected trace.
 
 SPECS is the one registry of what each kind is: its constant-time core, its
 reference, the reference's trace model, its saturation threshold and the
@@ -63,7 +62,10 @@ from ._ops import (
     OP_DIV,
     OP_MUL,
     OP_NEG,
+    OP_SELECT,
+    _ABS_OPS,
     _ONE_BITS,
+    _SIGN_OPS,
     _ZERO_BITS,
     Bound,
     _abs,
@@ -73,12 +75,8 @@ from ._ops import (
     _saturate,
     _select_above,
     _sign,
-    cond_move,
     f_add,
-    f_div,
-    f_gt,
     f_mul,
-    f_neg,
 )
 from .grids import as_f32
 from .pade import _rational_tanh
@@ -328,96 +326,86 @@ def swish_ref(x) -> np.float32:
 
 # -- instrumented models of the references (trace shape only) --------------
 
-_EXP_C = tuple(np.float32(c) for c in (1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0))
-_ERF_SLOPE = np.float32(0.3275911)
-_ERF_C = tuple(np.float32(c) for c in
-               (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
 _INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
-
-
 # Halvings that bring FLT_MAX to 1/2 or below: no finite argument needs
 # more.  An infinite one (the erf model's square overflows beyond about
 # 2.6e19) stops there rather than halving forever.
 _MAX_HALVINGS = 129
 
-# Tag tuples of the models' leaf ops.  A halving records |t| > 1/2 as _abs
-# then f_gt, the branch it drives and the multiply; the last test, which
-# stops the loop, records no multiply and runs into the polynomial.
+# Tag tuples of the models.  A halving records |t| > 1/2 as an abs and a
+# compare, the branch it drives and the multiply; the last test, which
+# stops the loop, runs into the polynomial.  A squaring is a multiply and
+# its loop's branch.
 _EXP_HALVE_OPS = (OP_BITCAST, OP_AND, OP_BITCAST, OP_CMP, OP_BRANCH, OP_MUL)
 _EXP_POLY_OPS = _EXP_HALVE_OPS[:-1] + (OP_MUL, OP_ADD) * 4
 _EXP_SQUARE_OPS = (OP_MUL, OP_BRANCH)
-# erf: 1/(1 + s*a), the Horner chain times t, then -(a*a) for the exp; and
-# after the exp, tail = poly * exp and 1 - tail.
-_ERF_HEAD_OPS = (OP_MUL, OP_ADD, OP_DIV) + (OP_MUL, OP_ADD) * 4 + (OP_MUL, OP_MUL, OP_NEG)
-_ERF_TAIL_OPS = (OP_MUL, OP_NEG, OP_ADD)
+# erf (Abramowitz-Stegun 7.1.26): a = |u|, t = 1/(1 + s*a), the Horner
+# chain times t, -(a*a) for the exp; then poly * exp, 1 - that, sign(u) * it.
+_ERF_HEAD_OPS = (_ABS_OPS + (OP_MUL, OP_ADD, OP_DIV) + (OP_MUL, OP_ADD) * 4
+                 + (OP_MUL, OP_MUL, OP_NEG))
+_ERF_TAIL_OPS = (OP_MUL, OP_NEG, OP_ADD) + _SIGN_OPS + (OP_MUL,)
 
 
 def _model_exp(t):
-    # Halve the argument until it is small (data-dependent trip count),
-    # evaluate a fixed polynomial, then square once per halving.  Each step
-    # is a leaf op that records a constant tag tuple; abs(t) > _HALF has the
-    # truth value of _abs then f_gt, for inf and NaN too.
-    buf = _active()
+    # Halve the argument until it is small (data-dependent trip count), run
+    # a fixed polynomial, then square once per halving.  The trip count is
+    # all that shapes the trace, so the halved argument is all this computes.
+    if (buf := _active()) is None:
+        return
     halvings = 0
     while abs(t) > _HALF and halvings < _MAX_HALVINGS:
-        if buf is not None:
-            buf.extend(_EXP_HALVE_OPS)
+        buf.extend(_EXP_HALVE_OPS)
         t = t * _HALF
         halvings += 1
-    if buf is not None:
-        buf.extend(_EXP_POLY_OPS)
-    c0, c1, c2, c3, c4 = _EXP_C
-    p = (((c4 * t + c3) * t + c2) * t + c1) * t + c0
+    buf.extend(_EXP_POLY_OPS)
     for _ in range(halvings):
-        if buf is not None:
-            buf.extend(_EXP_SQUARE_OPS)
-        p = p * p
-    return p
+        buf.extend(_EXP_SQUARE_OPS)
 
 
 def _model_relu(x):
-    # A compiler lowers the short ternary to one predicated move.
-    return cond_move(f_gt(x, _ZERO), x, _ZERO)
+    # A compare and the predicated move a compiler lowers the ternary to.
+    if (buf := _active()) is not None:
+        buf.extend((OP_CMP, OP_SELECT))
 
 
 def _model_sigmoid(x):
-    e = _model_exp(f_neg(x))
-    return f_div(_ONE, f_add(_ONE, e))
+    # 1 / (1 + exp(-x))
+    if (buf := _active()) is not None:
+        buf.append(OP_NEG)
+        _model_exp(-x)
+        buf.extend((OP_ADD, OP_DIV))
 
 
 def _model_tanh(x):
-    grow = _model_exp(x)
-    decay = _model_exp(f_neg(x))
-    return f_div(f_add(grow, f_neg(decay)), f_add(grow, decay))
+    # (exp(x) - exp(-x)) / (exp(x) + exp(-x))
+    if (buf := _active()) is not None:
+        _model_exp(x)
+        buf.append(OP_NEG)
+        _model_exp(-x)
+        buf.extend((OP_NEG, OP_ADD, OP_ADD, OP_DIV))
 
 
 def _model_erf(u):
-    # Abramowitz-Stegun 7.1.26.  The fixed chains before and after the exp
-    # are leaf ops; _abs, _model_exp, _sign and the last multiply record
-    # where they stand.
-    bits, value = _casts(u)
-    w = bits(u)
-    a = value(_abs(w))
-    buf = _active()
-    if buf is not None:
+    # The binary32 square of |u| decides the exp's halving count.
+    if (buf := _active()) is not None:
         buf.extend(_ERF_HEAD_OPS)
-    c0, c1, c2, c3, c4 = _ERF_C
-    t = _ONE / (_ONE + _ERF_SLOPE * a)
-    poly = ((((c4 * t + c3) * t + c2) * t + c1) * t + c0) * t
-    decay = _model_exp(-(a * a))
-    if buf is not None:
+        a = abs(u)
+        _model_exp(-(a * a))
         buf.extend(_ERF_TAIL_OPS)
-    tail = poly * decay
-    return f_mul(_ONE + -tail, value(_sign(w)))
 
 
 def _model_gelu(x):
-    cdf = f_mul(_HALF, f_add(_ONE, _model_erf(f_mul(x, _INV_SQRT2))))
-    return f_mul(x, cdf)
+    # x/2 * (1 + erf(x * (1/sqrt(2)))); that binary32 product is erf's argument.
+    if (buf := _active()) is not None:
+        buf.append(OP_MUL)
+        _model_erf(x * _INV_SQRT2)
+        buf.extend((OP_ADD, OP_MUL, OP_MUL))
 
 
 def _model_swish(x):
-    return f_mul(x, _model_sigmoid(x))
+    if (buf := _active()) is not None:
+        _model_sigmoid(x)
+        buf.append(OP_MUL)
 
 
 # -- the per-kind registry ------------------------------------------------------
@@ -432,10 +420,11 @@ class KindSpec:
     defaults to the bound of ``threshold`` built at import.  ``reference``
     is the libm reference in binary64, a function of a Python float that
     the caller rounds to binary32 once, and ``model`` the instrumented
-    model of its execution.  ``threshold`` is None for a kind that does not
-    saturate (relu).  ``sweep`` holds the candidate thresholds
-    analysis.threshold_sweep scans, and is empty for kinds whose threshold
-    is solved rather than chosen empirically.
+    model of its execution: it records the reference's trace and returns
+    None, and its only arithmetic is its exp's argument.  ``threshold`` is
+    None for a kind that does not saturate (relu).  ``sweep`` holds the
+    candidate thresholds analysis.threshold_sweep scans, and is empty for
+    kinds whose threshold is solved rather than chosen empirically.
     """
 
     core: Callable

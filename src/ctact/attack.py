@@ -188,6 +188,11 @@ def calibrated_delay() -> DelaySpec:
     return DelaySpec("uniform", low_us=mean - width / 2.0, high_us=mean + width / 2.0)
 
 
+def _whole(v) -> bool:
+    """Whether ``v`` is a finite integral number and no bool: 12, 12.0, np.int64(12)."""
+    return not isinstance(v, (bool, np.bool_)) and math.isfinite(v) and v == int(v)
+
+
 @dataclass(frozen=True)
 class DeviceTimingModel:
     """Per-class latency generator for one device configuration.
@@ -206,10 +211,10 @@ class DeviceTimingModel:
         if not 0 < self.clock_hz < math.inf:
             raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
         for kind, cycles in self.base_cycles.items():
-            if cycles <= 0 or cycles != int(cycles):
+            if not (_whole(cycles) and cycles > 0):
                 raise ValueError(f"base cycles for {kind} must be a positive integer")
-        if self.input_swing_cycles < 0:
-            raise ValueError("input_swing_cycles must be >= 0")
+        if not (_whole(self.input_swing_cycles) and self.input_swing_cycles >= 0):
+            raise ValueError("input_swing_cycles must be an integer >= 0")
         for kind, cycles in self.base_cycles.items():
             if self._swing_cycles(kind) >= cycles:
                 raise ValueError(
@@ -342,6 +347,8 @@ def fit_template(kind, samples: Sequence[float]) -> GaussianTemplate:
     n = values.size
     if n < 2:
         raise ValueError("profiling needs at least 2 samples")
+    if not np.isfinite(values).all():
+        raise ValueError(f"profiling samples for {kind} must be finite")
     if not np.ptp(values) > 0.0:
         raise ValueError(f"degenerate profile for {kind}: all {n} samples "
                          f"equal (constant samples carry no Gaussian profile)")

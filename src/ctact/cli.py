@@ -391,18 +391,19 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
                 for x, length in r.deviating_inputs[:20]:
                     print(f"    deviates at {x!r}: length {length}")
         print(f"{label} protected kinds aligned: {aligned}")
-        grid_payloads.append({
-            "lo": spec.lo, "hi": spec.hi, "step": spec.step,
-            "protected_aligned": aligned,
-            "shared_length": lengths.pop() if len(lengths) == 1 else None,
-            "reports": [
-                {"kind": r.kind.value, "protected": r.protected,
-                 "uniform": r.uniform, "canonical_length": r.canonical_length,
-                 "n_deviating": len(r.deviating_inputs),
-                 "deviating_inputs": [[np.float32(x), n] for x, n in r.deviating_inputs[:20]]}
-                for r in reports
-            ],
-        })
+        if cfg.format == "json":
+            grid_payloads.append({
+                "lo": spec.lo, "hi": spec.hi, "step": spec.step,
+                "protected_aligned": aligned,
+                "shared_length": lengths.pop() if len(lengths) == 1 else None,
+                "reports": [
+                    {"kind": r.kind.value, "protected": r.protected,
+                     "uniform": r.uniform, "canonical_length": r.canonical_length,
+                     "n_deviating": len(r.deviating_inputs),
+                     "deviating_inputs": [[np.float32(x), n] for x, n in r.deviating_inputs[:20]]}
+                    for r in reports
+                ],
+            })
 
     if cfg.format == "csv":
         _write(path, table, _TRACES_HEADER)

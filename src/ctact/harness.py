@@ -7,9 +7,9 @@ abstraction exactly when its trace is identical for every input.
 Protected kernels are traced by running them under the recording context.
 Unprotected references are libm calls, so there is no op sequence to record
 directly; instead the kind's instrumented model (see activations.SPECS) runs
-under the recorder.  The model's arithmetic drives the trace; its numeric
-output is discarded and trace_eval returns the reference value, bit-equal to
-evaluate(kind, x, protected=False).
+under the recorder.  The model records the reference's trace and computes
+only its exp's argument; trace_eval returns the reference value, bit-equal
+to evaluate(kind, x, protected=False).
 
 check_uniformity records the same traces as trace_eval but resolves the
 kind and the traced callable once per grid, enters one errstate and one
@@ -90,8 +90,9 @@ def _tracer(kind: ActivationKind, protected: bool):
 
     A protected trace records the constant-time core itself.  An unprotected
     trace records the instrumented model of the libm reference (see
-    activations.SPECS); the model's exp overflows far out and its value is
-    discarded, so it runs with floating-point warnings off.
+    activations.SPECS), with floating-point warnings off for the one
+    overflow a model can reach: the gelu model's binary32 square of its erf
+    argument, inf beyond about 2.6e19.
     """
     spec = SPECS[kind]
     if protected:

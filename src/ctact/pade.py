@@ -17,8 +17,8 @@ the divide cannot trap on any finite input.
 The evaluation is one leaf op: it records its 15 tags (MUL, then MUL ADD
 six times, DIV, MUL) with one ``extend`` through ``_ops``'s recorder, and
 runs the same Horner arithmetic in the same order on plain numpy binary32
-values, so its tags and bits are those of the ``f_mul``/``f_add``/``f_div``
-composition.
+values, so its tags and bits are those of its one-op composition in
+``tests/reference_ops.py``.
 
 R is odd bit-exactly: negating x flips only the sign of the final multiply,
 because u = (-x)*(-x) rounds to the identical product.

@@ -1,14 +1,19 @@
 """The single-op reference semantics the leaf ops are checked against.
 
-A leaf op of ``ctact._ops`` (and the rational core, the pads and the models'
-hot blocks, which record through its recorder) appends a fixed tag tuple
-and computes with plain numpy.  Each is defined here a second time, one
-operation at a time: every one-tag op below appends one opcode tag and does
-one numpy operation, and each ``*_by_helpers`` function composes them, with
-the kernels' own ``f_add``, ``f_mul``, ``f_div``, ``f_neg`` and ``f_gt``,
-into the block or kernel body it spells out.  ``TestLeafOps`` in
-``test_ops.py`` requires the tags and result bits of each leaf op to equal
-those of its composition.
+A leaf op of ``ctact._ops`` (and the rational core and the pads, which
+record through its recorder) appends a fixed tag tuple and computes with
+plain numpy.  Each is defined here a second time, one operation at a time:
+every one-tag op below appends one opcode tag and does one numpy
+operation, and each ``*_by_helpers`` function composes them, with the
+kernels' own ``f_add`` and ``f_mul``, into the block or kernel body it
+spells out.  ``TestLeafOps`` in ``test_ops.py`` requires the tags and
+result bits of each leaf op to equal those of its composition.
+
+The exp and erf models of the unprotected references are spelled out here
+too, in full, with the polynomial coefficients that the package's models do
+not evaluate: those compute only their exp's argument and return None, so
+``TestLeafOps`` compares their tags alone with those of
+``model_exp_by_helpers`` and ``model_erf_by_helpers``.
 
 The bitcasts here are numpy views, not the struct-based scalar casts of
 ``_ops``, so a kernel's casts are checked against an independent route.
@@ -26,7 +31,9 @@ from ctact._ops import (
     OP_BITCAST,
     OP_BRANCH,
     OP_CMP,
+    OP_DIV,
     OP_MASK,
+    OP_NEG,
     OP_NOT,
     OP_OR,
     U32_ABS_MASK,
@@ -39,15 +46,9 @@ from ctact._ops import (
     _select_above,
     _sign,
     f_add,
-    f_div,
-    f_gt,
     f_mul,
-    f_neg,
 )
 from ctact.activations import (
-    _ERF_C,
-    _ERF_SLOPE,
-    _EXP_C,
     _MAX_HALVINGS,
     GELU_CUBIC_COEFF,
     SPECS,
@@ -68,9 +69,24 @@ def _record(tag):
         buf.append(tag)
 
 
+def f_gt(a, b):
+    _record(OP_CMP)
+    return a > b
+
+
 def f_lt(a, b):
     _record(OP_CMP)
     return a < b
+
+
+def f_div(a, b):
+    _record(OP_DIV)
+    return a / b
+
+
+def f_neg(a):
+    _record(OP_NEG)
+    return -a
 
 
 def to_bits(x):
@@ -229,7 +245,14 @@ CORE_BY_HELPERS = {
 }
 
 
-# -- the models' hot blocks, one op at a time ---------------------------------
+# -- the models' exp and erf, one op at a time --------------------------------
+
+# The coefficients of the exp polynomial and of Abramowitz-Stegun 7.1.26.
+_EXP_C = tuple(np.float32(c) for c in (1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0))
+_ERF_SLOPE = np.float32(0.3275911)
+_ERF_C = tuple(np.float32(c) for c in
+               (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
+
 
 def model_exp_by_helpers(t):
     halvings = 0

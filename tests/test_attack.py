@@ -198,6 +198,19 @@ class TestDeviceModel:
         for clock_hz in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="clock_hz"):
                 device_model(clock_hz=clock_hz)
+        # Latencies are whole cycles: no NaN, fraction, bool or infinity.
+        for swing in (math.nan, 2.5, -math.inf, True):
+            with pytest.raises(ValueError, match="input_swing_cycles"):
+                device_model(input_swing_cycles=swing)
+        delay = calibrated_delay()
+        for cycles in (True, np.True_, math.inf, math.nan, 12.5, 0, -3):
+            with pytest.raises(ValueError, match="base cycles"):
+                DeviceTimingModel({RELU: cycles, TANH: 403}, delay)
+        # Integral values stay accepted, numpy integers included.
+        for cycles in (12, 12.0, np.int64(12), np.uint16(12)):
+            model = DeviceTimingModel({RELU: cycles, TANH: 403}, delay,
+                                      input_swing_cycles=np.int32(7))
+            assert model.class_mean_us(RELU) == device_model(classes=[RELU]).class_mean_us(RELU)
 
     def test_device_model_builds_each_countermeasure(self):
         desync = device_model(classes=[TANH, RELU], input_swing_cycles=7)
@@ -256,6 +269,13 @@ class TestTemplates:
             fit_template(SIGMOID, [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             fit_template(SIGMOID, [1.0])
+
+    def test_non_finite_samples_rejected_as_such(self):
+        # Not as a degenerate profile (NaN), nor through a NaN variance with
+        # an invalid-subtract warning (inf).
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                fit_template(SIGMOID, [1.0, bad, 2.0])
 
     def test_constant_samples_rejected_despite_rounding(self):
         # 10,000 equal latencies: np.var(ddof=1) rounds to about 3e-30, not 0.

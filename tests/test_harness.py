@@ -55,8 +55,8 @@ class TestTraceEval:
             assert trace.ops == (OP_CMP, OP_SELECT)
 
     def test_unprotected_value_is_finite_even_when_the_model_overflows(self):
-        # The model's exp overflows far out; the returned value must still be
-        # the clean reference, with no warnings escaping.
+        # Far out, where swish rounds to zero in binary32, the returned value
+        # must still be the clean reference, with no warnings escaping.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, value = trace_eval(ActivationKind.SWISH, -420.0, protected=False)
@@ -145,7 +145,9 @@ class TestUniformity:
             assert np.geterr() == before
 
     def test_unprotected_wide_grid_check_lets_no_warning_escape(self):
-        # The models' exp overflows far out on the wide grid.
+        # No model computes a value that overflows on the wide grid: gelu's
+        # square of its erf argument, the one product that can, does so
+        # only beyond about 2.6e19.
         grid = inclusive_grid(*GRID_WIDE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -345,27 +345,21 @@ class TestLeafOps:
                                                 (_model_erf, model_erf_by_helpers)],
                              ids=["exp", "erf"])
     def test_model_blocks(self, leaf, composed):
-        # The models branch on values, so they take scalars only.  +-inf
-        # (exp) and +-FLT_MAX (erf, whose square is inf) run to the
-        # halving cap; NaN halves no time.
-        self.assert_same(leaf, composed, [(x,) for x in self.A])
-        extremes = [np.float32(np.inf), FLT_MAX] if leaf is _model_exp else [FLT_MAX]
+        # The models branch on values, so they take scalars only, and they
+        # return no value: only their tags are compared.  +-inf (exp) and
+        # +-FLT_MAX (erf, whose square is inf) run to the halving cap; NaN
+        # halves no time.
+        def tags(f, x):
+            with recording() as ops:
+                f(x)
+            return ops
+
         with np.errstate(all="ignore"):
+            assert [tags(leaf, x) for x in self.A] == [tags(composed, x) for x in self.A]
+            extremes = [np.float32(np.inf), FLT_MAX] if leaf is _model_exp else [FLT_MAX]
             for x in extremes:
                 for v in (x, -x):
-                    with recording() as ops:
-                        leaf(v)
-                    assert ops.count("BRANCH") == 2 * _MAX_HALVINGS + 1
-            assert all(type(leaf(x)) is np.float32 for x in self.A)
-
-
-@pytest.mark.parametrize("kind", list(ActivationKind))
-def test_models_return_binary32_scalars(kind):
-    # The relu model's predicated move goes through np.where, which gives a
-    # 0-d array for scalar operands unless cond_move unwraps it.
-    with np.errstate(all="ignore"):
-        for x in (np.float32(1.5), np.float32(-0.0), np.float32(-3.0)):
-            assert type(SPECS[kind].model(x)) is np.float32
+                    assert tags(leaf, v).count("BRANCH") == 2 * _MAX_HALVINGS + 1
 
 
 class TestMask32:
@@ -595,6 +589,17 @@ def test_model_traces_are_pinned_tag_for_tag():
     assert digest.hexdigest() == MODEL_TRACES_DIGEST
 
 
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_models_raise_no_floating_point_error_on_the_grids(kind):
+    # A model computes only the arguments of its exp's halving loop, and
+    # none of them overflows or is invalid on the canonical grids.
+    model = SPECS[kind].model
+    with np.errstate(all="raise"), recording():
+        for grid in (GRID_DENSE, GRID_WIDE):
+            for x in inclusive_grid(*grid):
+                model(x)
+
+
 def _core_output_blocks():
     """(core, inputs) per block: each kind on the sample and both grids, then
     gelu and swish at each sweep candidate threshold on the dense grid."""
@@ -660,6 +665,12 @@ class TestRecorderScope:
             pass
         f_add(np.float32(1), np.float32(2))
         SPECS[ActivationKind.GELU].core(np.float32(0.5))
+        # A model outside a recording does no arithmetic at all, so even
+        # gelu's at -FLT_MAX, whose erf square overflows, cannot raise.
+        with np.errstate(all="raise"):
+            for spec in SPECS.values():
+                for x in (np.float32(0.5), -FLT_MAX):
+                    assert spec.model(x) is None
         with recording() as after:
             pass
         assert before == [] and after == []

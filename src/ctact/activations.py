@@ -328,9 +328,12 @@ def swish_ref(x) -> np.float32:
 
 _INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
 # Halvings that bring FLT_MAX to 1/2 or below: no finite argument needs
-# more.  An infinite one (the erf model's square overflows beyond about
-# 2.6e19) stops there rather than halving forever.
+# more, and an infinite one, which no model computes from a finite input,
+# stops there rather than halving forever.
 _MAX_HALVINGS = 129
+# The erf model's binary32 square of |u| halves 129 times from this cap
+# (1.125 * 2**127) on, overflowed or not, so capping |u| keeps it finite.
+_ERF_ARG_CAP = np.float32(1.5 * 2**63)
 
 # Tag tuples of the models.  A halving records |t| > 1/2 as an abs and a
 # compare, the branch it drives and the multiply; the last test, which
@@ -386,10 +389,12 @@ def _model_tanh(x):
 
 
 def _model_erf(u):
-    # The binary32 square of |u| decides the exp's halving count.
+    # The binary32 square of the capped |u| decides the exp's halving count.
     if (buf := _active()) is not None:
         buf.extend(_ERF_HEAD_OPS)
         a = abs(u)
+        if a > _ERF_ARG_CAP:
+            a = _ERF_ARG_CAP
         _model_exp(-(a * a))
         buf.extend(_ERF_TAIL_OPS)
 

@@ -8,7 +8,10 @@ where base_cycles is an integer cycle count (with a small input-dependent
 component for the unprotected sigmoid and tanh) and delay_us is a draw from
 the desynchronisation countermeasure's nonnegative delay distribution.
 A class's base latency takes at most three values (base and base +- swing
-cycles), each converted to microseconds once per call batch.
+cycles), each converted to microseconds once per call batch.  Each
+distribution states its analytic (mean, variance) in one method:
+``DelaySpec.moments`` for the delay, ``DeviceTimingModel.class_moments`` for
+a class's latency under inputs ~ uniform(INPUT_RANGE).
 
 The attack is the classic two-phase template attack.  Profiling fits one
 Gaussian (mean, unbiased variance) per activation class; the online phase
@@ -25,7 +28,8 @@ The device behind each countermeasure is built by ``device_model``:
 Randomness: PCG64 (numpy's default_rng).  Experiments derive one child
 stream per trial from a master SeedSequence, so any trial can be reproduced
 independently of the others.  Within a trial, each batch of n calls takes n
-inputs and then n delays from the stream, class by class through profiling
+inputs and then n delays from the stream (numpy's own ``uniform`` for the
+inputs and a uniform delay), class by class through profiling
 and then the attack.  Inputs that no latency reads (relu, and every class
 without a swing) are skipped with ``advance(n)`` rather than drawn: PCG64
 spends one 64-bit word per double, so the stream position, and every later
@@ -44,24 +48,11 @@ import numpy as np
 from .activations import ActivationKind
 
 __all__ = [
-    "DelaySpec",
-    "DeviceTimingModel",
-    "GaussianTemplate",
-    "AttackResult",
-    "INPUT_RANGE",
-    "BASE_CYCLES_DESYNC",
-    "CONSTANT_TIME_CYCLES",
-    "DESYNC_CALIBRATION",
-    "DEFAULT_CLOCK_HZ",
-    "COUNTERMEASURES",
-    "DELAY_DISTRIBUTIONS",
-    "calibrated_delay",
-    "device_model",
-    "fit_template",
-    "score_increment",
-    "profile_phase",
-    "run_attack",
-    "attack_experiment",
+    "DelaySpec", "DeviceTimingModel", "GaussianTemplate", "AttackResult",
+    "INPUT_RANGE", "BASE_CYCLES_DESYNC", "CONSTANT_TIME_CYCLES", "DESYNC_CALIBRATION",
+    "DEFAULT_CLOCK_HZ", "COUNTERMEASURES", "DELAY_DISTRIBUTIONS",
+    "calibrated_delay", "device_model", "fit_template", "score_increment",
+    "profile_phase", "run_attack", "attack_experiment",
 ]
 
 # Inputs are drawn uniformly from this interval during profiling and attack.
@@ -98,15 +89,12 @@ _DEFAULT_SWING_CYCLES = 10
 _SWING_KINDS = frozenset({ActivationKind.SIGMOID, ActivationKind.TANH})
 _SWING_SLOW_BELOW = 2.0
 _SWING_FAST_ABOVE = 6.0
-
-
-def _uniform(rng: np.random.Generator, low: float, high: float, size: int) -> np.ndarray:
-    # Bit-equal to rng.uniform(low, high, size), which computes
-    # low + (high - low) * u per draw, without its temporaries.
-    values = rng.random(size)
-    values *= high - low
-    values += low
-    return values
+# Probabilities of the slow and the fast band under inputs ~ uniform(INPUT_RANGE).
+_LOW, _HIGH = INPUT_RANGE
+_P_SLOW = max(0.0, min(_HIGH, _SWING_SLOW_BELOW) - max(_LOW, -_SWING_SLOW_BELOW)) / (_HIGH - _LOW)
+_P_FAST = (max(0.0, _HIGH - _SWING_FAST_ABOVE)
+           + max(0.0, -_SWING_FAST_ABOVE - _LOW)) / (_HIGH - _LOW)
+_BOOLS = (bool, np.bool_)  # numbers to Python and numpy, rejected as parameters
 
 
 def _truncnorm():
@@ -134,44 +122,42 @@ class DelaySpec:
     def __post_init__(self) -> None:
         if self.distribution not in DELAY_DISTRIBUTIONS:
             raise ValueError(f"unknown delay distribution: {self.distribution!r}")
+        if any(isinstance(v, _BOOLS) for v in dataclasses.astuple(self)):
+            raise ValueError("delay parameters must be numbers, not bools")
         # Chained comparisons are False for NaN, so NaN fails each check.
         if self.distribution == "uniform":
             if not 0 <= self.low_us <= self.high_us < math.inf:
-                raise ValueError(
-                    f"uniform delay needs 0 <= low <= high < inf, got "
-                    f"[{self.low_us}, {self.high_us}]"
-                )
-        elif not (-math.inf < self.mean_us < math.inf and 0 < self.std_us < math.inf):
+                raise ValueError(f"uniform delay needs 0 <= low <= high < inf, "
+                                 f"got [{self.low_us}, {self.high_us}]")
+            return
+        if not (-math.inf < self.mean_us < math.inf and 0 < self.std_us < math.inf):
             raise ValueError(f"truncated-gaussian delay needs a finite mean and a positive "
                              f"finite std, got mean {self.mean_us}, std {self.std_us}")
+        mean, var = self.moments()
+        if not (math.isfinite(mean) and 0.0 < var < math.inf):
+            raise ValueError(f"scipy gives the truncated-gaussian delay (mean {self.mean_us}, "
+                             f"std {self.std_us}) mean {mean} and variance {var}; it needs "
+                             f"a finite mean and a positive finite variance")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.distribution == "uniform":
-            return _uniform(rng, self.low_us, self.high_us, size)
+            return rng.uniform(self.low_us, self.high_us, size)
         lo = (0.0 - self.mean_us) / self.std_us
-        return _truncnorm().rvs(
-            lo, np.inf, loc=self.mean_us, scale=self.std_us,
-            size=size, random_state=rng,
-        )
+        return _truncnorm().rvs(lo, np.inf, loc=self.mean_us, scale=self.std_us,
+                                size=size, random_state=rng)
 
-    def mean(self) -> float:
-        if self.distribution == "uniform":
-            return 0.5 * (self.low_us + self.high_us)
-        lo = (0.0 - self.mean_us) / self.std_us
-        m, _ = _truncnorm().stats(
-            lo, np.inf, loc=self.mean_us, scale=self.std_us, moments="mv"
-        )
-        return float(m)
-
-    def variance(self) -> float:
+    def moments(self) -> tuple:
+        """Mean (us) and variance (us^2) of one delay."""
         if self.distribution == "uniform":
             width = self.high_us - self.low_us
-            return width * width / 12.0
+            return 0.5 * (self.low_us + self.high_us), width * width / 12.0
         lo = (0.0 - self.mean_us) / self.std_us
-        _, v = _truncnorm().stats(
-            lo, np.inf, loc=self.mean_us, scale=self.std_us, moments="mv"
-        )
-        return float(v)
+        # scipy also computes the skew, which is never read and warns where
+        # the truncation is deep; __post_init__ judges the two moments kept.
+        with np.errstate(all="ignore"):
+            mean, var = _truncnorm().stats(lo, np.inf, loc=self.mean_us,
+                                           scale=self.std_us, moments="mv")
+        return float(mean), float(var)
 
 
 def calibrated_delay() -> DelaySpec:
@@ -190,7 +176,7 @@ def calibrated_delay() -> DelaySpec:
 
 def _whole(v) -> bool:
     """Whether ``v`` is a finite integral number and no bool: 12, 12.0, np.int64(12)."""
-    return not isinstance(v, (bool, np.bool_)) and math.isfinite(v) and v == int(v)
+    return not isinstance(v, _BOOLS) and math.isfinite(v) and v == int(v)
 
 
 @dataclass(frozen=True)
@@ -208,7 +194,7 @@ class DeviceTimingModel:
     input_swing_cycles: int = _DEFAULT_SWING_CYCLES
 
     def __post_init__(self) -> None:
-        if not 0 < self.clock_hz < math.inf:
+        if isinstance(self.clock_hz, _BOOLS) or not 0 < self.clock_hz < math.inf:
             raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
         for kind, cycles in self.base_cycles.items():
             if not (_whole(cycles) and cycles > 0):
@@ -217,11 +203,10 @@ class DeviceTimingModel:
             raise ValueError("input_swing_cycles must be an integer >= 0")
         for kind, cycles in self.base_cycles.items():
             if self._swing_cycles(kind) >= cycles:
-                raise ValueError(
-                    f"input swing of {self.input_swing_cycles} cycles takes "
-                    f"{ActivationKind(kind).value} ({cycles} cycles) to "
-                    f"{cycles - self.input_swing_cycles}; it must stay below the base latency"
-                )
+                raise ValueError(f"input swing of {self.input_swing_cycles} cycles takes "
+                                 f"{ActivationKind(kind).value} ({cycles} cycles) to "
+                                 f"{cycles - self.input_swing_cycles}; it must stay below "
+                                 f"the base latency")
 
     @property
     def us_per_cycle(self) -> float:
@@ -243,7 +228,7 @@ class DeviceTimingModel:
             raise KeyError(f"model has no base latency for {kind}")
         cycles, swing = self.base_cycles[kind], self._swing_cycles(kind)
         if swing:
-            magnitude = _uniform(rng, *INPUT_RANGE, n)
+            magnitude = rng.uniform(*INPUT_RANGE, n)
             np.abs(magnitude, out=magnitude)
             # Band 0 is |x| < 2 (slow), 1 the dead zone, 2 is |x| > 6 (fast).
             band = np.add(magnitude >= _SWING_SLOW_BELOW, magnitude > _SWING_FAST_ABOVE,
@@ -257,33 +242,20 @@ class DeviceTimingModel:
         latencies += base_us
         return latencies
 
-    # Analytic moments under inputs ~ uniform(INPUT_RANGE); the template-fit
-    # consistency checks compare sample estimates against these.
+    def class_moments(self, kind) -> tuple:
+        """Mean (us) and variance (us^2) of one latency of ``kind``.
 
-    def _swing_probabilities(self, kind) -> tuple:
-        if not self._swing_cycles(kind):
-            return 0.0, 0.0
-        lo, hi = INPUT_RANGE
-        span = hi - lo
-        slow = max(0.0, min(hi, _SWING_SLOW_BELOW) - max(lo, -_SWING_SLOW_BELOW))
-        fast = max(0.0, hi - _SWING_FAST_ABOVE) + max(0.0, -_SWING_FAST_ABOVE - lo)
-        return slow / span, fast / span
-
-    def class_mean_us(self, kind) -> float:
+        Analytic, under inputs ~ uniform(INPUT_RANGE); the template-fit
+        consistency checks compare sample estimates against these.
+        """
         kind = ActivationKind(kind)
-        p_slow, p_fast = self._swing_probabilities(kind)
         swing_us = self._swing_cycles(kind) * self.us_per_cycle
         base_us = self.base_cycles[kind] * self.us_per_cycle
-        return base_us + swing_us * (p_slow - p_fast) + self.delay.mean()
-
-    def class_var_us(self, kind) -> float:
-        kind = ActivationKind(kind)
-        p_slow, p_fast = self._swing_probabilities(kind)
-        swing_us = self._swing_cycles(kind) * self.us_per_cycle
-        mean_sw = swing_us * (p_slow - p_fast)
+        delay_mean, delay_var = self.delay.moments()
+        mean_sw = swing_us * (_P_SLOW - _P_FAST)
         # Products, not **2: a float ** overflow raises, a product gives inf.
-        var_sw = swing_us * swing_us * (p_slow + p_fast) - mean_sw * mean_sw
-        return var_sw + self.delay.variance()
+        var_sw = swing_us * swing_us * (_P_SLOW + _P_FAST) - mean_sw * mean_sw
+        return base_us + mean_sw + delay_mean, var_sw + delay_var
 
 
 def device_model(countermeasure: str = "desync", classes: Sequence = tuple(BASE_CYCLES_DESYNC),
@@ -327,11 +299,11 @@ class GaussianTemplate:
     def __post_init__(self) -> None:
         if self.n_profiling < 2:
             raise ValueError("a template needs at least 2 profiling samples")
-        if not self.var_us2 > 0.0:
-            raise ValueError(
-                f"degenerate template for {self.kind}: variance {self.var_us2} "
-                "(constant samples carry no Gaussian profile)"
-            )
+        # A NaN mean would win every argmax, an infinite variance none.
+        if not (math.isfinite(self.mean_us) and 0.0 < self.var_us2 < math.inf):
+            raise ValueError(f"template for {self.kind} needs a finite mean and a positive "
+                             f"finite variance, got mean {self.mean_us}, variance "
+                             f"{self.var_us2} (constant samples carry no Gaussian profile)")
 
 
 def fit_template(kind, samples: Sequence[float]) -> GaussianTemplate:

@@ -492,7 +492,7 @@ def cmd_attack(cfg: argparse.Namespace) -> int:
                              float(cfg.clock_hz), int(cfg.input_swing_cycles))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    moments = {k.value: (model.class_mean_us(k), model.class_var_us(k)) for k in classes}
+    moments = {k.value: model.class_moments(k) for k in classes}
     unbounded = [k for k, m in moments.items() if not all(map(math.isfinite, m))]
     if unbounded:
         raise UsageError(f"the latency of {', '.join(unbounded)} has a non-finite mean or "

@@ -12,14 +12,14 @@ only its exp's argument; trace_eval returns the reference value, bit-equal
 to evaluate(kind, x, protected=False).
 
 check_uniformity records the same traces as trace_eval but resolves the
-kind and the traced callable once per grid, enters one errstate and one
-recording around a whole grid, and computes no reference value, since it
-reads only the opcodes.
+kind and the traced callable once per grid, enters one recording around a
+whole grid, and computes no reference value, since it reads only the
+opcodes.  Neither needs an errstate: a model's only arithmetic, its exp's
+argument, stays finite on every finite binary32 input.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -85,21 +85,6 @@ class WelchResult:
 
 # -- tracing -----------------------------------------------------------------
 
-def _tracer(kind: ActivationKind, protected: bool):
-    """What a trace of ``kind`` records, and the errstate to record it under.
-
-    A protected trace records the constant-time core itself.  An unprotected
-    trace records the instrumented model of the libm reference (see
-    activations.SPECS), with floating-point warnings off for the one
-    overflow a model can reach: the gelu model's binary32 square of its erf
-    argument, inf beyond about 2.6e19.
-    """
-    spec = SPECS[kind]
-    if protected:
-        return spec.core, contextlib.nullcontext()
-    return spec.model, np.errstate(all="ignore")
-
-
 def trace_eval(kind, x, protected: bool = True):
     """Evaluate one activation under the tracer.
 
@@ -109,10 +94,10 @@ def trace_eval(kind, x, protected: bool = True):
     shapes the trace while the returned value comes from the reference.
     """
     kind = ActivationKind(kind)
-    traced, quiet = _tracer(kind, protected)
+    spec = SPECS[kind]
     v = as_f32(x)
-    with recording() as ops, quiet:
-        value = traced(v)
+    with recording() as ops:
+        value = (spec.core if protected else spec.model)(v)
     if not protected:
         value = evaluate(kind, v, protected=False)  # libm: emits no ops
     return OpTrace(kind, protected, tuple(ops)), value
@@ -124,18 +109,19 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
     A kind is uniform when all traces match opcode-for-opcode.  Inputs whose
     trace differs from the canonical one are reported with their lengths.
     The traces are the ones trace_eval records, but no value is kept: the
-    reference of an unprotected kind is never evaluated, and one errstate
-    and one recording cover the whole grid rather than one per point; the
-    buffer is cleared after each point.
+    reference of an unprotected kind is never evaluated, and one recording
+    covers the whole grid rather than one per point; the buffer is cleared
+    after each point.
     """
     kind = ActivationKind(kind)
     points = list(grid)
     if not points:
         raise ValueError("grid must contain at least one point")
-    traced, quiet = _tracer(kind, protected)
+    spec = SPECS[kind]
+    traced = spec.core if protected else spec.model
     canonical = None
     deviating: list = []
-    with quiet, recording() as ops:
+    with recording() as ops:
         for x in points:
             traced(as_f32(x))
             if canonical is None:

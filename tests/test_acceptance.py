@@ -259,8 +259,9 @@ def test_criterion_09_template_fit_consistency():
     failures = []
     for kind in ATTACK_CLASSES:
         fitted = templates[kind]
-        mean_gap = abs(fitted.mean_us - model.class_mean_us(kind))
-        var_gap = abs(fitted.var_us2 - model.class_var_us(kind))
+        mean, var = model.class_moments(kind)
+        mean_gap = abs(fitted.mean_us - mean)
+        var_gap = abs(fitted.var_us2 - var)
         if mean_gap > 0.15:
             failures.append(f"{kind.value} mean off by {mean_gap:.3f} us")
         if var_gap > 1.5:

@@ -85,10 +85,31 @@ class TestDelaySpec:
         with pytest.raises(ValueError):
             DelaySpec(*spec)
 
+    @pytest.mark.parametrize("spec", [
+        ("uniform", True, 2.0), ("uniform", 0.0, np.True_),
+        ("truncated-gaussian", 0.0, 0.0, True, 1.0),
+        ("truncated-gaussian", 0.0, 0.0, 1.0, True),
+    ])
+    def test_bool_parameters_rejected(self, spec):
+        with pytest.raises(ValueError, match="bools"):
+            DelaySpec(*spec)
+
+    def test_truncated_gaussian_needs_moments_scipy_can_compute(self):
+        # Deep truncation: scipy returns a negative variance (and at a mean
+        # of -1e6 a mean of about 102), with warnings from its skew.
+        for mean_us in (-1000.0, -1e6):
+            with pytest.raises(ValueError, match="scipy"):
+                DelaySpec("truncated-gaussian", mean_us=mean_us, std_us=1.0)
+        for mean_us, std_us in ((-40.0, 1.0), (10.0, 4.0)):
+            mean, var = DelaySpec("truncated-gaussian", mean_us=mean_us,
+                                  std_us=std_us).moments()
+            assert mean > 0.0 and var > 0.0
+
     def test_uniform_moments(self):
         d = DelaySpec("uniform", low_us=2.0, high_us=8.0)
-        assert d.mean() == 5.0
-        assert d.variance() == pytest.approx(36.0 / 12.0)
+        mean, var = d.moments()
+        assert mean == 5.0
+        assert var == pytest.approx(36.0 / 12.0)
 
     def test_uniform_draw_range(self):
         d = DelaySpec("uniform", low_us=1.0, high_us=3.0)
@@ -99,8 +120,9 @@ class TestDelaySpec:
         d = DelaySpec("truncated-gaussian", mean_us=0.5, std_us=2.0)
         draws = d.draw(np.random.default_rng(0), 2000)
         assert draws.min() >= 0.0
-        assert d.mean() > 0.5  # truncation at zero pushes the mean up
-        assert abs(draws.mean() - d.mean()) < 0.15
+        mean, _ = d.moments()
+        assert mean > 0.5  # truncation at zero pushes the mean up
+        assert abs(draws.mean() - mean) < 0.15
 
     def test_truncated_gaussian_stream_and_moments_are_pinned(self):
         # Values recorded while scipy.stats was still imported at module
@@ -110,8 +132,9 @@ class TestDelaySpec:
         assert draws.tolist() == pytest.approx(
             [0.39100534059484804, 1.5500350093384825, 1.9217202813055174,
              0.08838153786225672, 0.4491498579271083], rel=1e-12)
-        assert d.mean() == pytest.approx(1.7916787420336346, rel=1e-12)
-        assert d.variance() == pytest.approx(1.6857266563615898, rel=1e-12)
+        mean, var = d.moments()
+        assert mean == pytest.approx(1.7916787420336346, rel=1e-12)
+        assert var == pytest.approx(1.6857266563615898, rel=1e-12)
 
 
 class TestCalibration:
@@ -122,17 +145,20 @@ class TestCalibration:
         assert d.high_us == pytest.approx(17.633824855022972, rel=1e-12)
         target_mean, target_var = DESYNC_CALIBRATION[RELU]
         base_us = BASE_CYCLES_DESYNC[RELU] / DEFAULT_CLOCK_HZ * 1e6
-        assert d.mean() + base_us == pytest.approx(target_mean, rel=1e-12)
-        assert d.variance() == pytest.approx(target_var, rel=1e-12)
+        mean, var = d.moments()
+        assert mean + base_us == pytest.approx(target_mean, rel=1e-12)
+        assert var == pytest.approx(target_var, rel=1e-12)
 
     def test_class_moments_near_calibration_targets(self):
         model = device_model()
         for kind, (mean_target, var_target) in DESYNC_CALIBRATION.items():
-            assert model.class_mean_us(kind) == pytest.approx(mean_target, rel=0.05)
-            assert model.class_var_us(kind) == pytest.approx(var_target, rel=0.05)
+            mean, var = model.class_moments(kind)
+            assert mean == pytest.approx(mean_target, rel=0.05)
+            assert var == pytest.approx(var_target, rel=0.05)
         # The relu row is matched exactly; it anchors the solve.
-        assert model.class_mean_us(RELU) == pytest.approx(9.964, rel=1e-12)
-        assert model.class_var_us(RELU) == pytest.approx(20.346, rel=1e-12)
+        mean, var = model.class_moments(RELU)
+        assert mean == pytest.approx(9.964, rel=1e-12)
+        assert var == pytest.approx(20.346, rel=1e-12)
 
 
 class TestDeviceModel:
@@ -195,7 +221,8 @@ class TestDeviceModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             device_model(input_swing_cycles=-1)
-        for clock_hz in (0.0, -1.0, math.nan, math.inf):
+        # A bool is no clock rate: True would build a 1 Hz clock.
+        for clock_hz in (0.0, -1.0, math.nan, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="clock_hz"):
                 device_model(clock_hz=clock_hz)
         # Latencies are whole cycles: no NaN, fraction, bool or infinity.
@@ -210,7 +237,7 @@ class TestDeviceModel:
         for cycles in (12, 12.0, np.int64(12), np.uint16(12)):
             model = DeviceTimingModel({RELU: cycles, TANH: 403}, delay,
                                       input_swing_cycles=np.int32(7))
-            assert model.class_mean_us(RELU) == device_model(classes=[RELU]).class_mean_us(RELU)
+            assert model.class_moments(RELU) == device_model(classes=[RELU]).class_moments(RELU)
 
     def test_device_model_builds_each_countermeasure(self):
         desync = device_model(classes=[TANH, RELU], input_swing_cycles=7)
@@ -277,6 +304,14 @@ class TestTemplates:
             with pytest.raises(ValueError, match="must be finite"):
                 fit_template(SIGMOID, [1.0, bad, 2.0])
 
+    def test_non_finite_template_moments_rejected(self):
+        # A NaN mean would win every argmax; an infinite variance scores
+        # -inf and could never win.
+        for mean_us, var_us2 in ((math.nan, 20.0), (math.inf, 20.0), (12.0, math.inf),
+                                 (12.0, math.nan), (12.0, 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianTemplate(SIGMOID, mean_us, var_us2, 2)
+
     def test_constant_samples_rejected_despite_rounding(self):
         # 10,000 equal latencies: np.var(ddof=1) rounds to about 3e-30, not 0.
         samples = np.full(10_000, 88 / 84e6 * 1e6 + 5.0)
@@ -331,9 +366,9 @@ class TestTemplates:
         small = profile_phase(model, THREE_CLASSES, 100, rng)
         large = profile_phase(model, THREE_CLASSES, 10000, rng)
         for kind in THREE_CLASSES:
-            mu = model.class_mean_us(kind)
+            mu, var = model.class_moments(kind)
             assert abs(large[kind].mean_us - mu) < 0.15
-            assert abs(large[kind].var_us2 - model.class_var_us(kind)) < 1.5
+            assert abs(large[kind].var_us2 - var) < 1.5
             assert abs(small[kind].mean_us - mu) < 1.5  # coarse but unbiased
 
 

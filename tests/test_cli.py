@@ -312,6 +312,9 @@ class TestUsageErrors:
         ("attack", "--delay-mean", "3"),
         ("attack", "--delay-low", "0", "--delay-high", "1e300"),  # variance overflows
         ("attack", "--clock-hz", "1e-300"),  # latencies overflow
+        # scipy gives this delay a negative variance
+        ("attack", "--delay-dist", "truncated-gaussian", "--delay-mean", "-1000",
+         "--delay-std", "1"),
     ])
     def test_exit_code_two(self, argv, tmp_path):
         out = tmp_path / "new" / "sub"

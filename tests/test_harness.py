@@ -134,20 +134,20 @@ class TestUniformity:
         assert outer == []
 
     def test_unprotected_check_restores_the_error_state(self):
-        with np.errstate(all="warn"):  # not the check's own all-ignore state
+        with np.errstate(all="warn"):  # not numpy's default state
             before = np.geterr()
             check_uniformity(ActivationKind.TANH, SMALL_GRID, protected=False)
             assert np.geterr() == before
-            # A non-finite point raises midway through the grid, inside the errstate.
+            # A non-finite point raises midway through the grid, inside the recording.
             with pytest.raises(ValueError):
                 check_uniformity(ActivationKind.TANH, [1.0, 500.0, float("inf"), 2.0],
                                  protected=False)
             assert np.geterr() == before
 
     def test_unprotected_wide_grid_check_lets_no_warning_escape(self):
-        # No model computes a value that overflows on the wide grid: gelu's
-        # square of its erf argument, the one product that can, does so
-        # only beyond about 2.6e19.
+        # No model computes a value that overflows: gelu's square of its erf
+        # argument, the one product that could beyond about 2.6e19, has its
+        # operand capped.
         grid = inclusive_grid(*GRID_WIDE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -347,8 +347,8 @@ class TestLeafOps:
     def test_model_blocks(self, leaf, composed):
         # The models branch on values, so they take scalars only, and they
         # return no value: only their tags are compared.  +-inf (exp) and
-        # +-FLT_MAX (erf, whose square is inf) run to the halving cap; NaN
-        # halves no time.
+        # +-FLT_MAX (erf, whose capped square halves as often as the
+        # composed one's inf) run to the halving cap; NaN halves no time.
         def tags(f, x):
             with recording() as ops:
                 f(x)
@@ -573,7 +573,8 @@ def _model_inputs() -> np.ndarray:
 # sha256 over every kind's model trace at every _model_inputs() point, kinds
 # in ActivationKind order, each trace hashed as "|".join(ops) + "\n".
 # Recorded at the helper-composed models, before their blocks became leaf
-# ops; 3e19 and FLT_MAX square to inf in the erf model.
+# ops, when 3e19 and FLT_MAX squared to inf in the erf model; their capped
+# squares halve the same 129 times.
 MODEL_TRACES_DIGEST = "2b56c15664506b3858082e5d74c0b61440f5bf55f2793fa8343dd7f1ab21a05e"
 
 
@@ -592,12 +593,14 @@ def test_model_traces_are_pinned_tag_for_tag():
 @pytest.mark.parametrize("kind", list(ActivationKind))
 def test_models_raise_no_floating_point_error_on_the_grids(kind):
     # A model computes only the arguments of its exp's halving loop, and
-    # none of them overflows or is invalid on the canonical grids.
+    # none of them overflows or is invalid on the canonical grids or at the
+    # extremes, FLT_MAX included: the erf model caps its square's operand.
+    # Underflow (gelu's square of a subnormal) is the subnormal-latency
+    # question, not an error here.
     model = SPECS[kind].model
-    with np.errstate(all="raise"), recording():
-        for grid in (GRID_DENSE, GRID_WIDE):
-            for x in inclusive_grid(*grid):
-                model(x)
+    with np.errstate(all="raise", under="ignore"), recording():
+        for x in _model_inputs():
+            model(x)
 
 
 def _core_output_blocks():
@@ -665,8 +668,8 @@ class TestRecorderScope:
             pass
         f_add(np.float32(1), np.float32(2))
         SPECS[ActivationKind.GELU].core(np.float32(0.5))
-        # A model outside a recording does no arithmetic at all, so even
-        # gelu's at -FLT_MAX, whose erf square overflows, cannot raise.
+        # A model outside a recording does no arithmetic at all, so none
+        # can raise, not even at -FLT_MAX.
         with np.errstate(all="raise"):
             for spec in SPECS.values():
                 for x in (np.float32(0.5), -FLT_MAX):

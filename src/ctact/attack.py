@@ -39,6 +39,7 @@ draw, is the same as if they had been drawn.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -319,12 +320,18 @@ def fit_template(kind, samples: Sequence[float]) -> GaussianTemplate:
     n = values.size
     if n < 2:
         raise ValueError("profiling needs at least 2 samples")
-    if not np.isfinite(values).all():
+    # A NaN or infinite sample makes the sum non-finite, so the samples are
+    # checked one by one only then.  inf + -inf is NaN, with no warning; an
+    # overflowing sum of finite samples still warns, and the template
+    # rejects its infinite mean.
+    with np.errstate(invalid="ignore"):
+        total = values.sum()
+    if not math.isfinite(total) and not np.isfinite(values).all():
         raise ValueError(f"profiling samples for {kind} must be finite")
-    if not np.ptp(values) > 0.0:
+    if not values.max() > values.min():
         raise ValueError(f"degenerate profile for {kind}: all {n} samples "
                          f"equal (constant samples carry no Gaussian profile)")
-    mean = values.sum() / n
+    mean = total / n
     dev = values - mean
     dev *= dev
     return GaussianTemplate(ActivationKind(kind), float(mean), float(dev.sum() / (n - 1)), n)
@@ -392,10 +399,15 @@ def run_attack(model: DeviceTimingModel, templates: Mapping, true_kind,
     kinds = list(templates)
     scores = np.empty((len(kinds), n_measurements))
     for row, template in zip(scores, templates.values()):
-        row[:] = score_increment(template, observed)
+        # score_increment's operations, in its order, written into the row.
+        np.subtract(observed, template.mean_us, out=row)
+        np.multiply(row, row, out=row)
+        np.divide(row, template.var_us2, out=row)
+        np.add(row, math.log(template.var_us2), out=row)
+        np.negative(row, out=row)
     np.cumsum(scores, axis=1, out=scores)
     true_row = kinds.index(true_kind)
-    rivals = np.delete(scores, true_row, axis=0).max(axis=0)
+    rivals = functools.reduce(np.maximum, (row for i, row in enumerate(scores) if i != true_row))
     lead = scores[true_row] > rivals
     if lead[-1]:
         behind = np.nonzero(~lead)[0]

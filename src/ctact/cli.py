@@ -45,7 +45,7 @@ import re
 import statistics
 import sys
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -267,37 +267,113 @@ def _f32_json(value) -> float:
     raise TypeError(f"{type(value).__name__} {value!r} is not an artifact value")
 
 
+def _is_cell(column) -> bool:
+    """A column given as one cell for every row of its block: a str or a non-iterable."""
+    return isinstance(column, str) or not hasattr(column, "__iter__")
+
+
+def _block_rows(block) -> int:
+    """The rows of a column block: the length its sized per-row columns share."""
+    per_row = [column for column in block if not _is_cell(column)]
+    if not per_row:
+        return 1
+    sizes = {len(column) for column in per_row if hasattr(column, "__len__")}
+    if len(sizes) != 1:
+        raise ValueError("the per-row columns of a block need one length, "
+                         "and at least one of them a len()")
+    return sizes.pop()
+
+
+def _cells(column, lo: int, hi: int):
+    """The rendered cells of rows lo to hi of a per-row column."""
+    if not hasattr(column, "__len__"):  # an iterator, read in row order
+        return map(str, islice(column, hi - lo))
+    part = column[lo:hi]
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        return repr(part.tolist())[1:-1].split(", ")
+    return map(str, part)
+
+
+def _csv_blocks(header, blocks):
+    """Yield ``(rows, pieces)``: the header, then each block's rows rendered
+    into cells and separators, at most ``_CSV_BLOCK_ROWS`` rows at a time."""
+    separators = (",",) * (len(header) - 1) + ("\n",)
+    for block in chain((header,), blocks):
+        if len(block) != len(header):
+            raise ValueError(f"a block has {len(block)} columns, the header {len(header)}")
+        n = _block_rows(block)
+        # A run of constant cells and their separators is one literal piece;
+        # a per-row column is one piece per row.
+        pieces, literal = [], ""
+        for column, sep in zip(block, separators):
+            if _is_cell(column):
+                literal += str(column) + sep
+                continue
+            if literal:
+                pieces.append(literal)
+            pieces.append(column if hasattr(column, "__len__") else iter(column))
+            literal = sep
+        pieces.append(literal)
+        stride = len(pieces)
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            m = min(n - lo, _CSV_BLOCK_ROWS)
+            out = [None] * (stride * m)
+            for i, piece in enumerate(pieces):
+                out[i::stride] = ([piece] * m if isinstance(piece, str)
+                                  else _cells(piece, lo, lo + m))
+            yield m, out
+
+
+def _expand(block):
+    """The rows of a column block, each a tuple of its cells."""
+    n = _block_rows(block)
+    return zip(*[repeat(column, n) if _is_cell(column) else column for column in block])
+
+
 def _write(path: Path, payload, header=None) -> None:
     """Write one artifact; the file suffix picks CSV or JSON.
 
-    A header makes ``payload`` a table: any iterable of rows, written as CSV
-    rows or as one JSON object per row.
-    Binary32 values travel as ``np.float32`` cells and are rendered only here,
-    as the shortest decimal that parses back to the same binary32 value.
+    A header makes ``payload`` a table: an iterable of column blocks.  A
+    block is a run of rows given as one column per header field.  A column
+    is either one cell, the same on every row of the block (a ``str`` or
+    any value that is not iterable), or a sequence with one cell per row
+    (a list, tuple, range, ndarray, or an iterator; an iterator needs a
+    sized column beside it, whose length is the block's row count).  A
+    block with no per-row column is one row, so a row tuple of cells is a
+    block too.  In JSON the blocks expand back to one object per row.
+    Binary32 values travel as ``np.float32`` cells and are rendered only
+    here, as the shortest decimal that parses back to the same binary32
+    value.
 
-    A CSV row is a tuple rendered through one ``"%s,...,%s\\n"`` template,
-    which gives the bytes ``csv.writer(lineterminator="\\n")`` gives for the
-    cell types the commands pass: ``str`` and ``int`` (``bool`` as
-    ``True``/``False``) as ``str``; a Python ``float`` as its shortest
+    CSV renders a block column by column, never a row at a time, in runs
+    of at most ``_CSV_BLOCK_ROWS`` rows: a constant cell once per block,
+    merged with its constant neighbours and separators into one piece; a
+    float64 ndarray through one ``repr`` of its ``tolist()`` per run; any
+    other sequence through ``map(str, ...)``.  Each run's pieces are
+    interleaved into one list by slice assignment, joined once and written
+    once, so memory does not grow with the table.  ``str`` gives the bytes that
+    ``csv.writer(lineterminator="\\n")`` gives for every cell type the
+    commands pass: ``str`` and ``int`` (``bool`` as ``True``/``False``)
+    as themselves; a Python or float64 ``float`` as its shortest
     round-trip ``repr`` (``-0.0``, ``inf``, ``1e-05``, ``1e+16``); an
-    ``np.float32`` as its shortest binary32 ``str``.  No field is quoted: a
-    cell holding ``,``, ``"``, ``\\n`` or ``\\r`` would need quoting, so it
-    raises ``ValueError`` instead of writing a malformed row.
+    ``np.float32`` as its shortest binary32 ``str``.  No field is quoted:
+    a cell holding ``,``, ``"``, ``\\n`` or ``\\r`` would need quoting, so
+    it raises ``ValueError`` instead of writing a malformed row.  So does
+    a block whose columns disagree on its row count.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if path.suffix == ".csv":
-            line = ",".join(["%s"] * len(header)) + "\n"
-            lines = map(line.__mod__, chain((header,), payload))
-            while block := list(islice(lines, _CSV_BLOCK_ROWS)):
-                text = "".join(block)
-                if (text.count("\n") != len(block)
-                        or text.count(",") != len(block) * (len(header) - 1)
+            for rows, pieces in _csv_blocks(header, payload):
+                text = "".join(pieces)
+                if (text.count("\n") != rows
+                        or text.count(",") != rows * (len(header) - 1)
                         or '"' in text or "\r" in text):
                     raise ValueError(f"{path.name}: a cell holds a comma, quote or line "
                                      f"break, which CSV would have to quote")
                 fh.write(text)
         else:
-            rows = [dict(zip(header, row)) for row in payload] if header else payload
+            rows = ([dict(zip(header, row)) for block in payload for row in _expand(block)]
+                    if header else payload)
             json.dump(rows, fh, indent=2, sort_keys=True, default=_f32_json)
             fh.write("\n")
 
@@ -362,7 +438,8 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
         grid = inclusive_grid(*spec)
         # The input cells, rendered once per grid and shared by all its reports:
         # str of an np.float32 is the shortest binary32 decimal _write gives it.
-        points = list(zip(map(str, grid), grid.tolist())) if cfg.format == "csv" else ()
+        inputs = list(map(str, grid)) if cfg.format == "csv" else ()
+        values = grid.tolist()
         reports = []
         lengths = set()
         for protected in ((True, False) if cfg.include_unprotected else (True,)):
@@ -374,12 +451,12 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
                 if cfg.format == "csv":
                     # Per-input lengths reconstruct exactly from the report:
                     # everything off the deviating list matched the canonical
-                    # trace, so no second tracing pass is needed.  The cells
-                    # constant over the report are rendered once.
-                    deviating = {v: str(n) for v, n in report.deviating_inputs}
-                    prefix = tuple(map(str, (kind.value, int(protected), *spec)))
+                    # trace, so no second tracing pass is needed, and a
+                    # uniform report's length is one cell for all its rows.
+                    cells = {v: str(n) for v, n in report.deviating_inputs}
                     canonical = str(report.canonical_length)
-                    table += [prefix + (x, deviating.get(v, canonical)) for x, v in points]
+                    trace_len = map(cells.get, values, repeat(canonical)) if cells else canonical
+                    table.append((kind.value, int(protected), *spec, inputs, trace_len))
         aligned = len(lengths) == 1 and all(r.uniform for r in reports if r.protected)
         ok = ok and aligned
         label = f"[{spec.lo}, {spec.hi}] step {spec.step}"
@@ -430,12 +507,11 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
     samples, summary = [], []
     for protected in modes:
         for kind in kinds:
-            group = [(kind.value, int(protected), np.float32(s.input), s.repetition,
-                      s.elapsed_ns)
-                     for spec in grids
-                     for s in measure_host(kind, inclusive_grid(*spec), reps, protected)]
-            samples += group
-            values = [row[-1] for row in group]
+            group = [measure_host(kind, inclusive_grid(*spec), reps, protected) for spec in grids]
+            samples += [(kind.value, int(protected), [np.float32(s.input) for s in run],
+                         [s.repetition for s in run], [s.elapsed_ns for s in run])
+                        for run in group]
+            values = [s.elapsed_ns for run in group for s in run]
             summary.append((kind.value, protected, len(values), min(values),
                             statistics.fmean(values), float(statistics.median(values)),
                             statistics.stdev(values) if len(values) > 1 else 0.0,
@@ -509,11 +585,10 @@ def cmd_attack(cfg: argparse.Namespace) -> int:
         int(cfg.trials), int(cfg.seed), keep_history_trials=int(cfg.history_trials),
     )
 
-    table = chain.from_iterable(
-        zip(repeat(true_kind.value), repeat(trial), count(1),
-            repeat(kind.value), result.score_history[kind].tolist())
-        for (true_kind, trial), result in results.items()
-        if result.score_history is not None for kind in classes)
+    table = ((true_kind.value, trial, range(1, result.n_measurements + 1), kind.value,
+              result.score_history[kind])
+             for (true_kind, trial), result in results.items()
+             if result.score_history is not None for kind in classes)
     _write(scores_path, table, _ATTACK_HEADER)
 
     per_class = {}

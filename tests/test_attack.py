@@ -304,6 +304,21 @@ class TestTemplates:
             with pytest.raises(ValueError, match="must be finite"):
                 fit_template(SIGMOID, [1.0, bad, 2.0])
 
+    @pytest.mark.parametrize("samples", [
+        [1.0, math.nan, 2.0], [1.0, math.inf, 2.0], [-math.inf, 1.0, 2.0],
+        [1.0, math.inf, -math.inf],  # the sum is NaN, not infinite
+    ], ids=["nan", "inf", "-inf", "inf-and-minus-inf"])
+    def test_non_finite_sums_fall_back_to_the_per_sample_check(self, samples):
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_template(SIGMOID, samples)
+
+    def test_finite_samples_whose_sum_overflows_reach_the_template_check(self):
+        # Every sample is finite, so the per-sample check passes; the
+        # overflowed mean is the template's to reject, as before.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="finite mean"):
+                fit_template(SIGMOID, [1e308] * 20 + [1.0])
+
     def test_non_finite_template_moments_rejected(self):
         # A NaN mean would win every argmax; an infinite variance scores
         # -inf and could never win.
@@ -372,7 +387,40 @@ class TestTemplates:
             assert abs(small[kind].mean_us - mu) < 1.5  # coarse but unbiased
 
 
+def oracle_attack(model, templates, true_kind, n_measurements, rng):
+    """run_attack written out plainly: score_increment per template, then np.delete."""
+    observed = model.observe(true_kind, n_measurements, rng)
+    kinds = list(templates)
+    scores = np.empty((len(kinds), n_measurements))
+    for row, template in zip(scores, templates.values()):
+        row[:] = score_increment(template, observed)
+    np.cumsum(scores, axis=1, out=scores)
+    true_row = kinds.index(true_kind)
+    lead = scores[true_row] > np.delete(scores, true_row, axis=0).max(axis=0)
+    separation_n = None
+    if lead[-1]:
+        behind = np.nonzero(~lead)[0]
+        separation_n = 1 if behind.size == 0 else int(behind[-1]) + 2
+    return scores, separation_n, kinds[int(np.argmax(scores[:, -1]))]
+
+
 class TestRunAttack:
+    @pytest.mark.parametrize("classes", [[RELU, TANH], THREE_CLASSES], ids=["two", "three"])
+    @pytest.mark.parametrize("countermeasure", ["desync", "constant-time"])
+    def test_matches_the_plain_formulation_bit_for_bit(self, classes, countermeasure):
+        model = device_model(countermeasure, classes)
+        for seed, true_kind in enumerate(classes * 2):
+            for n in (1, 37, 3000):
+                templates = profile_phase(model, classes, 300, np.random.default_rng(seed))
+                result = run_attack(model, templates, true_kind, n,
+                                    np.random.default_rng([seed, n]))
+                scores, separation_n, final_argmax = oracle_attack(
+                    model, templates, true_kind, n, np.random.default_rng([seed, n]))
+                got = np.stack(list(result.score_history.values()))
+                assert got.tobytes() == scores.tobytes()
+                assert result.separation_n == separation_n
+                assert result.final_argmax == final_argmax
+
     def test_immediate_separation_when_classes_are_far_apart(self):
         quiet = DelaySpec("uniform", low_us=0.0, high_us=0.001)
         model = device_model(delay=quiet)

@@ -215,6 +215,29 @@ class TestAttackCommand:
         assert run("attack", *argv, "--trials", "1", "--n-prof", "200", "--n-max", "20",
                    "--out", str(tmp_path)) == 0
 
+    def test_a_score_history_longer_than_a_write_block(self, tmp_path):
+        n_max = 1300
+        assert n_max > 2 * cli._CSV_BLOCK_ROWS
+        argv = ("attack", "--n-max", str(n_max), "--trials", "2", "--n-prof", "300")
+        assert run(*argv, "--out", str(tmp_path / "a")) == 0
+        with open(tmp_path / "a" / "attack_scores.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["true_kind", "trial", "n", "class", "score"]
+        model = device_model()  # the command's defaults, seed 0 included
+        results = attack_experiment(model, list(model.base_cycles), 300, n_max, 2, 0)
+        histories = {}
+        for true_kind, trial, n, kind, score in rows:
+            histories.setdefault((true_kind, trial, kind), []).append((int(n), float(score)))
+        assert len(histories) == 3 * 3  # kept trial 0 of each true class, per class
+        for (true_kind, trial, kind), history in histories.items():
+            assert trial == "0"
+            assert [n for n, _ in history] == list(range(1, n_max + 1))
+            expected = results[(ActivationKind(true_kind), 0)].score_history[ActivationKind(kind)]
+            assert np.array([s for _, s in history]).tobytes() == expected.tobytes()
+        assert run(*argv, "--history-trials", "0", "--out", str(tmp_path / "b")) == 0
+        assert ((tmp_path / "b" / "attack_scores.csv").read_text()
+                == "true_kind,trial,n,class,score\n")
+
     def test_config_defaults_are_the_model_defaults(self):
         _, _, options = cli._COMMANDS["attack"]
         defaults, model = {o.name: o.default for o in options}, device_model()
@@ -368,11 +391,88 @@ class TestWriter:
             writer.writerows(table)
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_column_blocks_match_csv_writer_for_every_cell_type(self, tmp_path):
+        # Each column is one cell for every row of its block, or one cell per
+        # row; blocks of 1,300 and 700 rows cross the 512-row write blocks.
+        f32 = np.array([-0.0, 1e-45, np.finfo(np.float32).max, 0.1, -2.5], dtype=np.float32)
+        floats = [-0.0, float("inf"), 1e-05, 1e16, 0.30000000000000004]
+        f64 = np.array(floats + [float("-inf"), 5e-324, -1.5e300])
+        ints = np.array([0, -7, 2**62, 12, 5], dtype=np.int64)
+        wide, narrow = 1300, 700
+        per_row = {  # column -> its cells as a list, tiled to the block length
+            "f32": lambda n: list(np.resize(f32, n)),
+            "floats": lambda n: (floats * n)[:n],
+            "f64": lambda n: np.resize(f64, n),
+            "ints": lambda n: np.resize(ints, n),
+            "bools": lambda n: [bool(i % 3) for i in range(n)],
+            "strs": lambda n: [f"s{i}" for i in range(n)],
+        }
+        blocks = [
+            ("relu", per_row["ints"](wide), per_row["f64"](wide), np.float32(-0.0),
+             per_row["floats"](wide), iter(per_row["bools"](wide))),
+            (per_row["strs"](narrow), 10**20, True, -0.0, per_row["f32"](narrow),
+             range(1, narrow + 1)),
+            ("", 7, False, float("inf"), 1e-05, np.float32(1e-45)),  # one row
+            ("tanh", [], np.empty(0), 0.5, [], iter([])),  # no rows
+            ("gelu", iter(per_row["strs"](3)), [0.1, 0.2, 0.3], np.float32(0.1),
+             np.float32(np.finfo(np.float32).max), per_row["f64"](3)),
+        ]
+        rows_of = [  # the same blocks, expanded row by row
+            (blocks[0][0], i, x, blocks[0][3], y, b) for i, x, y, b in zip(
+                per_row["ints"](wide), per_row["f64"](wide).tolist(),
+                per_row["floats"](wide), per_row["bools"](wide))
+        ] + [
+            (s, 10**20, True, -0.0, f, n) for s, f, n in zip(
+                per_row["strs"](narrow), per_row["f32"](narrow), range(1, narrow + 1))
+        ] + [blocks[2]] + [
+            ("gelu", s, x, np.float32(0.1), np.float32(np.finfo(np.float32).max), y)
+            for s, x, y in zip(per_row["strs"](3), [0.1, 0.2, 0.3], per_row["f64"](3).tolist())
+        ]
+        assert (wide + narrow + 1 + 3) % cli._CSV_BLOCK_ROWS != 0
+        header = ("a", "b", "c", "d", "e", "f")
+        cli._write(tmp_path / "t.csv", iter(blocks), header)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows_of)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("table", [[], [("relu", [], np.empty(0))]], ids=["none", "empty"])
+    def test_a_table_without_rows_writes_its_header(self, tmp_path, table):
+        cli._write(tmp_path / "t.csv", table, ("kind", "n", "score"))
+        assert (tmp_path / "t.csv").read_text() == "kind,n,score\n"
+
+    def test_json_tables_expand_blocks_into_rows(self, tmp_path):
+        table = [("relu", range(1, 3), np.float32(0.5)), ("tanh", 3, np.float32(0.25))]
+        cli._write(tmp_path / "t.json", table, ("kind", "n", "x"))
+        assert read_json(tmp_path / "t.json") == [
+            {"kind": "relu", "n": 1, "x": 0.5}, {"kind": "relu", "n": 2, "x": 0.5},
+            {"kind": "tanh", "n": 3, "x": 0.25}]
+
     @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r", ","])
     def test_cells_that_csv_would_quote_are_rejected(self, tmp_path, cell):
         table = [("relu", 1, 0.5)] * 3 + [("relu", cell, 0.5)]
         with pytest.raises(ValueError, match="quote"):
             cli._write(tmp_path / "t.csv", iter(table), ("kind", "detail", "x"))
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r", ","])
+    def test_quoting_cells_are_rejected_in_either_column_form(self, tmp_path, cell):
+        header = ("kind", "detail", "x")
+        constant = [("relu", cell, np.arange(600.0))]
+        per_row = [("relu", ["ok"] * 599 + [cell], np.arange(600.0))]
+        for table in (constant, per_row):
+            with pytest.raises(ValueError, match="quote"):
+                cli._write(tmp_path / "t.csv", table, header)
+
+    @pytest.mark.parametrize("block", [
+        ("relu", [1, 2, 3], np.zeros(2)),      # two sized columns disagree
+        ("relu", [1, 2, 3], iter([1])),        # an iterator stops short
+        ("relu", iter([1, 2]), iter([1, 2])),  # no sized column gives the row count
+        ("relu", 1),                           # fewer columns than the header
+    ])
+    def test_blocks_of_inconsistent_shape_are_rejected(self, tmp_path, block):
+        with pytest.raises(ValueError):
+            cli._write(tmp_path / "t.csv", [block], ("kind", "n", "x"))
 
 
 class TestOutputProtection:

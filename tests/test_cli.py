@@ -392,49 +392,38 @@ class TestWriter:
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_column_blocks_match_csv_writer_for_every_cell_type(self, tmp_path):
-        # Each column is one cell for every row of its block, or one cell per
-        # row; blocks of 1,300 and 700 rows cross the 512-row write blocks.
-        f32 = np.array([-0.0, 1e-45, np.finfo(np.float32).max, 0.1, -2.5], dtype=np.float32)
-        floats = [-0.0, float("inf"), 1e-05, 1e16, 0.30000000000000004]
-        f64 = np.array(floats + [float("-inf"), 5e-324, -1.5e300])
-        ints = np.array([0, -7, 2**62, 12, 5], dtype=np.int64)
-        wide, narrow = 1300, 700
-        per_row = {  # column -> its cells as a list, tiled to the block length
-            "f32": lambda n: list(np.resize(f32, n)),
-            "floats": lambda n: (floats * n)[:n],
-            "f64": lambda n: np.resize(f64, n),
-            "ints": lambda n: np.resize(ints, n),
-            "bools": lambda n: [bool(i % 3) for i in range(n)],
-            "strs": lambda n: [f"s{i}" for i in range(n)],
-        }
+        # Each column is one cell for its whole block or one cell per row;
+        # blocks of 1,300 and 700 rows cross the 512-row write runs.
+        f32_max = np.finfo(np.float32).max
+        floats = [-0.0, float("inf"), 1e-05, 1e16, 0.30000000000000004, float("-inf"), 5e-324]
+        f32 = [np.float32(v) for v in (-0.0, 1e-45, f32_max, 0.1, -2.5)]
+        ints = np.array([0, -7, 2**62, 12], dtype=np.int64)
+
+        def tile(cells, n):
+            return [cells[i % len(cells)] for i in range(n)]
+
         blocks = [
-            ("relu", per_row["ints"](wide), per_row["f64"](wide), np.float32(-0.0),
-             per_row["floats"](wide), iter(per_row["bools"](wide))),
-            (per_row["strs"](narrow), 10**20, True, -0.0, per_row["f32"](narrow),
-             range(1, narrow + 1)),
+            ("relu", np.resize(ints, 1300), np.array(tile(floats, 1300)), np.float32(-0.0),
+             tile(floats[::-1], 1300), tile([True, False, False], 1300)),
+            (tile(["s", "t1", ""], 700), 10**20, True, -0.0, tile(f32, 700), range(1, 701)),
             ("", 7, False, float("inf"), 1e-05, np.float32(1e-45)),  # one row
-            ("tanh", [], np.empty(0), 0.5, [], iter([])),  # no rows
-            ("gelu", iter(per_row["strs"](3)), [0.1, 0.2, 0.3], np.float32(0.1),
-             np.float32(np.finfo(np.float32).max), per_row["f64"](3)),
+            ("tanh", [], np.empty(0), 0.5, [], range(0)),  # no rows
+            ("gelu", ["a", "b"], -0.0, 1e16, np.float32(f32_max), np.array([0.1, -0.0])),
         ]
-        rows_of = [  # the same blocks, expanded row by row
-            (blocks[0][0], i, x, blocks[0][3], y, b) for i, x, y, b in zip(
-                per_row["ints"](wide), per_row["f64"](wide).tolist(),
-                per_row["floats"](wide), per_row["bools"](wide))
-        ] + [
-            (s, 10**20, True, -0.0, f, n) for s, f, n in zip(
-                per_row["strs"](narrow), per_row["f32"](narrow), range(1, narrow + 1))
-        ] + [blocks[2]] + [
-            ("gelu", s, x, np.float32(0.1), np.float32(np.finfo(np.float32).max), y)
-            for s, x, y in zip(per_row["strs"](3), [0.1, 0.2, 0.3], per_row["f64"](3).tolist())
-        ]
-        assert (wide + narrow + 1 + 3) % cli._CSV_BLOCK_ROWS != 0
+        expected = []
+        for block in blocks:
+            sequences = (list, range, np.ndarray)
+            n = max((len(c) for c in block if isinstance(c, sequences)), default=1)
+            expected += zip(*(c.tolist() if isinstance(c, np.ndarray) else
+                              c if isinstance(c, sequences) else [c] * n for c in block))
+        assert len(expected) == 1300 + 700 + 1 + 2
+        blocks[0] = blocks[0][:-1] + (iter(blocks[0][-1]),)  # read in row order
         header = ("a", "b", "c", "d", "e", "f")
         cli._write(tmp_path / "t.csv", iter(blocks), header)
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows_of)
+            writer.writerows(expected)
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("table", [[], [("relu", [], np.empty(0))]], ids=["none", "empty"])

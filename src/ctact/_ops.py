@@ -21,37 +21,37 @@ scalars, or arrays of the same dtypes.  Array inputs follow the exact same
 code path and emit the exact same opcode sequence as scalars; elementwise
 results are bit-identical to repeated scalar calls.
 
-The fixed-shape blocks the kernels share are leaf ops: each records its
-fixed tag tuple with one ``extend`` and computes its result with plain numpy
-arithmetic, rather than making one recorded call per operation.  The blocks
-that work on encodings take and return bit words, not values:
+Each fixed-shape block the kernels share is written twice, side by side:
+its program spells it out on values in one-tag ops (``f_add``, ``f_mul``
+and the private ones below, whose bitcasts are numpy views), and its leaf
+op, which the kernels call, records the tags the program recorded once at
+import, with one ``extend``, and computes the same bits with plain numpy.
+So each op sequence is stated once, in its program; ``pade`` and
+``activations`` write the rational core, the pads and the kernels the
+same way, and ``TestLeafOps`` in ``tests/test_ops.py`` checks every leaf
+op and kernel against its program.  The leaf ops on encodings take and
+return bit words, not values:
 
 * ``_select_above(a, b, x, t)``: the word ``b`` where x > t and ``a``
   elsewhere, a compare of values spread into an all-ones or all-zeros lane
-  mask, then a branchless two-way select of two words (CMP, MASK, 7 tags);
+  mask, then a branchless two-way select of two words;
 * ``_saturate(w, x, bound, low, high)``: two such selects on x, the word
-  ``low`` where x is below a ``Bound`` and ``high`` where it is above (18
-  tags); a kernel's saturation tail, and, with the bound's own ends as
-  ``low`` and ``high``, its clamp;
-* ``_abs(w)`` and ``_sign(w)``: sign-bit clear and sign transfer (3 and 4).
+  ``low`` where x is below a ``Bound`` and ``high`` where it is above; a
+  kernel's saturation tail, and, with the bound's own ends as ``low`` and
+  ``high``, its clamp;
+* ``_abs(w)`` and ``_sign(w)``: sign-bit clear and sign transfer.
 
-Each of them records the bitcasts of the block it models, in and out, but
-its body does no cast: the kernel casts through the one ``(bits, value)``
+Each of them records the bitcasts of its program, in and out, but its
+body does no cast: the kernel casts through the one ``(bits, value)``
 pair ``_casts`` picks for its operands, at most once per value and once per
 word, and hands the words on.  So x is cast once, however many blocks read
 its word; a ``Bound`` holds its endpoints' words, built once per interval
 rather than once per call; and a word that feeds another select or a
 saturation tail is never turned into a value in between.
 
-The rational core (``pade._rational_tanh``) and the kernels' dummy
-arithmetic (``activations._burn``) are leaf ops too; they live with the code
-they serve and record through this module's recorder, ``_active``.  The tags
-and result bits of every leaf op equal those of its composition of one-tag
-operations in the test reference module, ``tests/reference_ops.py``, which
-``TestLeafOps`` in ``tests/test_ops.py`` checks on scalars and arrays.
 Each leaf body of a constant-time kernel is straight-line code: it never
 branches on a value.  The instrumented models of the unprotected references
-(``activations.SPECS``) record through ``_active`` as well, but compute no
+(``activations.SPECS``) record through ``_active`` too, but compute no
 value: they record the tags of the branchy code they model, and the only
 arithmetic they do is the argument of their exp's data-dependent loop.  Every
 cast is picked, scalar or array, by the operands' types, never by their
@@ -70,6 +70,8 @@ digits, which a timing test such as dudect would see.
 from __future__ import annotations
 
 import contextvars
+import functools
+import operator
 import struct
 from typing import NamedTuple
 
@@ -115,15 +117,7 @@ _scalar_from_bytes = np.float32(0).__reduce__()[0]
 _F32_SCALAR = np.float32
 _ZERO_BITS = np.uint32(0)  # encoding of +0.0
 _ONE_BITS = np.uint32(0x3F800000)  # encoding of +1.0
-
-# Tag tuples of the leaf ops: one tag per bitcast and bit operation, in order.
-# A compare-then-select is the compare spread into a mask (CMP, MASK), then
-# the select: two casts in, NOT, two ANDs, OR, one cast out.
-_SELECT_ABOVE_OPS = (OP_CMP, OP_MASK,
-                     OP_BITCAST, OP_BITCAST, OP_NOT, OP_AND, OP_AND, OP_OR, OP_BITCAST)
-_SATURATE_OPS = _SELECT_ABOVE_OPS * 2
-_ABS_OPS = (OP_BITCAST, OP_AND, OP_BITCAST)
-_SIGN_OPS = (OP_BITCAST, OP_AND, OP_OR, OP_BITCAST)
+_ZERO = np.float32(0.0)
 
 
 class recording:
@@ -143,6 +137,13 @@ class recording:
 
     def __exit__(self, *exc_info) -> None:
         _recorder.reset(self._token)
+
+
+def _tags(program, *args) -> tuple:
+    """The tags ``program`` records on ``args``: straight-line code records them on any."""
+    with recording() as ops:
+        program(*args)
+    return tuple(ops)
 
 
 # -- binary32 arithmetic ----------------------------------------------------
@@ -213,6 +214,45 @@ def _bound(lo, hi) -> Bound:
     return Bound(lo, hi, bits(lo), bits(hi))
 
 
+# -- one-tag ops, besides f_add and f_mul: one tag, one numpy operation ------
+
+def _one_tag(tag, op):
+    def one_tag_op(*args):
+        if (buf := _active()) is not None:
+            buf.append(tag)
+        return op(*args)
+    return one_tag_op
+
+
+_f_div = _one_tag(OP_DIV, operator.truediv)
+_f_gt = _one_tag(OP_CMP, operator.gt)
+_f_lt = _one_tag(OP_CMP, operator.lt)
+_to_bits = _one_tag(OP_BITCAST, _array_bits)
+_from_bits = _one_tag(OP_BITCAST, _array_float)
+_u_and = _one_tag(OP_AND, operator.and_)
+_u_or = _one_tag(OP_OR, operator.or_)
+_u_not = _one_tag(OP_NOT, operator.invert)
+# A 0-or-1 comparison result spread into the all-zeros or all-ones word.
+_to_mask = _one_tag(OP_MASK, functools.partial(operator.mul, U32_ALL_ONES))
+
+
+# -- the leaf blocks: each program, its derived tags, then the leaf op ------
+
+def _select_program(a, b, mask):
+    ua = _to_bits(a)
+    ub = _to_bits(b)
+    keep_a = _u_and(ua, _u_not(mask))
+    keep_b = _u_and(ub, mask)
+    return _from_bits(_u_or(keep_a, keep_b))
+
+
+def _select_above_program(a, b, x, t):
+    return _select_program(a, b, _to_mask(_f_gt(x, t)))
+
+
+_SELECT_ABOVE_OPS = _tags(_select_above_program, _ZERO, _ZERO, _ZERO, _ZERO)
+
+
 def _select_above(a, b, x, t):
     """The word ``b`` where x > t, and the word ``a`` elsewhere.
 
@@ -231,6 +271,13 @@ def _select_above(a, b, x, t):
     return (a & ~mask) | (b & mask)
 
 
+def _abs_program(x):
+    return _from_bits(_u_and(_to_bits(x), U32_ABS_MASK))
+
+
+_ABS_OPS = _tags(_abs_program, _ZERO)
+
+
 def _abs(w):
     """The word of |x| from the word of x: the sign bit cleared."""
     if (buf := _active()) is not None:
@@ -238,11 +285,26 @@ def _abs(w):
     return w & U32_ABS_MASK
 
 
+def _sign_program(x):
+    return _from_bits(_u_or(_u_and(_to_bits(x), U32_SIGN_BIT), _ONE_BITS))
+
+
+_SIGN_OPS = _tags(_sign_program, _ZERO)
+
+
 def _sign(w):
     """The word of sign(x) from the word of x: x's sign bit on 1.0, zeros included."""
     if (buf := _active()) is not None:
         buf.extend(_SIGN_OPS)
     return (w & U32_SIGN_BIT) | _ONE_BITS
+
+
+def _saturate_program(y, x, lo, hi, low, high):
+    y = _select_program(y, low, _to_mask(_f_lt(x, lo)))
+    return _select_program(y, high, _to_mask(_f_gt(x, hi)))
+
+
+_SATURATE_OPS = _tags(_saturate_program, *(_ZERO,) * 6)
 
 
 def _saturate(w, x, bound: Bound, low, high):

@@ -6,6 +6,11 @@ candidates through branchless mask selects.  Every kernel executes the same
 operation sequence for every input, and dummy arithmetic pads the shorter
 kernels so all five record the same trace length.
 
+Each kernel is written twice, side by side: its program spells it out one
+op at a time on values, and its core runs the same sequence as leaf ops on
+bit words.  Each pad count is derived at import, as the longest unpadded
+program's tag count minus the kernel's own.
+
 Saturation thresholds:
 
 * tanh switches to sign(x) beyond TANH_THRESHOLD, the binary32 constant
@@ -38,10 +43,10 @@ that depends on the input.  Each step records a constant tag tuple with
 one ``extend``; the tags are those of the one-tag compositions in
 ``tests/reference_ops.py``, and a test pins every unprotected trace.
 
-SPECS is the one registry of what each kind is: its constant-time core, its
-reference, the reference's trace model, its saturation threshold and the
-candidates a threshold sweep scans.  evaluate, the trace harness, the
-accuracy analysis and the CLI all read it.
+SPECS is the one registry of what each kind is: its constant-time core and
+program, its reference, the reference's trace model, its saturation
+threshold and the candidates a threshold sweep scans.  evaluate, the trace
+harness, the accuracy analysis and the CLI all read it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -69,17 +75,22 @@ from ._ops import (
     _ZERO_BITS,
     Bound,
     _abs,
+    _abs_program,
     _active,
     _bound,
     _casts,
     _saturate,
+    _saturate_program,
     _select_above,
+    _select_above_program,
     _sign,
+    _sign_program,
+    _tags,
     f_add,
     f_mul,
 )
 from .grids import as_f32
-from .pade import _rational_tanh
+from .pade import _rational_program, _rational_tanh
 
 __all__ = [
     "ActivationKind",
@@ -145,19 +156,22 @@ SQRT_2_OVER_PI = np.float32(math.sqrt(2.0 / math.pi))
 
 _PAD_SCALE = np.float32(1.25)
 _PAD_SHIFT = np.float32(0.5)
-# Tags of a pad of up to 64 ops, more than a whole trace holds.  A pad
-# slices it: a tag tuple built per call stays cached in CPython's tuple free
-# lists, which raised the peak RSS of a traced grid by about 0.3 MB.
-_PAD_OPS = (OP_MUL, OP_ADD) * 32
+
+
+def _pad_program(v, count: int):
+    for i in range(count):
+        v = f_mul(v, _PAD_SCALE) if i % 2 == 0 else f_add(v, _PAD_SHIFT)
+    return v
 
 
 def _burn(v, count: int):
     """Dummy arithmetic that pads a kernel to the shared trace length.
 
     Alternates multiplies and adds on a dead value, starting with a
-    multiply; the caller discards the result.  A leaf op: the ``count`` tags
-    go to ``_ops``'s recorder in one ``extend``.  Never a timing loop: the
-    op count is a per-kernel constant, and no step looks at the value.
+    multiply; the caller discards the result.  A leaf op: it records the
+    tags ``_pad_program`` records for ``count``, with one ``extend``.
+    Never a timing loop: the op count is a per-kernel constant, and no
+    step looks at the value.
     """
     if (buf := _active()) is not None:
         buf.extend(_PAD_OPS[:count])
@@ -168,13 +182,64 @@ def _burn(v, count: int):
     return v
 
 
+# -- the kernel programs, each ending in ``pad`` ops of dummy arithmetic -----
+
+def _clamp_program(x, bound):
+    return _saturate_program(x, x, bound.lo, bound.hi, bound.lo, bound.hi)
+
+
+def _tanh_program(x, bound=_TANH_BOUND, pad=0):
+    approx = _rational_program(_clamp_program(x, bound))
+    y = _select_above_program(approx, _sign_program(x), _abs_program(x), bound.hi)
+    _pad_program(approx, pad)
+    return y
+
+
+def _sigmoid_program(x, bound=_SIGMOID_BOUND, pad=0):
+    gate = f_add(_HALF, f_mul(_HALF, _rational_program(f_mul(_clamp_program(x, bound), _HALF))))
+    y = _saturate_program(gate, x, bound.lo, bound.hi, _ZERO, _ONE)
+    _pad_program(gate, pad)
+    return y
+
+
+def _gelu_program(x, bound=_GELU_BOUND, pad=0):
+    clamped = _clamp_program(x, bound)
+    cubed = f_mul(f_mul(clamped, clamped), clamped)
+    skewed = f_add(clamped, f_mul(GELU_CUBIC_COEFF, cubed))
+    approx = _rational_program(f_mul(SQRT_2_OVER_PI, skewed))
+    y = f_mul(f_mul(clamped, _HALF), f_add(_ONE, approx))
+    y = _saturate_program(y, x, bound.lo, bound.hi, _ZERO, x)
+    _pad_program(approx, pad)
+    return y
+
+
+def _swish_program(x, bound=_SWISH_BOUND, pad=0):
+    clamped = _clamp_program(x, bound)
+    gate = f_add(_HALF, f_mul(_HALF, _rational_program(f_mul(clamped, _HALF))))
+    y = _saturate_program(f_mul(clamped, gate), x, bound.lo, bound.hi, _ZERO, x)
+    _pad_program(gate, pad)
+    return y
+
+
+def _relu_program(x, pad=0):
+    y = _select_above_program(_ZERO, x, x, _ZERO)
+    dummy = _rational_program(_clamp_program(x, _TANH_BOUND))
+    y = _select_above_program(y, dummy, _abs_program(dummy), _TWO)
+    _pad_program(dummy, pad)
+    return y
+
+
+_UNPADDED_LENGTHS = tuple(len(_tags(program, _ZERO)) for program in (
+    _relu_program, _sigmoid_program, _tanh_program, _gelu_program, _swish_program))
+_RELU_PAD, _SIGMOID_PAD, _TANH_PAD, _GELU_PAD, _SWISH_PAD = (
+    max(_UNPADDED_LENGTHS) - length for length in _UNPADDED_LENGTHS)
+# The tags of a pad as long as a whole trace, which no kernel's pad reaches.
+# A pad slices it: a tag tuple built per call stays cached in CPython's tuple
+# free lists, which raised the peak RSS of a traced grid by about 0.3 MB.
+_PAD_OPS = _tags(_pad_program, _ZERO, max(_UNPADDED_LENGTHS))
+
+
 # -- constant-time kernels (scalar or array, binary32 in and out) -----------
-#
-# Trace-length budget: gelu is the longest kernel at 59 ops, so the others
-# pad up to 59 with _burn (tanh +10, sigmoid +5, swish +4, relu +5).  The
-# shared blocks count as many ops as they record tags: a clamp or a
-# saturation tail 18, the rational core 15, a compare-and-select 9, abs 3
-# and sign 4.  A harness test asserts the five lengths are identical.
 #
 # The blocks that work on encodings take and return words, and each kernel
 # casts through the one pair _casts picks for its operands: x once, each
@@ -188,7 +253,7 @@ def _tanh_core(x, bound=_TANH_BOUND):
     approx = _rational_tanh(value(_saturate(w, x, bound, bound.lo_bits, bound.hi_bits)))
     saturated = _sign(w)
     y = value(_select_above(bits(approx), saturated, value(_abs(w)), bound.hi))
-    _burn(approx, 10)
+    _burn(approx, _TANH_PAD)
     return y
 
 
@@ -197,7 +262,7 @@ def _sigmoid_core(x, bound=_SIGMOID_BOUND):
     clamped = value(_saturate(bits(x), x, bound, bound.lo_bits, bound.hi_bits))
     gate = f_add(_HALF, f_mul(_HALF, _rational_tanh(f_mul(clamped, _HALF))))
     y = value(_saturate(bits(gate), x, bound, _ZERO_BITS, _ONE_BITS))
-    _burn(gate, 5)
+    _burn(gate, _SIGMOID_PAD)
     return y
 
 
@@ -210,6 +275,8 @@ def _gelu_core(x, bound=_GELU_BOUND):
     skewed = f_add(clamped, f_mul(GELU_CUBIC_COEFF, cubed))
     approx = _rational_tanh(f_mul(SQRT_2_OVER_PI, skewed))
     y = f_mul(f_mul(clamped, _HALF), f_add(_ONE, approx))
+    # No _burn: gelu's program is the longest, so _GELU_PAD is 0, and even an
+    # empty _burn call costs gelu about 5%.  test_cores fails if the pad grows.
     return value(_saturate(bits(y), x, bound, _ZERO_BITS, w))
 
 
@@ -219,7 +286,7 @@ def _swish_core(x, bound=_SWISH_BOUND):
     clamped = value(_saturate(w, x, bound, bound.lo_bits, bound.hi_bits))
     gate = f_add(_HALF, f_mul(_HALF, _rational_tanh(f_mul(clamped, _HALF))))
     y = value(_saturate(bits(f_mul(clamped, gate)), x, bound, _ZERO_BITS, w))
-    _burn(gate, 4)
+    _burn(gate, _SWISH_PAD)
     return y
 
 
@@ -235,7 +302,7 @@ def _relu_core(x):
     dummy = _rational_tanh(clamped)
     dummy_bits = bits(dummy)
     y = value(_select_above(y, dummy_bits, value(_abs(dummy_bits)), _TWO))
-    _burn(dummy, 5)
+    _burn(dummy, _RELU_PAD)
     return y
 
 
@@ -422,17 +489,20 @@ class KindSpec:
     ``core`` is the constant-time kernel on binary32 scalars or arrays; a
     core with a saturation threshold also takes its clamp interval, a
     ``_threshold_bound`` of the threshold, as the ``bound`` keyword, and
-    defaults to the bound of ``threshold`` built at import.  ``reference``
-    is the libm reference in binary64, a function of a Python float that
-    the caller rounds to binary32 once, and ``model`` the instrumented
-    model of its execution: it records the reference's trace and returns
-    None, and its only arithmetic is its exp's argument.  ``threshold`` is
-    None for a kind that does not saturate (relu).  ``sweep`` holds the
-    candidate thresholds analysis.threshold_sweep scans, and is empty for
-    kinds whose threshold is solved rather than chosen empirically.
+    defaults to the bound of ``threshold`` built at import.  ``program``,
+    the kernel one op at a time and padded, takes what ``core`` takes.
+    ``reference`` is the libm reference in binary64, a function of a Python
+    float that the caller rounds to binary32 once, and ``model`` the
+    instrumented model of its execution: it records the reference's trace
+    and returns None, and its only arithmetic is its exp's argument.
+    ``threshold`` is None for a kind that does not saturate (relu).
+    ``sweep`` holds the candidate thresholds analysis.threshold_sweep scans,
+    and is empty for kinds whose threshold is solved rather than chosen
+    empirically.
     """
 
     core: Callable
+    program: Callable
     reference: Callable
     model: Callable
     threshold: np.float32 | None = None
@@ -440,16 +510,19 @@ class KindSpec:
 
 
 SPECS = {
-    ActivationKind.RELU: KindSpec(_relu_core, _relu64, _model_relu),
-    ActivationKind.SIGMOID: KindSpec(_sigmoid_core, _logistic, _model_sigmoid,
-                                     SIGMOID_THRESHOLD),
-    ActivationKind.TANH: KindSpec(_tanh_core, math.tanh, _model_tanh, TANH_THRESHOLD),
+    ActivationKind.RELU: KindSpec(_relu_core, partial(_relu_program, pad=_RELU_PAD),
+                                  _relu64, _model_relu),
+    ActivationKind.SIGMOID: KindSpec(_sigmoid_core, partial(_sigmoid_program, pad=_SIGMOID_PAD),
+                                     _logistic, _model_sigmoid, SIGMOID_THRESHOLD),
+    ActivationKind.TANH: KindSpec(_tanh_core, partial(_tanh_program, pad=_TANH_PAD),
+                                  math.tanh, _model_tanh, TANH_THRESHOLD),
     ActivationKind.GELU: KindSpec(
-        _gelu_core, _gelu64, _model_gelu, GELU_THRESHOLD,
+        _gelu_core, partial(_gelu_program, pad=_GELU_PAD), _gelu64, _model_gelu, GELU_THRESHOLD,
         sweep=tuple(round(3.0 + 0.1 * i, 1) for i in range(15)),     # 3.0 .. 4.4
     ),
     ActivationKind.SWISH: KindSpec(
-        _swish_core, _swish64, _model_swish, SWISH_THRESHOLD,
+        _swish_core, partial(_swish_program, pad=_SWISH_PAD), _swish64, _model_swish,
+        SWISH_THRESHOLD,
         sweep=tuple(round(6.5 + 0.25 * i, 2) for i in range(13)),    # 6.5 .. 9.5
     ),
 }

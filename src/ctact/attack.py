@@ -337,13 +337,18 @@ def fit_template(kind, samples: Sequence[float]) -> GaussianTemplate:
     return GaussianTemplate(ActivationKind(kind), float(mean), float(dev.sum() / (n - 1)), n)
 
 
-def score_increment(template: GaussianTemplate, observed_us):
+def score_increment(template: GaussianTemplate, observed_us, out=None):
     """Log-likelihood contribution of observations under a template.
 
-    Takes one observation (a float) or an array of them (elementwise).
+    Takes one observation (a float, scored as a ``numpy.float64``) or an
+    array of them (elementwise), and writes an array's scores into ``out``
+    when one is given.
     """
-    residual = observed_us - template.mean_us
-    return -(math.log(template.var_us2) + residual * residual / template.var_us2)
+    score = np.subtract(observed_us, template.mean_us, out=out)
+    score = np.multiply(score, score, out=out)
+    score = np.divide(score, template.var_us2, out=out)
+    score = np.add(score, math.log(template.var_us2), out=out)
+    return np.negative(score, out=out)
 
 
 def profile_phase(model: DeviceTimingModel, classes: Sequence, n_profiling: int,
@@ -399,12 +404,7 @@ def run_attack(model: DeviceTimingModel, templates: Mapping, true_kind,
     kinds = list(templates)
     scores = np.empty((len(kinds), n_measurements))
     for row, template in zip(scores, templates.values()):
-        # score_increment's operations, in its order, written into the row.
-        np.subtract(observed, template.mean_us, out=row)
-        np.multiply(row, row, out=row)
-        np.divide(row, template.var_us2, out=row)
-        np.add(row, math.log(template.var_us2), out=row)
-        np.negative(row, out=row)
+        score_increment(template, observed, out=row)
     np.cumsum(scores, axis=1, out=scores)
     true_row = kinds.index(true_kind)
     rivals = functools.reduce(np.maximum, (row for i, row in enumerate(scores) if i != true_row))

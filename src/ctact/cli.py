@@ -176,6 +176,8 @@ def _load_config_file(path: str, command: str, names: set) -> dict:
         raise UsageError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file cannot be read: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
     unread = sorted(set(data) - names)

@@ -14,11 +14,13 @@ evaluated by Horner's rule, so every call costs exactly
 independent of the input.  Q(u) >= 1 for u >= 0 and Q has no real zeros, so
 the divide cannot trap on any finite input.
 
-The evaluation is one leaf op: it records its 15 tags (MUL, then MUL ADD
-six times, DIV, MUL) with one ``extend`` through ``_ops``'s recorder, and
-runs the same Horner arithmetic in the same order on plain numpy binary32
-values, so its tags and bits are those of its one-op composition in
-``tests/reference_ops.py``.
+The evaluation is written twice, side by side.  ``_rational_program``
+spells it out one operation at a time with ``_ops``'s one-tag ops, and the
+tags it records at import are the core's tag tuple.  ``_rational_tanh`` is
+the leaf op the kernels call: it records that tuple with one ``extend``
+and runs the same Horner arithmetic in the same order on plain numpy
+binary32 values, so its bits are the program's too (``TestLeafOps`` in
+``tests/test_ops.py``).
 
 R is odd bit-exactly: negating x flips only the sign of the final multiply,
 because u = (-x)*(-x) rounds to the identical product.
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._ops import OP_ADD, OP_DIV, OP_MUL, _active
+from ._ops import _ZERO, _active, _f_div, _tags, f_add, f_mul
 from .grids import as_f32
 
 __all__ = [
@@ -63,7 +65,19 @@ DENOMINATOR_F32 = tuple(np.float32(float(c)) for c in DENOMINATOR_EXACT)
 _P0, _P1, _P2, _P3 = NUMERATOR_F32
 _Q0, _Q1, _Q2, _Q3 = DENOMINATOR_F32
 
-_RATIONAL_OPS = (OP_MUL,) + (OP_MUL, OP_ADD) * 6 + (OP_DIV, OP_MUL)
+
+def _rational_program(x):
+    u = f_mul(x, x)
+    p = f_add(f_mul(_P3, u), _P2)
+    p = f_add(f_mul(p, u), _P1)
+    p = f_add(f_mul(p, u), _P0)
+    q = f_add(f_mul(_Q3, u), _Q2)
+    q = f_add(f_mul(q, u), _Q1)
+    q = f_add(f_mul(q, u), _Q0)
+    return f_mul(x, _f_div(p, q))
+
+
+_RATIONAL_OPS = _tags(_rational_program, _ZERO)
 
 
 def _rational_tanh(x):

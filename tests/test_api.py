@@ -126,3 +126,22 @@ def test_every_private_name_is_read_by_the_package():
                 if not any(name in read for j, read in enumerate(reads) if j != i):
                     dead.add(name)
     assert not dead, sorted(dead)
+
+
+
+def _binds_a_tag_tuple(stmt) -> bool:
+    """Whether a module-level assignment's value holds a tuple display of an OP_* name."""
+    return isinstance(stmt, (ast.Assign, ast.AnnAssign)) and any(
+        isinstance(node, ast.Tuple) and any(
+            isinstance(e, ast.Name) and e.id.startswith("OP_") for e in node.elts)
+        for node in ast.walk(stmt.value or ast.Tuple([])))
+
+
+def test_no_tag_tuple_is_typed_by_hand():
+    # Each protected block's tags, and the pad's, are derived from its
+    # program at import.  Only the unprotected models' exp and erf steps,
+    # which have no program in the package, keep typed tuples.
+    typed = {name for path in sorted(Path(ctact.__file__).parent.glob("*.py"))
+             for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+             if _binds_a_tag_tuple(stmt) for name in _defined_names(stmt)}
+    assert typed and all(name.startswith(("_EXP_", "_ERF_")) for name in typed), sorted(typed)

@@ -578,6 +578,16 @@ class TestConfigFile:
         assert run("thresholds", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("make", [lambda cfg: cfg.mkdir(),
+                                      lambda cfg: cfg.write_bytes(b'{"seed": "\xff"}')],
+                             ids=["directory", "not-utf-8"])
+    def test_an_unreadable_config_exits_two_before_any_output(self, make, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        make(cfg)
+        out = tmp_path / "out"
+        assert run("thresholds", "--config", str(cfg), "--out", str(out)) == 2
+        assert not out.exists()
+
 
 class TestNegativeNumbers:
     # argparse on its own reads "-5e2" as a flag: "expected 2 arguments".

@@ -1,4 +1,4 @@
-"""The instrumented op layer: leaf ops against their single-op reference,
+"""The instrumented op layer: leaf ops and kernels against their programs,
 scalar/array agreement, the selection blocks and bitcasts on single values,
 opcode sequences, recorder scope."""
 
@@ -26,8 +26,17 @@ from ctact._ops import (
     OP_OR,
     U32_ALL_ONES,
     _abs,
+    _abs_program,
+    _f_gt,
+    _f_lt,
+    _saturate_program,
     _select_above,
+    _select_above_program,
+    _select_program,
     _sign,
+    _sign_program,
+    _to_mask,
+    _u_not,
     f_add,
     f_mul,
     recording,
@@ -39,35 +48,25 @@ from ctact.activations import (
     _burn,
     _model_erf,
     _model_exp,
+    _pad_program,
     _threshold_bound,
 )
 from ctact.grids import GRID_DENSE, GRID_WIDE, as_f32, inclusive_grid
 from ctact.harness import trace_eval
-from ctact.pade import _rational_tanh
+from ctact.pade import _rational_program, _rational_tanh
 
 from reference_ops import (
-    CORE_BY_HELPERS,
     FLT_MAX,
     PROTECTED_TRACE_LENGTH,
-    abs_by_helpers,
     abs_on_values,
     bits,
-    bool_to_mask,
-    burn_by_helpers,
-    clamp_by_helpers,
     clamp_on_values,
     edge_values,
-    gt_mask_by_helpers,
     model_erf_by_helpers,
     model_exp_by_helpers,
-    rational_tanh_by_helpers,
-    saturate_by_helpers,
     saturate_on_values,
-    select_above_by_helpers,
     select_above_on_values,
-    sign_by_helpers,
     sign_on_values,
-    u_not,
     value,
     word,
 )
@@ -93,8 +92,15 @@ def gt_mask(x, t):
     return _select_above(U32_ZERO, U32_ALL_ONES, x, t)
 
 
-def gt_mask_by_select_helpers(x, t):
-    return word(select_above_by_helpers(value(U32_ZERO), value(U32_ALL_ONES), x, t))
+def gt_mask_program(x, t):
+    return word(_select_above_program(value(U32_ZERO), value(U32_ALL_ONES), x, t))
+
+
+def textbook_clamp(x, lo, hi):
+    """The clamp one op at a time, its upper compare reading the clamped x: the
+    kernels' clamp, ``_saturate`` with the bound's ends, must give its bits."""
+    x = _select_program(x, lo, _to_mask(_f_lt(x, lo)))
+    return _select_above_program(x, hi, x, hi)
 
 
 def above_half(mask):
@@ -165,10 +171,11 @@ class TestScalarMatchesArray:
 
 
 class TestLeafOps:
-    """Each leaf op against its single-op composition in ``reference_ops``.
+    """Each leaf op and fast kernel against its program in ``src/``; the
+    clamp against a textbook clamp, and the models against ``reference_ops``.
 
-    Tags and result bits must be those of the composition, on scalars,
-    arrays and mixes of the two, NaN payloads, infinities and zeros included.
+    Tags and result bits must be those of the program, on scalars, arrays
+    and mixes of the two, NaN payloads, infinities and zeros included.
     """
 
     SPECIALS = np.array([0x7F800001, 0xFFC12345, 0x7FBFFFFF, 0x7F800000,
@@ -194,14 +201,14 @@ class TestLeafOps:
     SWEEP_ENDS = [as_f32(c) for spec in SPECS.values() for c in spec.sweep[:1] + spec.sweep[-1:]]
 
     @staticmethod
-    def assert_same(leaf, composed, calls):
+    def assert_same(leaf, program, calls):
         # The rational core and the pads overflow and divide inf by inf on
         # the specials; both sides must do so alike.
         with np.errstate(all="ignore"):
             with recording() as ops:
                 out = [leaf(*args) for args in calls]
             with recording() as expected_ops:
-                expected = [composed(*args) for args in calls]
+                expected = [program(*args) for args in calls]
         assert ops == expected_ops
         assert [type(v) for v in out] == [type(v) for v in expected]
         for got, want in zip(out, expected):
@@ -211,7 +218,7 @@ class TestLeafOps:
     def test_select_on_scalars(self):
         for mask in (U32_ZERO, U32_ALL_ONES):
             calls = [(a, b, above_half(mask), HALF) for a, b in zip(self.A, self.B)]
-            self.assert_same(select_above_on_values, select_above_by_helpers, calls)
+            self.assert_same(select_above_on_values, _select_above_program, calls)
             assert all(type(_select_above(word(a), word(b), x, t)) is np.uint32
                        for a, b, x, t in calls)
 
@@ -221,16 +228,16 @@ class TestLeafOps:
         calls = [(a, b, picks), (a, b, none), (a, b, every),
                  (a[0], b, picks), (a, b[0], every), (a[0], b[0], picks),
                  (a[-7:], np.float32(-0.0), picks[:7])]
-        self.assert_same(select_above_on_values, select_above_by_helpers,
+        self.assert_same(select_above_on_values, _select_above_program,
                          [call + (HALF,) for call in calls])
 
-    @pytest.mark.parametrize("leaf, on_values, composed",
-                             [(_abs, abs_on_values, abs_by_helpers),
-                              (_sign, sign_on_values, sign_by_helpers)],
+    @pytest.mark.parametrize("leaf, on_values, program",
+                             [(_abs, abs_on_values, _abs_program),
+                              (_sign, sign_on_values, _sign_program)],
                              ids=["abs", "sign"])
-    def test_abs_and_sign(self, leaf, on_values, composed):
-        self.assert_same(on_values, composed, [(x,) for x in self.A])
-        self.assert_same(on_values, composed, [(self.A,), (self.A[:1],)])
+    def test_abs_and_sign(self, leaf, on_values, program):
+        self.assert_same(on_values, program, [(x,) for x in self.A])
+        self.assert_same(on_values, program, [(self.A,), (self.A[:1],)])
         assert all(type(leaf(word(x))) is np.uint32 for x in self.A)
 
     def test_gt_mask(self):
@@ -238,13 +245,13 @@ class TestLeafOps:
         # gives the mask itself: the single-op compare spread into a mask.
         a, b = self.A, self.B
         scalar_calls = [(x, t) for t in self.BOUNDS for x in a] + list(zip(a, b))
-        self.assert_same(gt_mask, gt_mask_by_select_helpers, scalar_calls)
+        self.assert_same(gt_mask, gt_mask_program, scalar_calls)
         assert all(type(gt_mask(*args)) is np.uint32 for args in scalar_calls)
-        assert all(gt_mask(*args) == gt_mask_by_helpers(*args) for args in scalar_calls)
+        assert all(gt_mask(*args) == _to_mask(_f_gt(*args)) for args in scalar_calls)
         array_calls = [(a, t) for t in self.BOUNDS] + [(a, b), (a[0], b), (a[-7:], b[0])]
-        self.assert_same(gt_mask, gt_mask_by_select_helpers, array_calls)
+        self.assert_same(gt_mask, gt_mask_program, array_calls)
         assert all(gt_mask(*args).dtype == np.uint32 for args in array_calls)
-        assert all(np.array_equal(gt_mask(*args), gt_mask_by_helpers(*args))
+        assert all(np.array_equal(gt_mask(*args), _to_mask(_f_gt(*args)))
                    for args in array_calls)
 
     def test_clamp(self):
@@ -265,12 +272,12 @@ class TestLeafOps:
                         + [(x, lo, hi) for x, lo, hi in zip(a, b, c) if not lo > hi]
                         + [(x, t, F32_INF) for t in self.BOUNDS for x in a]
                         + [(x, t, F32_INF) for x, t in zip(a, b)])
-        self.assert_same(clamp_on_values, clamp_by_helpers, scalar_calls)
+        self.assert_same(clamp_on_values, textbook_clamp, scalar_calls)
         array_calls = [(a, lo, hi) for lo, hi in bounds] + [
             (x, *in_order(lo, hi)) for x, lo, hi in self.ARBITRARY_BOUNDS] + [
             (a, t, F32_INF) for t in self.BOUNDS] + [
             (a, b, F32_INF), (a[0], b, F32_INF), (a[-7:], b[0], F32_INF)]
-        self.assert_same(clamp_on_values, clamp_by_helpers, array_calls)
+        self.assert_same(clamp_on_values, textbook_clamp, array_calls)
 
     def test_saturation_tail(self):
         # The kernels' (low, high) pairs are (0, 1) and (0, x); arbitrary
@@ -288,7 +295,7 @@ class TestLeafOps:
                            for y, x in zip(b, a)]
                         + [(y, x, t, F32_INF, low, one) for y, x, t, low in zip(c, a, b, d)]
                         + [(x, x, lo, hi, lo, hi) for x, lo, hi in zip(a, b, c) if lo > hi])
-        self.assert_same(saturate_on_values, saturate_by_helpers, scalar_calls)
+        self.assert_same(saturate_on_values, _saturate_program, scalar_calls)
         array_calls = [(a, b, lo, hi, zero, b) for lo, hi in bounds] + [
             (a, b, c, d, zero, one), (a[0], b, c[0], d[0], zero, b), (a, b[0], c, d[0], a, one),
             (a[-7:], b[-7:], np.float32(-0.0), d[:7], zero, b[-7:])] + [
@@ -296,26 +303,25 @@ class TestLeafOps:
             (c, a, b, F32_INF, d, one), (c[0], a[0], b, F32_INF, d, one),
             (c[-7:], a[-7:], b[0], F32_INF, d[-7:], one)] + [
             (x, x, lo, hi, lo, hi) for x, lo, hi in self.ARBITRARY_BOUNDS if np.any(lo > hi)]
-        self.assert_same(saturate_on_values, saturate_by_helpers, array_calls)
+        self.assert_same(saturate_on_values, _saturate_program, array_calls)
 
     @pytest.mark.parametrize("kind", list(ActivationKind))
     def test_cores(self, kind):
-        # Each kernel, its words handed between leaf ops, against its body
-        # built from single-op helpers: at its own bound, at the sweep
-        # candidates' ends, and at a negative (inverted), infinite and NaN
-        # threshold; on scalars, arrays, a scalar against an array of
-        # thresholds, and arrays of both.
-        spec, composed = SPECS[kind], CORE_BY_HELPERS[kind]
+        # Each kernel, its words handed between leaf ops, against its
+        # padded program: at its own bound, at the sweep candidates' ends,
+        # and at a negative (inverted), infinite and NaN threshold; on
+        # scalars, arrays, a scalar against an array of thresholds, and
+        # arrays of both.
+        spec = SPECS[kind]
         a = self.A
         if spec.threshold is None:
-            self.assert_same(spec.core, composed,
+            self.assert_same(spec.core, spec.program,
                              [(x,) for x in a] + [(a,), (a[:1],), (a[-7:],)])
             return
-        self.assert_same(spec.core, lambda x: composed(x, spec.threshold),
-                         [(x,) for x in a] + [(a,), (a[:1],)])
+        self.assert_same(spec.core, spec.program, [(x,) for x in a] + [(a,), (a[:1],)])
 
-        def at(x, t):
-            return spec.core(x, bound=_threshold_bound(t))
+        def at(kernel):
+            return lambda x, t: kernel(x, bound=_threshold_bound(t))
 
         thresholds = self.SWEEP_ENDS + [-spec.threshold, np.float32(np.inf),
                                         np.float32(-np.inf), np.float32(np.nan)]
@@ -324,20 +330,21 @@ class TestLeafOps:
                  + [(a, t) for t in thresholds]
                  + [(x, many) for x in a[:: 97]]
                  + [(a[:many.size], many), (a[-7:], many[:1])])
-        self.assert_same(at, composed, calls)
+        self.assert_same(at(spec.core), at(spec.program), calls)
         with np.errstate(all="ignore"):
-            assert all(type(at(x, t)) is np.float32 for t in thresholds for x in a[::50])
+            assert all(type(at(spec.core)(x, t)) is np.float32
+                       for t in thresholds for x in a[::50])
 
     def test_rational_core(self):
-        self.assert_same(_rational_tanh, rational_tanh_by_helpers, [(x,) for x in self.A])
-        self.assert_same(_rational_tanh, rational_tanh_by_helpers, [(self.A,), (self.A[:1],)])
+        self.assert_same(_rational_tanh, _rational_program, [(x,) for x in self.A])
+        self.assert_same(_rational_tanh, _rational_program, [(self.A,), (self.A[:1],)])
         with np.errstate(all="ignore"):
             assert all(type(_rational_tanh(x)) is np.float32 for x in self.A)
 
     def test_pads(self):
         counts = range(12)
-        self.assert_same(_burn, burn_by_helpers, [(x, n) for n in counts for x in self.A[::9]])
-        self.assert_same(_burn, burn_by_helpers, [(self.A, n) for n in counts])
+        self.assert_same(_burn, _pad_program, [(x, n) for n in counts for x in self.A[::9]])
+        self.assert_same(_burn, _pad_program, [(self.A, n) for n in counts])
         with np.errstate(all="ignore"):
             assert all(type(_burn(x, 5)) is np.float32 for x in self.A)
 
@@ -376,12 +383,12 @@ class TestMask32:
         assert bits(clamp_on_values(two, one, F32_INF)) == bits(2.0)
 
     def test_invert(self):
-        assert u_not(U32_ZERO) == U32_ALL_ONES
-        assert u_not(U32_ALL_ONES) == U32_ZERO
+        assert _u_not(U32_ZERO) == U32_ALL_ONES
+        assert _u_not(U32_ALL_ONES) == U32_ZERO
 
     def test_from_bool(self):
-        assert bool_to_mask(np.bool_(True)) == U32_ALL_ONES
-        assert bool_to_mask(np.bool_(False)) == U32_ZERO
+        assert _to_mask(np.bool_(True)) == U32_ALL_ONES
+        assert _to_mask(np.bool_(False)) == U32_ZERO
 
 
 class TestSelect:
@@ -754,3 +761,13 @@ def test_import_leaves_scipy_stats_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_import_derives_the_tags_with_no_warning_and_no_recording_left_on():
+    # The leaf ops' tags and the pads are derived at import, which pytest's
+    # filterwarnings does not reach, so a fresh interpreter turns warnings
+    # into errors.
+    code = "import ctact, ctact.cli; from ctact import _ops; print(_ops._active() is None)"
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, "True"), done.stderr

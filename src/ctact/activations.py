@@ -37,11 +37,13 @@ small instrumented model of how such a function executes: an argument-
 reduction exponential with an input-dependent number of halving and
 squaring steps around a fixed polynomial, inside the fixed chains of the
 kind's formula.  The trace harness runs a model for its opcodes only: it
-records the reference's trace and returns None, and its only arithmetic is
-the binary32 argument of each exp, whose halving count is all of the trace
-that depends on the input.  Each step records a constant tag tuple with
-one ``extend``; the tags are those of the one-tag compositions in
-``tests/reference_ops.py``, and a test pins every unprotected trace.
+records the reference's trace and returns None.  The exp's halving count
+is all of the trace that depends on the input, and a model reads it from
+the exponent of the exp's binary32 argument, its only arithmetic, rather
+than halving in a loop.  It records its whole trace with one ``extend``
+of a tag tuple built once per count; the tags are those of the one-tag
+compositions in ``tests/reference_ops.py``, and a test pins every
+unprotected trace.
 
 SPECS is the one registry of what each kind is: its constant-time core and
 program, its reference, the reference's trace model, its saturation
@@ -54,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -416,20 +418,59 @@ _ERF_HEAD_OPS = (_ABS_OPS + (OP_MUL, OP_ADD, OP_DIV) + (OP_MUL, OP_ADD) * 4
 _ERF_TAIL_OPS = (OP_MUL, OP_NEG, OP_ADD) + _SIGN_OPS + (OP_MUL,)
 
 
-def _model_exp(t):
+def _halvings(t) -> int:
+    """How often the exp model halves its binary32 argument t.
+
+    The model halves t while |t| > 1/2, at most _MAX_HALVINGS times.  A
+    halving above 1/2 is exact in binary32, so the count is read from the
+    exponent of |t| = m * 2**e (1/2 <= m < 1): e when |t| is exactly
+    2**(e-1), else e + 1, which reaches the cap at FLT_MAX.  It is 0 for
+    |t| <= 1/2 and NaN, and the cap for +-inf.
+    """
+    a = abs(float(t))
+    if not a > 0.5:
+        return 0
+    if a == math.inf:
+        return _MAX_HALVINGS
+    m, e = math.frexp(a)
+    return e if m == 0.5 else e + 1
+
+
+def _exp_ops(halvings: int) -> tuple:
     # Halve the argument until it is small (data-dependent trip count), run
-    # a fixed polynomial, then square once per halving.  The trip count is
-    # all that shapes the trace, so the halved argument is all this computes.
-    if (buf := _active()) is None:
-        return
-    halvings = 0
-    while abs(t) > _HALF and halvings < _MAX_HALVINGS:
-        buf.extend(_EXP_HALVE_OPS)
-        t = t * _HALF
-        halvings += 1
-    buf.extend(_EXP_POLY_OPS)
-    for _ in range(halvings):
-        buf.extend(_EXP_SQUARE_OPS)
+    # a fixed polynomial, then square once per halving.
+    return _EXP_HALVE_OPS * halvings + _EXP_POLY_OPS + _EXP_SQUARE_OPS * halvings
+
+
+# Each smooth model's whole trace per halving count, built on first use: the
+# count is all of the trace that depends on the input.  Tables of all 130
+# counts, built at import, would hold about 2.8 MB of tag pointers, 1.1 MB of
+# them tanh's, whose capped trace is 2,095 tags.
+
+@cache
+def _sigmoid_ops(halvings: int) -> tuple:
+    # 1 / (1 + exp(-x))
+    return (OP_NEG,) + _exp_ops(halvings) + (OP_ADD, OP_DIV)
+
+
+@cache
+def _tanh_ops(halvings: int) -> tuple:
+    # (exp(x) - exp(-x)) / (exp(x) + exp(-x)); |x| = |-x|, so both exps halve alike.
+    exp = _exp_ops(halvings)
+    return exp + (OP_NEG,) + exp + (OP_NEG, OP_ADD, OP_ADD, OP_DIV)
+
+
+@cache
+def _gelu_ops(halvings: int) -> tuple:
+    # x/2 * (1 + erf(x * (1/sqrt(2)))), erf's exp taking -(a*a) for a = |u|.
+    return ((OP_MUL,) + _ERF_HEAD_OPS + _exp_ops(halvings) + _ERF_TAIL_OPS
+            + (OP_ADD, OP_MUL, OP_MUL))
+
+
+@cache
+def _swish_ops(halvings: int) -> tuple:
+    # x * sigmoid(x)
+    return _sigmoid_ops(halvings) + (OP_MUL,)
 
 
 def _model_relu(x):
@@ -439,45 +480,28 @@ def _model_relu(x):
 
 
 def _model_sigmoid(x):
-    # 1 / (1 + exp(-x))
     if (buf := _active()) is not None:
-        buf.append(OP_NEG)
-        _model_exp(-x)
-        buf.extend((OP_ADD, OP_DIV))
+        buf.extend(_sigmoid_ops(_halvings(x)))
 
 
 def _model_tanh(x):
-    # (exp(x) - exp(-x)) / (exp(x) + exp(-x))
     if (buf := _active()) is not None:
-        _model_exp(x)
-        buf.append(OP_NEG)
-        _model_exp(-x)
-        buf.extend((OP_NEG, OP_ADD, OP_ADD, OP_DIV))
-
-
-def _model_erf(u):
-    # The binary32 square of the capped |u| decides the exp's halving count.
-    if (buf := _active()) is not None:
-        buf.extend(_ERF_HEAD_OPS)
-        a = abs(u)
-        if a > _ERF_ARG_CAP:
-            a = _ERF_ARG_CAP
-        _model_exp(-(a * a))
-        buf.extend(_ERF_TAIL_OPS)
+        buf.extend(_tanh_ops(_halvings(x)))
 
 
 def _model_gelu(x):
-    # x/2 * (1 + erf(x * (1/sqrt(2)))); that binary32 product is erf's argument.
+    # erf's argument u is the binary32 product x * (1/sqrt(2)), and its exp's
+    # argument the binary32 square of the capped |u|.
     if (buf := _active()) is not None:
-        buf.append(OP_MUL)
-        _model_erf(x * _INV_SQRT2)
-        buf.extend((OP_ADD, OP_MUL, OP_MUL))
+        a = abs(x * _INV_SQRT2)
+        if a > _ERF_ARG_CAP:
+            a = _ERF_ARG_CAP
+        buf.extend(_gelu_ops(_halvings(a * a)))
 
 
 def _model_swish(x):
     if (buf := _active()) is not None:
-        _model_sigmoid(x)
-        buf.append(OP_MUL)
+        buf.extend(_swish_ops(_halvings(x)))
 
 
 # -- the per-kind registry ------------------------------------------------------
@@ -494,7 +518,7 @@ class KindSpec:
     ``reference`` is the libm reference in binary64, a function of a Python
     float that the caller rounds to binary32 once, and ``model`` the
     instrumented model of its execution: it records the reference's trace
-    and returns None, and its only arithmetic is its exp's argument.
+    and returns None, and its only arithmetic is its exp's halving count.
     ``threshold`` is None for a kind that does not saturate (relu).
     ``sweep`` holds the candidate thresholds analysis.threshold_sweep scans,
     and is empty for kinds whose threshold is solved rather than chosen

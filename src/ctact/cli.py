@@ -408,7 +408,7 @@ def cmd_errors(cfg: argparse.Namespace) -> int:
     print(f"{'kind':8s} {'interval':>16s} {'step':>7s} "
           f"{'mse':>12s} {'rmse':>12s} {'max_abs':>12s} {'argmax':>9s}")
     for kind, lo, hi, step, _, mse, rmse, max_abs, argmax in table:
-        print(f"{kind:8s} [{lo:+7.1f},{hi:+7.1f}] {step:7.3g} "
+        print(f"{kind:8s} {f'[{lo}, {hi}]':>16s} {step:7.3g} "
               f"{mse:12.3e} {rmse:12.3e} {max_abs:12.3e} {argmax!s:>9}")
     _write(path, table, _ERRORS_HEADER)
     print(f"wrote {path}")

@@ -7,15 +7,16 @@ abstraction exactly when its trace is identical for every input.
 Protected kernels are traced by running them under the recording context.
 Unprotected references are libm calls, so there is no op sequence to record
 directly; instead the kind's instrumented model (see activations.SPECS) runs
-under the recorder.  The model records the reference's trace and computes
-only its exp's argument; trace_eval returns the reference value, bit-equal
-to evaluate(kind, x, protected=False).
+under the recorder.  The model records the reference's trace with one
+``extend`` and computes only its exp's halving count; trace_eval returns
+the reference value, bit-equal to evaluate(kind, x, protected=False).
 
 check_uniformity records the same traces as trace_eval but resolves the
 kind and the traced callable once per grid, enters one recording around a
 whole grid, and computes no reference value, since it reads only the
-opcodes.  Neither needs an errstate: a model's only arithmetic, its exp's
-argument, stays finite on every finite binary32 input.
+opcodes.  Neither needs an errstate: a model's only arithmetic, the
+halving count of its exp's binary32 argument, stays finite on every
+finite binary32 input.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""The unprotected models' exp and erf, one op at a time, and test helpers.
+"""The unprotected models one op at a time, and test helpers.
 
 Each protected block and kernel is spelled out one op at a time in
 ``src/``, as its program, beside its fast counterpart; ``TestLeafOps`` in
-``test_ops.py`` checks them against each other.  The package's exp and
-erf models compute only their exp's argument and record typed tag
-tuples, so the compositions below, with the polynomial coefficients, are
-what ``TestLeafOps::test_model_blocks`` compares their tags with.
+``test_ops.py`` checks them against each other.  The package's models
+compute only their exp's halving count and record each whole trace from
+typed tag tuples, so the compositions below, with the polynomial
+coefficients, are what ``TestLeafOps::test_model_blocks`` compares their
+tags with, and ``halving_counts`` is the loop the count stands for.
 
 The adapters near the end hand the leaf ops on encodings the words of
 their values and read their result words back as values, through views,
@@ -21,6 +22,7 @@ import numpy as np
 from ctact._ops import (
     OP_BRANCH,
     OP_NEG,
+    OP_SELECT,
     _abs,
     _abs_program,
     _bound,
@@ -34,7 +36,7 @@ from ctact._ops import (
     f_add,
     f_mul,
 )
-from ctact.activations import _MAX_HALVINGS, SPECS
+from ctact.activations import _INV_SQRT2, _MAX_HALVINGS, SPECS, ActivationKind
 
 # gelu's 59 ops, which every other protected kernel pads up to.
 PROTECTED_TRACE_LENGTH = 59
@@ -43,15 +45,30 @@ PROTECTED_TRACE_LENGTH = 59
 f_neg = _one_tag(OP_NEG, operator.neg)
 # A data-dependent branch decision, as the models' loops take them.
 take_branch = _one_tag(OP_BRANCH, lambda: None)
+# A predicated move: a, where the condition holds, else b.
+select = _one_tag(OP_SELECT, lambda condition, a, b: a if condition else b)
 
 
-# -- the models' exp and erf, one op at a time --------------------------------
+# -- the models, one op at a time ---------------------------------------------
 
 # The coefficients of the exp polynomial and of Abramowitz-Stegun 7.1.26.
 _EXP_C = tuple(np.float32(c) for c in (1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0))
 _ERF_SLOPE = np.float32(0.3275911)
 _ERF_C = tuple(np.float32(c) for c in
                (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429))
+
+
+def halving_counts(t) -> np.ndarray:
+    """How often the exp model halves each binary32 t, by halving: where
+    |t| > 1/2, halve and count, at most ``_MAX_HALVINGS`` times."""
+    a = np.abs(np.asarray(t, dtype=np.float32)).ravel()
+    counts = np.full(a.size, _MAX_HALVINGS)
+    at = np.arange(a.size)  # where each still-halving value came from
+    for halvings in range(_MAX_HALVINGS):
+        more = a > np.float32(0.5)
+        counts[at[~more]] = halvings
+        a, at = a[more] * np.float32(0.5), at[more]
+    return counts
 
 
 def model_exp_by_helpers(t):
@@ -82,6 +99,41 @@ def model_erf_by_helpers(u):
     poly = f_mul(poly, t)
     tail = f_mul(poly, model_exp_by_helpers(f_neg(f_mul(a, a))))
     return f_mul(f_add(one, f_neg(tail)), _sign_program(u))
+
+
+# Each kind's model, one op at a time: SPECS[kind].model must record these tags.
+
+def _relu_by_helpers(x):
+    # The compare, then the predicated move the ternary lowers to.
+    return select(_f_gt(x, np.float32(0.0)), x, np.float32(0.0))
+
+
+def _sigmoid_by_helpers(x):
+    one = np.float32(1.0)
+    return _f_div(one, f_add(one, model_exp_by_helpers(f_neg(x))))
+
+
+def _tanh_by_helpers(x):
+    up, down = model_exp_by_helpers(x), model_exp_by_helpers(f_neg(x))
+    return _f_div(f_add(up, f_neg(down)), f_add(up, down))
+
+
+def _gelu_by_helpers(x):
+    erf = model_erf_by_helpers(f_mul(x, _INV_SQRT2))
+    return f_mul(f_mul(f_add(np.float32(1.0), erf), x), np.float32(0.5))
+
+
+def _swish_by_helpers(x):
+    return f_mul(x, _sigmoid_by_helpers(x))
+
+
+MODELS_BY_HELPERS = {
+    ActivationKind.RELU: _relu_by_helpers,
+    ActivationKind.SIGMOID: _sigmoid_by_helpers,
+    ActivationKind.TANH: _tanh_by_helpers,
+    ActivationKind.GELU: _gelu_by_helpers,
+    ActivationKind.SWISH: _swish_by_helpers,
+}
 
 
 # -- word/value adapters ------------------------------------------------------

@@ -10,6 +10,8 @@ from ctact import analysis
 from ctact._ops import OP_BRANCH, Bound, recording
 from ctact.analysis import error_metrics, threshold_sweep
 
+from reference_ops import halving_counts
+
 from ctact.activations import (
     GELU_THRESHOLD,
     SIGMOID_THRESHOLD,
@@ -29,6 +31,7 @@ from ctact.activations import (
     tanh_protected,
     tanh_ref,
     _TANH_BOUND,
+    _halvings,
     _threshold_bound,
 )
 
@@ -327,6 +330,19 @@ class TestRandomEncodingContract:
             assert_bits(y[kind], x < -threshold, zero)
             above = x > threshold
             assert_bits(y[kind], above, x[above].view(np.uint32))
+
+    def test_halving_count_matches_the_halving_loop(self, x):
+        # The models read their exp's halving count from the argument's
+        # exponent; halving it where |t| > 1/2 must count the same, on every
+        # exponent at the mantissa ends and middle in both signs, +-0, +-inf
+        # and NaN, and on the random sample.
+        fields = np.arange(256, dtype=np.uint32)[:, None] << np.uint32(23)
+        mantissas = np.array([0, 1, 2**22, 2**23 - 1], dtype=np.uint32)
+        words = (fields | mantissas).ravel()
+        every_exponent = np.concatenate([words, words | np.uint32(0x80000000)]).view(np.float32)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
+        for t in (every_exponent, specials, x):
+            assert list(map(_halvings, t.tolist())) == halving_counts(t).tolist()
 
     def test_max_abs_error_against_float64_references(self, x, y):
         v = x.astype(np.float64)

@@ -50,6 +50,22 @@ class TestErrorsCommand:
         assert np.float32(tanh_row["argmax_input"]) == np.float32(expected.argmax_input)
         assert int(tanh_row["n_points"]) == 1601
 
+    @pytest.mark.parametrize("lo, hi, step, interval", [
+        ("0", "1e-40", "1e-40", "[0.0, 1e-40]"),
+        ("-0.05", "0.05", "0.01", "[-0.05, 0.05]"),
+    ])
+    def test_stdout_prints_the_interval_as_traces_does(self, tmp_path, capsys, lo, hi, step,
+                                                        interval):
+        # Shortest repr, so an interval inside +-0.05 does not round away.
+        assert run("errors", "--interval", lo, hi, "--step", step, "--kinds", "tanh",
+                   "--out", str(tmp_path)) == 0
+        assert run("traces", "--interval", lo, hi, "--step", step, "--kinds", "tanh",
+                   "--out", str(tmp_path)) == 0
+        out = capsys.readouterr().out.splitlines()
+        errors_row = next(line for line in out if line.startswith("tanh "))
+        assert errors_row.split()[1:3] == interval.split()
+        assert any(line.startswith(f"{interval} step {step}") for line in out)
+
     def test_json_format(self, tmp_path):
         assert run("errors", "--interval", "-2", "2", "--step", "0.5",
                    "--format", "json", "--kinds", "sigmoid",

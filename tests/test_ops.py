@@ -46,8 +46,6 @@ from ctact.activations import (
     SPECS,
     ActivationKind,
     _burn,
-    _model_erf,
-    _model_exp,
     _pad_program,
     _threshold_bound,
 )
@@ -61,9 +59,8 @@ from reference_ops import (
     abs_on_values,
     bits,
     clamp_on_values,
+    MODELS_BY_HELPERS,
     edge_values,
-    model_erf_by_helpers,
-    model_exp_by_helpers,
     saturate_on_values,
     select_above_on_values,
     sign_on_values,
@@ -348,25 +345,27 @@ class TestLeafOps:
         with np.errstate(all="ignore"):
             assert all(type(_burn(x, 5)) is np.float32 for x in self.A)
 
-    @pytest.mark.parametrize("leaf, composed", [(_model_exp, model_exp_by_helpers),
-                                                (_model_erf, model_erf_by_helpers)],
-                             ids=["exp", "erf"])
-    def test_model_blocks(self, leaf, composed):
-        # The models branch on values, so they take scalars only, and they
-        # return no value: only their tags are compared.  +-inf (exp) and
-        # +-FLT_MAX (erf, whose capped square halves as often as the
-        # composed one's inf) run to the halving cap; NaN halves no time.
+    @pytest.mark.parametrize("kind", list(ActivationKind))
+    def test_model_blocks(self, kind):
+        # Each model records its whole trace as one leaf op; its composition
+        # runs the exp's halving loop op by op.  The models branch on values,
+        # so they take scalars only, and they return no value: only their
+        # tags are compared.  +-inf and +-FLT_MAX run each exp to the halving
+        # cap (gelu's erf through its capped square, the composition's
+        # through an inf); NaN halves no time.
         def tags(f, x):
             with recording() as ops:
                 f(x)
             return ops
 
+        leaf, composed = SPECS[kind].model, MODELS_BY_HELPERS[kind]
+        extremes = [F32_INF, -F32_INF, FLT_MAX, -FLT_MAX]
         with np.errstate(all="ignore"):
-            assert [tags(leaf, x) for x in self.A] == [tags(composed, x) for x in self.A]
-            extremes = [np.float32(np.inf), FLT_MAX] if leaf is _model_exp else [FLT_MAX]
+            for x in list(self.A) + extremes:
+                assert tags(leaf, x) == tags(composed, x), x
+            exps = {ActivationKind.RELU: 0, ActivationKind.TANH: 2}.get(kind, 1)
             for x in extremes:
-                for v in (x, -x):
-                    assert tags(leaf, v).count("BRANCH") == 2 * _MAX_HALVINGS + 1
+                assert tags(leaf, x).count("BRANCH") == exps * (2 * _MAX_HALVINGS + 1)
 
 
 class TestMask32:
@@ -595,6 +594,41 @@ def test_model_traces_are_pinned_tag_for_tag():
                 digest.update(("|".join(ops) + "\n").encode())
                 ops.clear()
     assert digest.hexdigest() == MODEL_TRACES_DIGEST
+
+
+class CountingRecorder(list):
+    """A recorder that counts its ``extend`` and ``append`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.extends = self.appends = self.extended = 0
+
+    def extend(self, tags):
+        tags = tuple(tags)
+        self.extends += 1
+        self.extended += len(tags)
+        super().extend(tags)
+
+    def append(self, tag):
+        self.appends += 1
+        super().append(tag)
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_each_model_records_its_trace_with_one_extend(kind):
+    # Structural, not timed: a model that loops over its exp's halvings, or
+    # records its formula's ops one by one, calls the recorder more than once.
+    model = SPECS[kind].model
+    token = _ops._recorder.set(buf := CountingRecorder())
+    try:
+        with np.errstate(all="ignore"):
+            for x in _model_inputs():
+                model(x)
+                assert (buf.extends, buf.appends, len(buf)) == (1, 0, buf.extended), x
+                buf.clear()
+                buf.extends = buf.extended = 0
+    finally:
+        _ops._recorder.reset(token)
 
 
 @pytest.mark.parametrize("kind", list(ActivationKind))

@@ -10,8 +10,6 @@ from ctact import analysis
 from ctact._ops import OP_BRANCH, Bound, recording
 from ctact.analysis import error_metrics, threshold_sweep
 
-from reference_ops import halving_counts
-
 from ctact.activations import (
     GELU_THRESHOLD,
     SIGMOID_THRESHOLD,
@@ -34,6 +32,8 @@ from ctact.activations import (
     _halvings,
     _threshold_bound,
 )
+
+from reference_ops import halving_counts
 
 
 K = ActivationKind

@@ -55,11 +55,11 @@ from ctact.pade import _rational_program, _rational_tanh
 
 from reference_ops import (
     FLT_MAX,
+    MODELS_BY_HELPERS,
     PROTECTED_TRACE_LENGTH,
     abs_on_values,
     bits,
     clamp_on_values,
-    MODELS_BY_HELPERS,
     edge_values,
     saturate_on_values,
     select_above_on_values,
@@ -350,21 +350,20 @@ class TestLeafOps:
         # Each model records its whole trace as one leaf op; its composition
         # runs the exp's halving loop op by op.  The models branch on values,
         # so they take scalars only, and they return no value: only their
-        # tags are compared.  +-inf and +-FLT_MAX run each exp to the halving
-        # cap (gelu's erf through its capped square, the composition's
-        # through an inf); NaN halves no time.
+        # tags are compared.  +-inf and +-FLT_MAX, all in A, run each exp to
+        # the halving cap (gelu's erf through its capped square, the
+        # composition's through an inf); NaN halves no time.
         def tags(f, x):
             with recording() as ops:
                 f(x)
             return ops
 
         leaf, composed = SPECS[kind].model, MODELS_BY_HELPERS[kind]
-        extremes = [F32_INF, -F32_INF, FLT_MAX, -FLT_MAX]
         with np.errstate(all="ignore"):
-            for x in list(self.A) + extremes:
+            for x in self.A:
                 assert tags(leaf, x) == tags(composed, x), x
             exps = {ActivationKind.RELU: 0, ActivationKind.TANH: 2}.get(kind, 1)
-            for x in extremes:
+            for x in (F32_INF, -F32_INF, FLT_MAX, -FLT_MAX):
                 assert tags(leaf, x).count("BRANCH") == exps * (2 * _MAX_HALVINGS + 1)
 
 
@@ -633,9 +632,9 @@ def test_each_model_records_its_trace_with_one_extend(kind):
 
 @pytest.mark.parametrize("kind", list(ActivationKind))
 def test_models_raise_no_floating_point_error_on_the_grids(kind):
-    # A model computes only the arguments of its exp's halving loop, and
+    # A model computes only the argument whose halving count it reads, and
     # none of them overflows or is invalid on the canonical grids or at the
-    # extremes, FLT_MAX included: the erf model caps its square's operand.
+    # extremes, FLT_MAX included: the gelu model caps its square's operand.
     # Underflow (gelu's square of a subnormal) is the subnormal-latency
     # question, not an error here.
     model = SPECS[kind].model

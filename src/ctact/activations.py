@@ -33,22 +33,22 @@ grid and rounds the grid with one astype, the same cast.  relu_ref, and
 relu_protected, return +0.0 for every non-positive input, including -0.0.
 
 A libm call has no op sequence to record, so each reference comes with a
-small instrumented model of how such a function executes: an argument-
-reduction exponential with an input-dependent number of halving and
-squaring steps around a fixed polynomial, inside the fixed chains of the
-kind's formula.  The trace harness runs a model for its opcodes only: it
-records the reference's trace and returns None.  The exp's halving count
-is all of the trace that depends on the input, and a model reads it from
-the exponent of the exp's binary32 argument, its only arithmetic, rather
-than halving in a loop.  It records its whole trace with one ``extend``
-of a tag tuple built once per count; the tags are those of the one-tag
-compositions in ``tests/reference_ops.py``, and a test pins every
-unprotected trace.
+small model of how such a function executes: an argument-reduction
+exponential with an input-dependent number of halving and squaring steps
+around a fixed polynomial, inside the fixed chains of the kind's formula.
+The exp's halving count is all of the trace that depends on the input, so
+each model is stated in two parts: the exp's binary32 argument as a
+function of x, for a scalar or a whole grid, and the trace for each count,
+a tag tuple built on the count's first use.  _halvings reads the count
+from the argument's exponent, with one np.frexp for an array, rather than
+halving in a loop, and the trace harness checks a grid once per distinct
+count.  The tags are those of the one-tag compositions in
+``tests/reference_ops.py``, and a test pins every unprotected trace.
 
 SPECS is the one registry of what each kind is: its constant-time core and
-program, its reference, the reference's trace model, its saturation
-threshold and the candidates a threshold sweep scans.  evaluate, the trace
-harness, the accuracy analysis and the CLI all read it.
+program, its reference, the two parts of the reference's trace model, its
+saturation threshold and the candidates a threshold sweep scans.  evaluate,
+the trace harness, the accuracy analysis and the CLI all read it.
 """
 
 from __future__ import annotations
@@ -396,10 +396,11 @@ def swish_ref(x) -> np.float32:
 # -- instrumented models of the references (trace shape only) --------------
 
 _INV_SQRT2 = np.float32(1.0 / np.sqrt(2.0))
-# Halvings that bring FLT_MAX to 1/2 or below: no finite argument needs
-# more, and an infinite one, which no model computes from a finite input,
-# stops there rather than halving forever.
-_MAX_HALVINGS = 129
+# An infinite exp argument, which no model computes from a finite input,
+# halves as often as FLT_MAX, 129 times, the most a finite one needs,
+# rather than forever.  FLT_MAX is written out: np.finfo at import raised
+# a scalar_kernels run's peak RSS by about 0.3 MB.
+_FLT_MAX = np.float32(2.0**128 - 2.0**104)
 # The erf model's binary32 square of |u| halves 129 times from this cap
 # (1.125 * 2**127) on, overflowed or not, so capping |u| keeps it finite.
 _ERF_ARG_CAP = np.float32(1.5 * 2**63)
@@ -418,22 +419,22 @@ _ERF_HEAD_OPS = (_ABS_OPS + (OP_MUL, OP_ADD, OP_DIV) + (OP_MUL, OP_ADD) * 4
 _ERF_TAIL_OPS = (OP_MUL, OP_NEG, OP_ADD) + _SIGN_OPS + (OP_MUL,)
 
 
-def _halvings(t) -> int:
-    """How often the exp model halves its binary32 argument t.
+def _halvings(t):
+    """How often the exp model halves its binary32 argument t, a scalar or an array.
 
-    The model halves t while |t| > 1/2, at most _MAX_HALVINGS times.  A
-    halving above 1/2 is exact in binary32, so the count is read from the
-    exponent of |t| = m * 2**e (1/2 <= m < 1): e when |t| is exactly
-    2**(e-1), else e + 1, which reaches the cap at FLT_MAX.  It is 0 for
-    |t| <= 1/2 and NaN, and the cap for +-inf.
+    The model halves t while |t| > 1/2, at most 129 times.  A halving above
+    1/2 is exact in binary32, so the count is read from the exponent of
+    |t| = m * 2**e (1/2 <= m < 1), one np.frexp for a whole array: e when
+    |t| is exactly 2**(e-1), else e + 1, which reaches the cap, 129, at
+    FLT_MAX.  It is 0 for |t| <= 1/2 and NaN, and the cap for +-inf, which
+    counts as FLT_MAX.  An int array comes back, 0-d for a scalar.  The
+    caps and masks are np.where selects: np.minimum, or arithmetic on the
+    bool masks, raised a verify run's peak RSS by 0.2-0.3 MB.
     """
-    a = abs(float(t))
-    if not a > 0.5:
-        return 0
-    if a == math.inf:
-        return _MAX_HALVINGS
-    m, e = math.frexp(a)
-    return e if m == 0.5 else e + 1
+    a = abs(t)
+    a = np.where(a > _FLT_MAX, _FLT_MAX, a)
+    m, e = np.frexp(a)
+    return np.where(a > _HALF, np.where(m == _HALF, e, e + 1), 0)
 
 
 def _exp_ops(halvings: int) -> tuple:
@@ -473,35 +474,31 @@ def _swish_ops(halvings: int) -> tuple:
     return _sigmoid_ops(halvings) + (OP_MUL,)
 
 
-def _model_relu(x):
-    # A compare and the predicated move a compiler lowers the ternary to.
-    if (buf := _active()) is not None:
-        buf.extend((OP_CMP, OP_SELECT))
+@cache
+def _relu_ops(halvings: int) -> tuple:
+    # A compare and the predicated move a compiler lowers the ternary to;
+    # relu runs no exp, so its one count is 0.
+    return (OP_CMP, OP_SELECT)
 
 
-def _model_sigmoid(x):
-    if (buf := _active()) is not None:
-        buf.extend(_sigmoid_ops(_halvings(x)))
+# Each model's exp's binary32 argument, a function of x, scalar or array.
+
+def _exp_of_x(x):
+    # sigmoid, tanh and swish: their exps take x or -x, which halve alike.
+    return x
 
 
-def _model_tanh(x):
-    if (buf := _active()) is not None:
-        buf.extend(_tanh_ops(_halvings(x)))
+def _exp_of_erf(x):
+    # gelu: erf's argument u is the binary32 product x * (1/sqrt(2)), and its
+    # exp's argument minus the binary32 square of the capped |u|.
+    a = abs(x * _INV_SQRT2)
+    a = np.where(a > _ERF_ARG_CAP, _ERF_ARG_CAP, a)
+    return a * a
 
 
-def _model_gelu(x):
-    # erf's argument u is the binary32 product x * (1/sqrt(2)), and its exp's
-    # argument the binary32 square of the capped |u|.
-    if (buf := _active()) is not None:
-        a = abs(x * _INV_SQRT2)
-        if a > _ERF_ARG_CAP:
-            a = _ERF_ARG_CAP
-        buf.extend(_gelu_ops(_halvings(a * a)))
-
-
-def _model_swish(x):
-    if (buf := _active()) is not None:
-        buf.extend(_swish_ops(_halvings(x)))
+def _no_exp(x):
+    # relu: a 0 for every input, which halves no time.
+    return np.zeros_like(x)
 
 
 # -- the per-kind registry ------------------------------------------------------
@@ -516,9 +513,11 @@ class KindSpec:
     defaults to the bound of ``threshold`` built at import.  ``program``,
     the kernel one op at a time and padded, takes what ``core`` takes.
     ``reference`` is the libm reference in binary64, a function of a Python
-    float that the caller rounds to binary32 once, and ``model`` the
-    instrumented model of its execution: it records the reference's trace
-    and returns None, and its only arithmetic is its exp's halving count.
+    float that the caller rounds to binary32 once.  Its trace model comes
+    in two parts: ``exp_argument`` maps binary32 x, a scalar or an array,
+    to the binary32 argument of the model's exp, whose ``_halvings`` count
+    is all of the trace that depends on x, and ``model_ops`` maps a count
+    to the reference's whole trace, a tag tuple cached per count.
     ``threshold`` is None for a kind that does not saturate (relu).
     ``sweep`` holds the candidate thresholds analysis.threshold_sweep scans,
     and is empty for kinds whose threshold is solved rather than chosen
@@ -528,24 +527,26 @@ class KindSpec:
     core: Callable
     program: Callable
     reference: Callable
-    model: Callable
+    exp_argument: Callable
+    model_ops: Callable
     threshold: np.float32 | None = None
     sweep: tuple = ()
 
 
 SPECS = {
     ActivationKind.RELU: KindSpec(_relu_core, partial(_relu_program, pad=_RELU_PAD),
-                                  _relu64, _model_relu),
+                                  _relu64, _no_exp, _relu_ops),
     ActivationKind.SIGMOID: KindSpec(_sigmoid_core, partial(_sigmoid_program, pad=_SIGMOID_PAD),
-                                     _logistic, _model_sigmoid, SIGMOID_THRESHOLD),
+                                     _logistic, _exp_of_x, _sigmoid_ops, SIGMOID_THRESHOLD),
     ActivationKind.TANH: KindSpec(_tanh_core, partial(_tanh_program, pad=_TANH_PAD),
-                                  math.tanh, _model_tanh, TANH_THRESHOLD),
+                                  math.tanh, _exp_of_x, _tanh_ops, TANH_THRESHOLD),
     ActivationKind.GELU: KindSpec(
-        _gelu_core, partial(_gelu_program, pad=_GELU_PAD), _gelu64, _model_gelu, GELU_THRESHOLD,
+        _gelu_core, partial(_gelu_program, pad=_GELU_PAD), _gelu64, _exp_of_erf, _gelu_ops,
+        GELU_THRESHOLD,
         sweep=tuple(round(3.0 + 0.1 * i, 1) for i in range(15)),     # 3.0 .. 4.4
     ),
     ActivationKind.SWISH: KindSpec(
-        _swish_core, partial(_swish_program, pad=_SWISH_PAD), _swish64, _model_swish,
+        _swish_core, partial(_swish_program, pad=_SWISH_PAD), _swish64, _exp_of_x, _swish_ops,
         SWISH_THRESHOLD,
         sweep=tuple(round(6.5 + 0.25 * i, 2) for i in range(13)),    # 6.5 .. 9.5
     ),

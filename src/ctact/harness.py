@@ -6,16 +6,18 @@ abstraction exactly when its trace is identical for every input.
 
 Protected kernels are traced by running them under the recording context.
 Unprotected references are libm calls, so there is no op sequence to record
-directly; instead the kind's instrumented model (see activations.SPECS) runs
-under the recorder.  The model records the reference's trace with one
-``extend`` and computes only its exp's halving count; trace_eval returns
-the reference value, bit-equal to evaluate(kind, x, protected=False).
+directly; instead the kind's trace model (see activations.SPECS) gives the
+trace: the halving count of its exp's binary32 argument picks one cached
+tag tuple.  No model runs under the recorder.  trace_eval returns the
+reference value, bit-equal to evaluate(kind, x, protected=False).
 
-check_uniformity records the same traces as trace_eval but resolves the
-kind and the traced callable once per grid, enters one recording around a
-whole grid, and computes no reference value, since it reads only the
-opcodes.  Neither needs an errstate: a model's only arithmetic, the
-halving count of its exp's binary32 argument, stays finite on every
+check_uniformity gives the traces trace_eval gives, but checks and casts
+the grid to binary32 once, resolves the kind once, and computes no
+reference value, since it reads only the opcodes.  A protected check runs
+the kernel at every point inside one recording.  An unprotected check
+takes the halving counts of the whole grid in one numpy pass and compares
+each distinct count's trace once.  Neither needs an errstate: a model's
+only arithmetic, its exp's binary32 argument, stays finite on every
 finite binary32 input.
 """
 
@@ -28,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ._ops import recording
-from .activations import SPECS, ActivationKind, evaluate
+from .activations import SPECS, ActivationKind, _halvings, evaluate
 from .grids import as_f32
 
 __all__ = [
@@ -92,44 +94,76 @@ def trace_eval(kind, x, protected: bool = True):
     Returns ``(OpTrace, value)``.  The value is bit-equal to the
     uninstrumented ``evaluate(kind, x, protected)``: protected kernels are
     simply run with recording on, and for unprotected kinds the model only
-    shapes the trace while the returned value comes from the reference.
+    gives the trace while the returned value comes from the reference.
     """
     kind = ActivationKind(kind)
     spec = SPECS[kind]
     v = as_f32(x)
-    with recording() as ops:
-        value = (spec.core if protected else spec.model)(v)
-    if not protected:
-        value = evaluate(kind, v, protected=False)  # libm: emits no ops
-    return OpTrace(kind, protected, tuple(ops)), value
+    if protected:
+        with recording() as ops:
+            value = spec.core(v)
+        return OpTrace(kind, protected, tuple(ops)), value
+    ops = spec.model_ops(int(_halvings(spec.exp_argument(v))))
+    return OpTrace(kind, protected, ops), evaluate(kind, v, protected=False)
+
+
+def _binary32_grid(grid):
+    """The points of ``grid`` as given, and all of them as one binary32 array.
+
+    A one-dimensional binary32 array is checked in one pass and is both;
+    any other grid is cast point by point with as_f32.  Either way the
+    first point as_f32 rejects raises its error, and an empty grid is a
+    ValueError.
+    """
+    if isinstance(grid, np.ndarray) and grid.dtype == np.float32 and grid.ndim == 1:
+        # One byte per point, searched as bytes: a numpy reduction here
+        # (.all()) raised a verify run's peak RSS by about 0.4 MB.
+        finite = np.isfinite(grid).tobytes()
+        if 0 in finite:
+            as_f32(grid[finite.index(0)])  # raises for the first non-finite point
+        points = values = grid
+    else:
+        points = list(grid)
+        values = np.array([as_f32(x) for x in points], dtype=np.float32)
+    if not len(values):
+        raise ValueError("grid must contain at least one point")
+    return points, values
 
 
 def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
     """Trace ``kind`` at every grid point and compare against the first trace.
 
     A kind is uniform when all traces match opcode-for-opcode.  Inputs whose
-    trace differs from the canonical one are reported with their lengths.
-    The traces are the ones trace_eval records, but no value is kept: the
-    reference of an unprotected kind is never evaluated, and one recording
-    covers the whole grid rather than one per point; the buffer is cleared
-    after each point.
+    trace differs from the canonical one are reported, in grid order and as
+    given (``float(x)``, not rounded to binary32), with their lengths.  The
+    traces are the ones trace_eval gives, but no value is kept.  A protected
+    kernel runs at every point inside one recording, whose buffer is
+    cleared after each point.  An unprotected model never runs: one numpy
+    pass gives every point's halving count, and each distinct count's trace
+    is built, or read from its cache, and compared once.
     """
     kind = ActivationKind(kind)
-    points = list(grid)
-    if not points:
-        raise ValueError("grid must contain at least one point")
+    points, values = _binary32_grid(grid)
     spec = SPECS[kind]
-    traced = spec.core if protected else spec.model
-    canonical = None
     deviating: list = []
-    with recording() as ops:
-        for x in points:
-            traced(as_f32(x))
-            if canonical is None:
-                canonical = ops.copy()
-            elif ops != canonical:
-                deviating.append((float(x), len(ops)))
-            ops.clear()
+    if protected:
+        core = spec.core
+        canonical = None
+        with recording() as ops:
+            for i, v in enumerate(values):
+                core(v)
+                if canonical is None:
+                    canonical = ops.copy()
+                elif ops != canonical:
+                    deviating.append((float(points[i]), len(ops)))
+                ops.clear()
+    else:
+        counts = _halvings(spec.exp_argument(values)).tolist()
+        traces = {h: spec.model_ops(h) for h in set(counts)}
+        canonical = traces[counts[0]]
+        lengths = {h: len(ops) for h, ops in traces.items() if ops != canonical}
+        if lengths:
+            deviating = [(float(x), lengths[h]) for x, h in zip(points, counts) if h in lengths]
     return UniformityReport(
         kind=kind,
         protected=protected,

@@ -3,15 +3,16 @@
 Each protected block and kernel is spelled out one op at a time in
 ``src/``, as its program, beside its fast counterpart; ``TestLeafOps`` in
 ``test_ops.py`` checks them against each other.  The package's models
-compute only their exp's halving count and record each whole trace from
-typed tag tuples, so the compositions below, with the polynomial
-coefficients, are what ``TestLeafOps::test_model_blocks`` compares their
-tags with, and ``halving_counts`` is the loop the count stands for.
+give each trace from their exp's halving count and typed tag tuples, so
+the compositions below, with the polynomial coefficients, are what
+``TestLeafOps::test_model_blocks`` compares their tags with, and
+``halving_counts`` is the loop the count stands for.
 
 The adapters near the end hand the leaf ops on encodings the words of
 their values and read their result words back as values, through views,
 which record nothing.  ``edge_values`` is the binary32 edge sample that
-the tests of the ops and of the input check share, and
+the tests of the ops and of the input check share, ``random_encodings``
+the random one the activation and harness tests share, and
 ``PROTECTED_TRACE_LENGTH`` the one pin of every protected trace's length.
 """
 
@@ -36,7 +37,11 @@ from ctact._ops import (
     f_add,
     f_mul,
 )
-from ctact.activations import _INV_SQRT2, _MAX_HALVINGS, SPECS, ActivationKind
+from ctact.activations import _INV_SQRT2, SPECS, ActivationKind, _halvings
+
+# Halvings that bring FLT_MAX to 1/2 or below: no finite argument needs
+# more, and an infinite one stops there rather than halving forever.
+MAX_HALVINGS = 129
 
 # gelu's 59 ops, which every other protected kernel pads up to.
 PROTECTED_TRACE_LENGTH = 59
@@ -60,11 +65,11 @@ _ERF_C = tuple(np.float32(c) for c in
 
 def halving_counts(t) -> np.ndarray:
     """How often the exp model halves each binary32 t, by halving: where
-    |t| > 1/2, halve and count, at most ``_MAX_HALVINGS`` times."""
+    |t| > 1/2, halve and count, at most ``MAX_HALVINGS`` times."""
     a = np.abs(np.asarray(t, dtype=np.float32)).ravel()
-    counts = np.full(a.size, _MAX_HALVINGS)
+    counts = np.full(a.size, MAX_HALVINGS)
     at = np.arange(a.size)  # where each still-halving value came from
-    for halvings in range(_MAX_HALVINGS):
+    for halvings in range(MAX_HALVINGS):
         more = a > np.float32(0.5)
         counts[at[~more]] = halvings
         a, at = a[more] * np.float32(0.5), at[more]
@@ -76,7 +81,7 @@ def model_exp_by_helpers(t):
     while True:
         reduce_more = _f_gt(_abs_program(t), np.float32(0.5))
         take_branch()
-        if not reduce_more or halvings == _MAX_HALVINGS:
+        if not reduce_more or halvings == MAX_HALVINGS:
             break
         t = f_mul(t, np.float32(0.5))
         halvings += 1
@@ -101,7 +106,7 @@ def model_erf_by_helpers(u):
     return f_mul(f_add(one, f_neg(tail)), _sign_program(u))
 
 
-# Each kind's model, one op at a time: SPECS[kind].model must record these tags.
+# Each kind's model, one op at a time: SPECS[kind] must give these tags.
 
 def _relu_by_helpers(x):
     # The compare, then the predicated move the ternary lowers to.
@@ -134,6 +139,13 @@ MODELS_BY_HELPERS = {
     ActivationKind.GELU: _gelu_by_helpers,
     ActivationKind.SWISH: _swish_by_helpers,
 }
+
+
+def model_trace(kind, x) -> tuple:
+    """The package's model trace of ``kind`` at one binary32 x, non-finite
+    ones included: the halving count of its exp's argument picks the tags."""
+    spec = SPECS[kind]
+    return spec.model_ops(int(_halvings(spec.exp_argument(x))))
 
 
 # -- word/value adapters ------------------------------------------------------
@@ -178,6 +190,13 @@ def sign_on_values(x):
 FLT_MAX = np.finfo(np.float32).max
 SMALLEST_SUBNORMAL = np.float32(1e-45)
 LARGEST_SUBNORMAL = np.uint32(0x007FFFFF).view(np.float32)
+
+
+def random_encodings() -> np.ndarray:
+    """The finite values among 2**20 seeded random binary32 bit patterns."""
+    patterns = np.random.default_rng(20261018).integers(0, 2**32, 2**20, dtype=np.uint32)
+    x = patterns.view(np.float32)
+    return x[np.isfinite(x)]
 
 
 def edge_values() -> np.ndarray:

@@ -33,7 +33,7 @@ from ctact.activations import (
     _threshold_bound,
 )
 
-from reference_ops import halving_counts
+from reference_ops import halving_counts, random_encodings
 
 
 K = ActivationKind
@@ -67,18 +67,19 @@ class TestRegistry:
         assert list(SPECS) == list(ActivationKind)
         for kind, spec in SPECS.items():
             assert callable(spec.core) and callable(spec.reference)
-            assert callable(spec.model)
+            assert callable(spec.exp_argument) and callable(spec.model_ops)
             assert spec.threshold is None or type(spec.threshold) is np.float32
             assert isinstance(spec.sweep, tuple)
             assert all(c > 0 for c in spec.sweep)
-            # The model shapes a trace with real control flow; the core's
+            # The model gives a trace with real control flow; the core's
             # trace has none.
             with recording() as ops:
                 spec.core(np.float32(0.5))
             assert ops and OP_BRANCH not in ops
             with recording() as ops, np.errstate(all="ignore"):
-                spec.model(np.float32(0.5))
-            assert ops
+                trace = spec.model_ops(int(_halvings(spec.exp_argument(np.float32(0.5)))))
+            assert trace and ops == []
+            assert (OP_BRANCH in trace) is (kind is not ActivationKind.RELU)
 
     def test_thresholds_are_the_module_constants(self):
         assert SPECS[ActivationKind.RELU].threshold is None
@@ -293,9 +294,7 @@ class TestRandomEncodingContract:
 
     @pytest.fixture(scope="class")
     def x(self):
-        patterns = np.random.default_rng(20261018).integers(0, 2**32, 2**20, dtype=np.uint32)
-        x = patterns.view(np.float32)
-        return x[np.isfinite(x)]
+        return random_encodings()
 
     @pytest.fixture(scope="class")
     def y(self, x):
@@ -335,14 +334,21 @@ class TestRandomEncodingContract:
         # The models read their exp's halving count from the argument's
         # exponent; halving it where |t| > 1/2 must count the same, on every
         # exponent at the mantissa ends and middle in both signs, +-0, +-inf
-        # and NaN, and on the random sample.
+        # and NaN, and on the random sample.  The count of a whole array is
+        # checked on all of them, and the count of each scalar, as an
+        # np.float32 and as a Python float, on every 64th point of the random
+        # sample (about 10 us a count) and on all the others.
         fields = np.arange(256, dtype=np.uint32)[:, None] << np.uint32(23)
         mantissas = np.array([0, 1, 2**22, 2**23 - 1], dtype=np.uint32)
         words = (fields | mantissas).ravel()
         every_exponent = np.concatenate([words, words | np.uint32(0x80000000)]).view(np.float32)
         specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=np.float32)
         for t in (every_exponent, specials, x):
-            assert list(map(_halvings, t.tolist())) == halving_counts(t).tolist()
+            expected = halving_counts(t)
+            assert _halvings(t).tolist() == expected.tolist()
+            step = 64 if t is x else 1
+            for scalars in (t[::step], t[::step].tolist()):
+                assert [int(_halvings(v)) for v in scalars] == expected[::step].tolist()
 
     def test_max_abs_error_against_float64_references(self, x, y):
         v = x.astype(np.float64)

@@ -1,15 +1,19 @@
 """Trace recording, uniformity checks, host timing, Welch test."""
 
+import dataclasses
+import math
+import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ctact._ops import OP_BRANCH, OP_CMP, OP_SELECT, recording
-from ctact.activations import ActivationKind, evaluate
-from ctact.grids import GRID_WIDE, inclusive_grid
+from ctact._ops import OP_BRANCH, OP_CMP, OP_SELECT, f_mul, recording
+from ctact.activations import SPECS, ActivationKind, _ERF_ARG_CAP, _halvings, evaluate
+from ctact.grids import GRID_DENSE, GRID_WIDE, as_f32, inclusive_grid
 from ctact.harness import (
     check_uniformity,
     measure_host,
@@ -17,8 +21,52 @@ from ctact.harness import (
     welch_t_test,
 )
 
+from reference_ops import FLT_MAX, SMALLEST_SUBNORMAL, random_encodings
+
 ALL_KINDS = list(ActivationKind)
 SMALL_GRID = inclusive_grid(-6.0, 6.0, 0.5)
+
+
+def per_point_report(kind, grid, protected):
+    """(uniform, canonical length, deviating inputs) from a trace_eval loop."""
+    traces = [trace_eval(kind, x, protected)[0].ops for x in grid]
+    deviating = tuple((float(x), len(ops)) for x, ops in zip(grid, traces)
+                      if ops != traces[0])
+    return not deviating, len(traces[0]), deviating
+
+
+def report_of(kind, grid, protected):
+    report = check_uniformity(kind, grid, protected)
+    return report.uniform, report.canonical_length, report.deviating_inputs
+
+
+def edge_grid() -> np.ndarray:
+    """+-0, the smallest subnormal, every power of two from 2**-1 to 2**127
+    with its next-up neighbour (the exact-power edge of the halving count),
+    +-FLT_MAX and the points around gelu's erf-argument cap, x = cap * sqrt(2)."""
+    powers = np.ldexp(np.float32(1.0), np.arange(-1, 128)).astype(np.float32)
+    up = np.nextafter(powers, np.float32(np.inf))
+    cap = np.float32(float(_ERF_ARG_CAP) * math.sqrt(2.0))
+    around = [cap]
+    for _ in range(4):
+        around = [np.nextafter(around[0], np.float32(0.0))] + around
+        around.append(np.nextafter(around[-1], np.float32(np.inf)))
+    around = np.array(around, dtype=np.float32)
+    points = np.concatenate([
+        np.array([0.0, -0.0, SMALLEST_SUBNORMAL], dtype=np.float32),
+        np.column_stack([powers, up]).ravel(),
+        np.array([FLT_MAX, -FLT_MAX], dtype=np.float32),
+        around, -around,
+    ])
+    assert points.dtype == np.float32 and np.isfinite(points).all()
+    return points
+
+
+def leaky_core(x):
+    """A kernel whose trace leaks: one multiply per halving count of x."""
+    for _ in range(int(_halvings(x))):
+        f_mul(x, np.float32(0.5))
+    return x
 
 
 def bits(x) -> int:
@@ -106,31 +154,103 @@ class TestUniformity:
         assert relu.canonical_length < shortest_sigmoid
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            check_uniformity(ActivationKind.TANH, [])
+        for protected in (True, False):
+            for grid in ([], (), np.array([], dtype=np.float32), np.array([])):
+                with pytest.raises(ValueError, match="at least one point"):
+                    check_uniformity(ActivationKind.TANH, grid, protected)
 
     @pytest.mark.parametrize("kind, protected", [
         *((kind, True) for kind in ALL_KINDS),
-        (ActivationKind.SIGMOID, False),
-        (ActivationKind.TANH, False),
+        *((kind, False) for kind in ALL_KINDS),
     ])
     def test_matches_a_per_point_trace_eval_loop(self, kind, protected):
         # check_uniformity records its traces without trace_eval; the report
         # must be the one a plain per-point loop over trace_eval gives.
-        traces = [trace_eval(kind, x, protected)[0].ops for x in SMALL_GRID]
-        deviating = tuple((float(x), len(ops)) for x, ops in zip(SMALL_GRID, traces)
-                          if ops != traces[0])
-        assert bool(deviating) is not protected  # the unprotected cases deviate
-        report = check_uniformity(kind, SMALL_GRID, protected)
-        assert report.uniform == (not deviating)
-        assert report.canonical_length == len(traces[0])
-        assert report.deviating_inputs == deviating
+        expected = per_point_report(kind, SMALL_GRID, protected)
+        # The unprotected cases deviate, bar relu, whose trace is fixed.
+        assert expected[0] is (protected or kind is ActivationKind.RELU)
+        assert report_of(kind, SMALL_GRID, protected) == expected
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_unprotected_reports_match_the_per_point_loop_everywhere(self, kind):
+        # The whole-grid halving counts against trace_eval point by point:
+        # both canonical grids, 4,096 random finite encodings, and the edges
+        # of the count (powers of two and their next-up neighbours, the
+        # extremes, gelu's capped erf argument).  The edges also run
+        # protected.
+        blocks = [inclusive_grid(*GRID_DENSE), inclusive_grid(*GRID_WIDE),
+                  random_encodings()[:4096], edge_grid()]
+        for grid in blocks:
+            assert report_of(kind, grid, False) == per_point_report(kind, grid, False)
+        edges = blocks[-1]
+        assert report_of(kind, edges, True) == per_point_report(kind, edges, True)
+
+    @pytest.mark.parametrize("protected", [True, False])
+    def test_deviating_inputs_are_reported_as_given(self, protected, monkeypatch):
+        # A grid that is not binary32 is checked at its points rounded to
+        # binary32, but reports each deviating point as float(x) of the point
+        # as given.  A protected kernel is uniform, so a leaky one stands in.
+        if protected:
+            spec = SPECS[ActivationKind.SIGMOID]
+            monkeypatch.setitem(SPECS, ActivationKind.SIGMOID,
+                                dataclasses.replace(spec, core=leaky_core))
+        points = [1.0, 0.1, 1e-40, 2**100]
+        assert float(np.float32(0.1)) != 0.1 and float(np.float32(1e-40)) != 1e-40
+        for grid in (points, np.array(points, dtype=np.float64)):
+            uniform, length, deviating = report_of(ActivationKind.SIGMOID, grid, protected)
+            assert [x for x, _ in deviating] == [0.1, 1e-40, 2.0**100]
+            assert all(type(x) is float for x, _ in deviating)
+            assert (uniform, length, deviating) == per_point_report(
+                ActivationKind.SIGMOID, points, protected)
+
+    @pytest.mark.parametrize("protected", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e39, "1.0", b"1"],
+                             ids=["nan", "inf", "-inf", "1e39", "str", "bytes"])
+    def test_bad_points_raise_what_as_f32_raises(self, bad, protected):
+        # The first point as_f32 rejects raises its exception and message,
+        # in a list grid and, bar text, in a binary32 array (where 1e39 is
+        # +inf, which as_f32 reports as it reports 1e39); an outer recording
+        # stays empty either way.
+        with pytest.raises((TypeError, ValueError)) as expected:
+            as_f32(bad)
+        raises = pytest.raises(type(expected.value), match=re.escape(str(expected.value)))
+        grids = [[1.0, 2.0, bad, math.nan, 3.0]]
+        if not isinstance(bad, (str, bytes)):
+            with np.errstate(over="ignore"):
+                grids.append(np.array([1.0, 2.0, bad, math.nan, 3.0], dtype=np.float32))
+        for kind in ALL_KINDS:
+            for grid in grids:
+                with recording() as outer, raises:
+                    check_uniformity(kind, grid, protected)
+                assert outer == []
+
+    def test_unprotected_check_takes_each_count_trace_once(self, monkeypatch):
+        # Structural, not timed: on the dense grid the unprotected check
+        # builds or reads each distinct halving count's trace at most once.
+        grid = inclusive_grid(*GRID_DENSE)
+        for kind in ALL_KINDS:
+            spec = SPECS[kind]
+            calls = Counter()
+
+            def counted(halvings, model_ops=spec.model_ops):
+                calls[halvings] += 1
+                return model_ops(halvings)
+
+            monkeypatch.setitem(SPECS, kind, dataclasses.replace(spec, model_ops=counted))
+            check_uniformity(kind, grid, protected=False)
+            assert set(calls) == set(_halvings(spec.exp_argument(grid)).tolist()), kind
+            assert max(calls.values()) == 1, (kind, calls)
+            calls.clear()
+            check_uniformity(kind, grid, protected=True)
+            assert not calls
 
     def test_a_check_inside_an_outer_recording_leaves_it_empty(self):
-        # The check's own recording shadows the caller's for the whole grid.
+        # A protected check's own recording shadows the caller's for the
+        # whole grid, and an unprotected check records nothing.
         with recording() as outer:
-            check_uniformity(ActivationKind.GELU, SMALL_GRID)
-            check_uniformity(ActivationKind.TANH, SMALL_GRID, protected=False)
+            for kind in ALL_KINDS:
+                check_uniformity(kind, SMALL_GRID)
+                check_uniformity(kind, SMALL_GRID, protected=False)
         assert outer == []
 
     def test_unprotected_check_restores_the_error_state(self):
@@ -138,7 +258,7 @@ class TestUniformity:
             before = np.geterr()
             check_uniformity(ActivationKind.TANH, SMALL_GRID, protected=False)
             assert np.geterr() == before
-            # A non-finite point raises midway through the grid, inside the recording.
+            # A non-finite point midway through the grid raises before any tracing.
             with pytest.raises(ValueError):
                 check_uniformity(ActivationKind.TANH, [1.0, 500.0, float("inf"), 2.0],
                                  protected=False)

@@ -42,10 +42,10 @@ from ctact._ops import (
     recording,
 )
 from ctact.activations import (
-    _MAX_HALVINGS,
     SPECS,
     ActivationKind,
     _burn,
+    _halvings,
     _pad_program,
     _threshold_bound,
 )
@@ -55,12 +55,14 @@ from ctact.pade import _rational_program, _rational_tanh
 
 from reference_ops import (
     FLT_MAX,
+    MAX_HALVINGS,
     MODELS_BY_HELPERS,
     PROTECTED_TRACE_LENGTH,
     abs_on_values,
     bits,
     clamp_on_values,
     edge_values,
+    model_trace,
     saturate_on_values,
     select_above_on_values,
     sign_on_values,
@@ -347,24 +349,27 @@ class TestLeafOps:
 
     @pytest.mark.parametrize("kind", list(ActivationKind))
     def test_model_blocks(self, kind):
-        # Each model records its whole trace as one leaf op; its composition
-        # runs the exp's halving loop op by op.  The models branch on values,
-        # so they take scalars only, and they return no value: only their
-        # tags are compared.  +-inf and +-FLT_MAX, all in A, run each exp to
-        # the halving cap (gelu's erf through its capped square, the
-        # composition's through an inf); NaN halves no time.
+        # Each model gives its whole trace as one tag tuple, picked by its
+        # exp argument's halving count; its composition runs the exp's
+        # halving loop op by op.  The compositions branch on values, so they
+        # take scalars only, and only their tags are compared.  The count of
+        # the whole array must be each scalar's.  +-inf and +-FLT_MAX, all
+        # in A, run each exp to the halving cap (gelu's erf through its
+        # capped square, the composition's through an inf); NaN halves no time.
         def tags(f, x):
             with recording() as ops:
                 f(x)
             return ops
 
-        leaf, composed = SPECS[kind].model, MODELS_BY_HELPERS[kind]
+        spec, composed = SPECS[kind], MODELS_BY_HELPERS[kind]
         with np.errstate(all="ignore"):
             for x in self.A:
-                assert tags(leaf, x) == tags(composed, x), x
+                assert list(model_trace(kind, x)) == tags(composed, x), x
+            counts = _halvings(spec.exp_argument(self.A))
+            assert counts.tolist() == [int(_halvings(spec.exp_argument(x))) for x in self.A]
             exps = {ActivationKind.RELU: 0, ActivationKind.TANH: 2}.get(kind, 1)
             for x in (F32_INF, -F32_INF, FLT_MAX, -FLT_MAX):
-                assert tags(leaf, x).count("BRANCH") == exps * (2 * _MAX_HALVINGS + 1)
+                assert model_trace(kind, x).count("BRANCH") == exps * (2 * MAX_HALVINGS + 1)
 
 
 class TestMask32:
@@ -584,14 +589,18 @@ MODEL_TRACES_DIGEST = "2b56c15664506b3858082e5d74c0b61440f5bf55f2793fa8343dd7f1a
 
 
 def test_model_traces_are_pinned_tag_for_tag():
+    # Each scalar's trace is hashed; the whole array's halving counts must
+    # pick the same traces.
     digest = hashlib.sha256()
-    with np.errstate(all="ignore"), recording() as ops:
+    inputs = _model_inputs()
+    with np.errstate(all="ignore"):
         for kind in ActivationKind:
-            model = SPECS[kind].model
-            for x in _model_inputs():
-                model(x)
+            spec = SPECS[kind]
+            traces = [model_trace(kind, x) for x in inputs]
+            for ops in traces:
                 digest.update(("|".join(ops) + "\n").encode())
-                ops.clear()
+            counts = _halvings(spec.exp_argument(inputs)).tolist()
+            assert [spec.model_ops(h) for h in counts] == traces, kind
     assert digest.hexdigest() == MODEL_TRACES_DIGEST
 
 
@@ -615,32 +624,44 @@ class CountingRecorder(list):
 
 @pytest.mark.parametrize("kind", list(ActivationKind))
 def test_each_model_records_its_trace_with_one_extend(kind):
-    # Structural, not timed: a model that loops over its exp's halvings, or
-    # records its formula's ops one by one, calls the recorder more than once.
-    model = SPECS[kind].model
+    # Structural, not timed: a model's trace is one tag tuple, built once
+    # per halving count and then the same object, so a recorder takes it
+    # with one extend.  Reading the count records nothing, for a scalar or
+    # a whole array: a model that loops over its exp's halvings, or records
+    # its formula's ops one by one, calls the recorder.
+    spec = SPECS[kind]
+    inputs = _model_inputs()
     token = _ops._recorder.set(buf := CountingRecorder())
     try:
         with np.errstate(all="ignore"):
-            for x in _model_inputs():
-                model(x)
-                assert (buf.extends, buf.appends, len(buf)) == (1, 0, buf.extended), x
-                buf.clear()
-                buf.extends = buf.extended = 0
+            counts = _halvings(spec.exp_argument(inputs)).tolist()
+            for x, h in zip(inputs, counts):
+                assert int(_halvings(spec.exp_argument(x))) == h, x
+                trace = spec.model_ops(h)
+                assert type(trace) is tuple and spec.model_ops(h) is trace, x
+        assert (buf.extends, buf.appends, len(buf)) == (0, 0, 0)
+        for h in counts:
+            buf.extend(spec.model_ops(h))
+            assert (buf.extends, buf.appends, len(buf)) == (1, 0, buf.extended), h
+            buf.clear()
+            buf.extends = buf.extended = 0
     finally:
         _ops._recorder.reset(token)
 
 
 @pytest.mark.parametrize("kind", list(ActivationKind))
 def test_models_raise_no_floating_point_error_on_the_grids(kind):
-    # A model computes only the argument whose halving count it reads, and
-    # none of them overflows or is invalid on the canonical grids or at the
-    # extremes, FLT_MAX included: the gelu model caps its square's operand.
-    # Underflow (gelu's square of a subnormal) is the subnormal-latency
-    # question, not an error here.
-    model = SPECS[kind].model
-    with np.errstate(all="raise", under="ignore"), recording():
-        for x in _model_inputs():
-            model(x)
+    # A model computes only its exp's argument and that argument's halving
+    # count, and neither overflows or is invalid on the canonical grids or
+    # at the extremes, FLT_MAX included, for a scalar or a whole array: the
+    # gelu model caps its square's operand.  Underflow (gelu's square of a
+    # subnormal) is the subnormal-latency question, not an error here.
+    spec = SPECS[kind]
+    inputs = _model_inputs()
+    with np.errstate(all="raise", under="ignore"):
+        _halvings(spec.exp_argument(inputs))
+        for x in inputs:
+            _halvings(spec.exp_argument(x))
 
 
 def _core_output_blocks():
@@ -708,12 +729,12 @@ class TestRecorderScope:
             pass
         f_add(np.float32(1), np.float32(2))
         SPECS[ActivationKind.GELU].core(np.float32(0.5))
-        # A model outside a recording does no arithmetic at all, so none
-        # can raise, not even at -FLT_MAX.
+        # A model's trace comes from its exp argument's halving count, which
+        # records nothing and raises nothing, not even at -FLT_MAX.
         with np.errstate(all="raise"):
-            for spec in SPECS.values():
+            for kind in SPECS:
                 for x in (np.float32(0.5), -FLT_MAX):
-                    assert spec.model(x) is None
+                    assert model_trace(kind, x)
         with recording() as after:
             pass
         assert before == [] and after == []

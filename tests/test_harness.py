@@ -164,7 +164,7 @@ class TestUniformity:
         *((kind, False) for kind in ALL_KINDS),
     ])
     def test_matches_a_per_point_trace_eval_loop(self, kind, protected):
-        # check_uniformity records its traces without trace_eval; the report
+        # check_uniformity gets its traces without trace_eval; the report
         # must be the one a plain per-point loop over trace_eval gives.
         expected = per_point_report(kind, SMALL_GRID, protected)
         # The unprotected cases deviate, bar relu, whose trace is fixed.

@@ -37,13 +37,13 @@ small model of how such a function executes: an argument-reduction
 exponential with an input-dependent number of halving and squaring steps
 around a fixed polynomial, inside the fixed chains of the kind's formula.
 The exp's halving count is all of the trace that depends on the input, so
-each model is stated in two parts: the exp's binary32 argument as a
-function of x, for a scalar or a whole grid, and the trace for each count,
-a tag tuple built on the count's first use.  _halvings reads the count
-from the argument's exponent, with one np.frexp for an array, rather than
-halving in a loop, and the trace harness checks a grid once per distinct
-count.  The tags are those of the one-tag compositions in
-``tests/reference_ops.py``, and a test pins every unprotected trace.
+each model is stated in two parts: the count as a function of x, for a
+scalar or a whole grid, and the trace for each count, a tag tuple built on
+the count's first use.  _halvings reads the count from the exp argument's
+exponent, with one np.frexp for an array, rather than halving in a loop,
+and the trace harness checks a grid once per distinct count.  The tags are
+those of the one-tag compositions in ``tests/reference_ops.py``, and a test
+pins every unprotected trace.
 
 SPECS is the one registry of what each kind is: its constant-time core and
 program, its reference, the two parts of the reference's trace model, its
@@ -481,24 +481,21 @@ def _relu_ops(halvings: int) -> tuple:
     return (OP_CMP, OP_SELECT)
 
 
-# Each model's exp's binary32 argument, a function of x, scalar or array.
-
-def _exp_of_x(x):
-    # sigmoid, tanh and swish: their exps take x or -x, which halve alike.
-    return x
-
+# Each model's halving count, a function of x, scalar or array.  sigmoid,
+# tanh and swish count with _halvings itself: their exps take x or -x,
+# which halve alike.
 
 def _exp_of_erf(x):
     # gelu: erf's argument u is the binary32 product x * (1/sqrt(2)), and its
     # exp's argument minus the binary32 square of the capped |u|.
     a = abs(x * _INV_SQRT2)
     a = np.where(a > _ERF_ARG_CAP, _ERF_ARG_CAP, a)
-    return a * a
+    return _halvings(a * a)
 
 
 def _no_exp(x):
-    # relu: a 0 for every input, which halves no time.
-    return np.zeros_like(x)
+    # relu: no exp, so a count of 0 for every input.
+    return np.zeros_like(x, dtype=int)
 
 
 # -- the per-kind registry ------------------------------------------------------
@@ -514,10 +511,10 @@ class KindSpec:
     the kernel one op at a time and padded, takes what ``core`` takes.
     ``reference`` is the libm reference in binary64, a function of a Python
     float that the caller rounds to binary32 once.  Its trace model comes
-    in two parts: ``exp_argument`` maps binary32 x, a scalar or an array,
-    to the binary32 argument of the model's exp, whose ``_halvings`` count
-    is all of the trace that depends on x, and ``model_ops`` maps a count
-    to the reference's whole trace, a tag tuple cached per count.
+    in two parts: ``halvings`` maps binary32 x, a scalar or an array, to
+    the halving count of the model's exp, an int array (0-d for a scalar)
+    that is all of the trace that depends on x, and ``model_ops`` maps a
+    count to the reference's whole trace, a tag tuple cached per count.
     ``threshold`` is None for a kind that does not saturate (relu).
     ``sweep`` holds the candidate thresholds analysis.threshold_sweep scans,
     and is empty for kinds whose threshold is solved rather than chosen
@@ -527,7 +524,7 @@ class KindSpec:
     core: Callable
     program: Callable
     reference: Callable
-    exp_argument: Callable
+    halvings: Callable
     model_ops: Callable
     threshold: np.float32 | None = None
     sweep: tuple = ()
@@ -537,16 +534,16 @@ SPECS = {
     ActivationKind.RELU: KindSpec(_relu_core, partial(_relu_program, pad=_RELU_PAD),
                                   _relu64, _no_exp, _relu_ops),
     ActivationKind.SIGMOID: KindSpec(_sigmoid_core, partial(_sigmoid_program, pad=_SIGMOID_PAD),
-                                     _logistic, _exp_of_x, _sigmoid_ops, SIGMOID_THRESHOLD),
+                                     _logistic, _halvings, _sigmoid_ops, SIGMOID_THRESHOLD),
     ActivationKind.TANH: KindSpec(_tanh_core, partial(_tanh_program, pad=_TANH_PAD),
-                                  math.tanh, _exp_of_x, _tanh_ops, TANH_THRESHOLD),
+                                  math.tanh, _halvings, _tanh_ops, TANH_THRESHOLD),
     ActivationKind.GELU: KindSpec(
         _gelu_core, partial(_gelu_program, pad=_GELU_PAD), _gelu64, _exp_of_erf, _gelu_ops,
         GELU_THRESHOLD,
         sweep=tuple(round(3.0 + 0.1 * i, 1) for i in range(15)),     # 3.0 .. 4.4
     ),
     ActivationKind.SWISH: KindSpec(
-        _swish_core, partial(_swish_program, pad=_SWISH_PAD), _swish64, _exp_of_x, _swish_ops,
+        _swish_core, partial(_swish_program, pad=_SWISH_PAD), _swish64, _halvings, _swish_ops,
         SWISH_THRESHOLD,
         sweep=tuple(round(6.5 + 0.25 * i, 2) for i in range(13)),    # 6.5 .. 9.5
     ),

@@ -45,7 +45,7 @@ import re
 import statistics
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -275,21 +275,18 @@ def _is_cell(column) -> bool:
 
 
 def _block_rows(block) -> int:
-    """The rows of a column block: the length its sized per-row columns share."""
+    """The rows of a column block: the length its per-row columns share, or 1."""
     per_row = [column for column in block if not _is_cell(column)]
-    if not per_row:
-        return 1
-    sizes = {len(column) for column in per_row if hasattr(column, "__len__")}
+    if not all(hasattr(column, "__len__") for column in per_row):
+        raise ValueError("a per-row column needs a len(), which an iterator lacks")
+    sizes = {len(column) for column in per_row} or {1}
     if len(sizes) != 1:
-        raise ValueError("the per-row columns of a block need one length, "
-                         "and at least one of them a len()")
+        raise ValueError("the per-row columns of a block need one length")
     return sizes.pop()
 
 
 def _cells(column, lo: int, hi: int):
     """The rendered cells of rows lo to hi of a per-row column."""
-    if not hasattr(column, "__len__"):  # an iterator, read in row order
-        return map(str, islice(column, hi - lo))
     part = column[lo:hi]
     if isinstance(part, np.ndarray) and part.dtype == np.float64:
         return repr(part.tolist())[1:-1].split(", ")
@@ -313,7 +310,7 @@ def _csv_blocks(header, blocks):
                 continue
             if literal:
                 pieces.append(literal)
-            pieces.append(column if hasattr(column, "__len__") else iter(column))
+            pieces.append(column)
             literal = sep
         pieces.append(literal)
         stride = len(pieces)
@@ -339,10 +336,10 @@ def _write(path: Path, payload, header=None) -> None:
     block is a run of rows given as one column per header field.  A column
     is either one cell, the same on every row of the block (a ``str`` or
     any value that is not iterable), or a sequence with one cell per row
-    (a list, tuple, range, ndarray, or an iterator; an iterator needs a
-    sized column beside it, whose length is the block's row count).  A
-    block with no per-row column is one row, so a row tuple of cells is a
-    block too.  In JSON the blocks expand back to one object per row.
+    (a list, tuple, range or ndarray; an unsized one, such as an iterator,
+    is a ``ValueError``).  A block with no per-row column is one row, so a
+    row tuple of cells is a block too.  In JSON the blocks expand back to
+    one object per row.
     Binary32 values travel as ``np.float32`` cells and are rendered only
     here, as the shortest decimal that parses back to the same binary32
     value.
@@ -438,9 +435,9 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
     table = []
     for spec in grid_specs:
         grid = inclusive_grid(*spec)
-        # The input cells, rendered once per grid and shared by all its reports:
-        # str of an np.float32 is the shortest binary32 decimal _write gives it.
-        inputs = list(map(str, grid)) if cfg.format == "csv" else ()
+        # The input cells, rendered once per grid by the writer's own renderer
+        # and shared by all the grid's reports.
+        inputs = list(_cells(grid, 0, len(grid))) if cfg.format == "csv" else ()
         values = grid.tolist()
         reports = []
         lengths = set()
@@ -455,9 +452,9 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
                     # everything off the deviating list matched the canonical
                     # trace, so no second tracing pass is needed, and a
                     # uniform report's length is one cell for all its rows.
-                    cells = {v: str(n) for v, n in report.deviating_inputs}
-                    canonical = str(report.canonical_length)
-                    trace_len = map(cells.get, values, repeat(canonical)) if cells else canonical
+                    deviating = dict(report.deviating_inputs)
+                    n = report.canonical_length
+                    trace_len = list(map(deviating.get, values, repeat(n))) if deviating else n
                     table.append((kind.value, int(protected), *spec, inputs, trace_len))
         aligned = len(lengths) == 1 and all(r.uniform for r in reports if r.protected)
         ok = ok and aligned

@@ -7,18 +7,18 @@ abstraction exactly when its trace is identical for every input.
 Protected kernels are traced by running them under the recording context.
 Unprotected references are libm calls, so there is no op sequence to record
 directly; instead the kind's trace model (see activations.SPECS) gives the
-trace: the halving count of its exp's binary32 argument picks one cached
+trace: its exp's halving count, SPECS[kind].halvings(x), picks one cached
 tag tuple.  No model runs under the recorder.  trace_eval returns the
 reference value, bit-equal to evaluate(kind, x, protected=False).
 
 check_uniformity gives the traces trace_eval gives, but checks and casts
-the grid to binary32 once, resolves the kind once, and computes no
-reference value, since it reads only the opcodes.  A protected check runs
-the kernel at every point inside one recording.  An unprotected check
-takes the halving counts of the whole grid in one numpy pass and compares
-each distinct count's trace once.  Neither needs an errstate: a model's
-only arithmetic, its exp's binary32 argument, stays finite on every
-finite binary32 input.
+the grid to binary32 once (grids.binary32_grid), resolves the kind once,
+and computes no reference value, since it reads only the opcodes.  A
+protected check runs the kernel at every point inside one recording.  An
+unprotected check takes the halving counts of the whole grid in one numpy
+pass and compares each distinct count's trace once.  Neither needs an
+errstate: a model's only arithmetic, its halving count, stays finite on
+every finite binary32 input.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from ._ops import recording
-from .activations import SPECS, ActivationKind, _halvings, evaluate
-from .grids import as_f32
+from .activations import SPECS, ActivationKind, evaluate
+from .grids import as_f32, binary32_grid
 
 __all__ = [
     "OpTrace",
@@ -103,31 +103,8 @@ def trace_eval(kind, x, protected: bool = True):
         with recording() as ops:
             value = spec.core(v)
         return OpTrace(kind, protected, tuple(ops)), value
-    ops = spec.model_ops(int(_halvings(spec.exp_argument(v))))
+    ops = spec.model_ops(int(spec.halvings(v)))
     return OpTrace(kind, protected, ops), evaluate(kind, v, protected=False)
-
-
-def _binary32_grid(grid):
-    """The points of ``grid`` as given, and all of them as one binary32 array.
-
-    A one-dimensional binary32 array is checked in one pass and is both;
-    any other grid is cast point by point with as_f32.  Either way the
-    first point as_f32 rejects raises its error, and an empty grid is a
-    ValueError.
-    """
-    if isinstance(grid, np.ndarray) and grid.dtype == np.float32 and grid.ndim == 1:
-        # One byte per point, searched as bytes: a numpy reduction here
-        # (.all()) raised a verify run's peak RSS by about 0.4 MB.
-        finite = np.isfinite(grid).tobytes()
-        if 0 in finite:
-            as_f32(grid[finite.index(0)])  # raises for the first non-finite point
-        points = values = grid
-    else:
-        points = list(grid)
-        values = np.array([as_f32(x) for x in points], dtype=np.float32)
-    if not len(values):
-        raise ValueError("grid must contain at least one point")
-    return points, values
 
 
 def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
@@ -143,7 +120,7 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
     is built, or read from its cache, and compared once.
     """
     kind = ActivationKind(kind)
-    points, values = _binary32_grid(grid)
+    points, values = binary32_grid(grid)
     spec = SPECS[kind]
     deviating: list = []
     if protected:
@@ -158,7 +135,7 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
                     deviating.append((float(points[i]), len(ops)))
                 ops.clear()
     else:
-        counts = _halvings(spec.exp_argument(values)).tolist()
+        counts = spec.halvings(values).tolist()
         traces = {h: spec.model_ops(h) for h in set(counts)}
         canonical = traces[counts[0]]
         lengths = {h: len(ops) for h, ops in traces.items() if ops != canonical}

@@ -37,7 +37,7 @@ from ctact._ops import (
     f_add,
     f_mul,
 )
-from ctact.activations import _INV_SQRT2, SPECS, ActivationKind, _halvings
+from ctact.activations import _INV_SQRT2, SPECS, ActivationKind
 
 # Halvings that bring FLT_MAX to 1/2 or below: no finite argument needs
 # more, and an infinite one stops there rather than halving forever.
@@ -145,7 +145,7 @@ def model_trace(kind, x) -> tuple:
     """The package's model trace of ``kind`` at one binary32 x, non-finite
     ones included: the halving count of its exp's argument picks the tags."""
     spec = SPECS[kind]
-    return spec.model_ops(int(_halvings(spec.exp_argument(x))))
+    return spec.model_ops(int(spec.halvings(x)))
 
 
 # -- word/value adapters ------------------------------------------------------

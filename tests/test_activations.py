@@ -33,7 +33,7 @@ from ctact.activations import (
     _threshold_bound,
 )
 
-from reference_ops import halving_counts, random_encodings
+from reference_ops import edge_values, halving_counts, random_encodings
 
 
 K = ActivationKind
@@ -67,7 +67,7 @@ class TestRegistry:
         assert list(SPECS) == list(ActivationKind)
         for kind, spec in SPECS.items():
             assert callable(spec.core) and callable(spec.reference)
-            assert callable(spec.exp_argument) and callable(spec.model_ops)
+            assert callable(spec.halvings) and callable(spec.model_ops)
             assert spec.threshold is None or type(spec.threshold) is np.float32
             assert isinstance(spec.sweep, tuple)
             assert all(c > 0 for c in spec.sweep)
@@ -77,7 +77,7 @@ class TestRegistry:
                 spec.core(np.float32(0.5))
             assert ops and OP_BRANCH not in ops
             with recording() as ops, np.errstate(all="ignore"):
-                trace = spec.model_ops(int(_halvings(spec.exp_argument(np.float32(0.5)))))
+                trace = spec.model_ops(int(spec.halvings(np.float32(0.5))))
             assert trace and ops == []
             assert (OP_BRANCH in trace) is (kind is not ActivationKind.RELU)
 
@@ -349,6 +349,18 @@ class TestRandomEncodingContract:
             step = 64 if t is x else 1
             for scalars in (t[::step], t[::step].tolist()):
                 assert [int(_halvings(v)) for v in scalars] == expected[::step].tolist()
+
+    def test_model_halving_counts_are_even_and_grow_with_magnitude(self, x):
+        # Each model's halving count, all of its trace that depends on x, is
+        # the same at x and -x and never falls as |x| grows, over the random
+        # sample and the edge values (FLT_MAX among them, in both signs).
+        # One argsort by |x| serves all five kinds.
+        t = np.concatenate([x, edge_values()])
+        order = np.argsort(abs(t))  # x and -x tie, and their counts are equal
+        for kind, spec in SPECS.items():
+            counts = spec.halvings(t)
+            assert (spec.halvings(-t) == counts).all(), kind
+            assert (np.diff(counts[order]) >= 0).all(), kind
 
     def test_max_abs_error_against_float64_references(self, x, y):
         v = x.astype(np.float64)

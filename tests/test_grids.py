@@ -16,7 +16,8 @@ from reference_ops import FLT_MAX, bits, edge_values
 
 KINDS = ("relu", "sigmoid", "tanh", "gelu", "swish")
 
-# Every public entry point that takes one scalar input.
+# Every public entry point that takes one scalar input, and check_uniformity
+# on a one-point list grid, whose points as_f32 checks one by one.
 SCALAR_ENTRIES = {
     **{f"{kind}_{variant}": getattr(ctact, f"{kind}_{variant}")
        for kind in KINDS for variant in ("protected", "ref")},
@@ -25,6 +26,7 @@ SCALAR_ENTRIES = {
     "rational_tanh": ctact.rational_tanh,
     "trace_eval-protected": functools.partial(ctact.trace_eval, "tanh", protected=True),
     "trace_eval-unprotected": functools.partial(ctact.trace_eval, "tanh", protected=False),
+    "check_uniformity-list": lambda x: ctact.check_uniformity("tanh", [x]),
 }
 
 
@@ -67,9 +69,15 @@ def test_text_inputs_are_type_errors(entry):
     # reads a buffer as an array of its elements; neither may reach a
     # kernel.  "inf" is refused as text, not as an infinity, and an
     # array.array of doubles is refused before float() fails to parse it.
+    # numpy's complex, timedelta64 and datetime64 values have __float__,
+    # which drops the imaginary part or reads the tick count; they are
+    # refused like a Python complex, before numpy's ComplexWarning.
     for text in ("1.5", "inf", np.str_("1.5"), b"1.5", bytearray(b"1.5"),
                  bytearray(b"-7"), memoryview(b"1.5"), np.bytes_(b"1.5"),
-                 array.array("b", b"1.5"), array.array("d", [1.5])):
+                 array.array("b", b"1.5"), array.array("d", [1.5]),
+                 1 + 0j, np.complex64(1 + 2j), np.complex128(1 + 0j),
+                 np.array(np.complex64(1 + 2j)), np.timedelta64(3),
+                 np.array(np.timedelta64(3)), np.datetime64(3, "ns")):
         with pytest.raises(TypeError, match="must be a number"):
             entry(text)
 

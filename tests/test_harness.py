@@ -238,7 +238,7 @@ class TestUniformity:
 
             monkeypatch.setitem(SPECS, kind, dataclasses.replace(spec, model_ops=counted))
             check_uniformity(kind, grid, protected=False)
-            assert set(calls) == set(_halvings(spec.exp_argument(grid)).tolist()), kind
+            assert set(calls) == set(spec.halvings(grid).tolist()), kind
             assert max(calls.values()) == 1, (kind, calls)
             calls.clear()
             check_uniformity(kind, grid, protected=True)

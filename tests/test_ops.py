@@ -45,7 +45,6 @@ from ctact.activations import (
     SPECS,
     ActivationKind,
     _burn,
-    _halvings,
     _pad_program,
     _threshold_bound,
 )
@@ -365,8 +364,8 @@ class TestLeafOps:
         with np.errstate(all="ignore"):
             for x in self.A:
                 assert list(model_trace(kind, x)) == tags(composed, x), x
-            counts = _halvings(spec.exp_argument(self.A))
-            assert counts.tolist() == [int(_halvings(spec.exp_argument(x))) for x in self.A]
+            counts = spec.halvings(self.A)
+            assert counts.tolist() == [int(spec.halvings(x)) for x in self.A]
             exps = {ActivationKind.RELU: 0, ActivationKind.TANH: 2}.get(kind, 1)
             for x in (F32_INF, -F32_INF, FLT_MAX, -FLT_MAX):
                 assert model_trace(kind, x).count("BRANCH") == exps * (2 * MAX_HALVINGS + 1)
@@ -599,7 +598,7 @@ def test_model_traces_are_pinned_tag_for_tag():
             traces = [model_trace(kind, x) for x in inputs]
             for ops in traces:
                 digest.update(("|".join(ops) + "\n").encode())
-            counts = _halvings(spec.exp_argument(inputs)).tolist()
+            counts = spec.halvings(inputs).tolist()
             assert [spec.model_ops(h) for h in counts] == traces, kind
     assert digest.hexdigest() == MODEL_TRACES_DIGEST
 
@@ -634,9 +633,9 @@ def test_each_model_records_its_trace_with_one_extend(kind):
     token = _ops._recorder.set(buf := CountingRecorder())
     try:
         with np.errstate(all="ignore"):
-            counts = _halvings(spec.exp_argument(inputs)).tolist()
+            counts = spec.halvings(inputs).tolist()
             for x, h in zip(inputs, counts):
-                assert int(_halvings(spec.exp_argument(x))) == h, x
+                assert int(spec.halvings(x)) == h, x
                 trace = spec.model_ops(h)
                 assert type(trace) is tuple and spec.model_ops(h) is trace, x
         assert (buf.extends, buf.appends, len(buf)) == (0, 0, 0)
@@ -659,9 +658,9 @@ def test_models_raise_no_floating_point_error_on_the_grids(kind):
     spec = SPECS[kind]
     inputs = _model_inputs()
     with np.errstate(all="raise", under="ignore"):
-        _halvings(spec.exp_argument(inputs))
+        spec.halvings(inputs)
         for x in inputs:
-            _halvings(spec.exp_argument(x))
+            spec.halvings(x)
 
 
 def _core_output_blocks():

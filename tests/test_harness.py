@@ -1,7 +1,11 @@
 """Trace recording, uniformity checks, host timing, Welch test."""
 
+import ast
+import builtins
 import dataclasses
+import inspect
 import math
+import operator
 import re
 import subprocess
 import sys
@@ -11,20 +15,35 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ctact import _ops, activations, harness, pade
 from ctact._ops import OP_BRANCH, OP_CMP, OP_SELECT, f_mul, recording
 from ctact.activations import SPECS, ActivationKind, _ERF_ARG_CAP, _halvings, evaluate
 from ctact.grids import GRID_DENSE, GRID_WIDE, as_f32, inclusive_grid
 from ctact.harness import (
+    _ESCAPES,
+    _Guarded,
+    _guarded,
+    _ValueEscape,
     check_uniformity,
     measure_host,
     trace_eval,
     welch_t_test,
 )
 
+from leak_zoo import ZOO, any_branch
 from reference_ops import FLT_MAX, SMALLEST_SUBNORMAL, random_encodings
 
 ALL_KINDS = list(ActivationKind)
 SMALL_GRID = inclusive_grid(-6.0, 6.0, 0.5)
+# The grids the guarded protected check is held to the per-point loop on:
+# the two canonical grids, one of inputs whose squares underflow, and one
+# next to FLT_MAX.
+ORACLE_GRIDS = {
+    "dense": inclusive_grid(*GRID_DENSE),
+    "wide": inclusive_grid(*GRID_WIDE),
+    "tiny": inclusive_grid(-1e-30, 1e-30, 1e-31),
+    "huge": inclusive_grid(3e38, 3.4e38, 1e37),
+}
 
 
 def per_point_report(kind, grid, protected):
@@ -170,6 +189,21 @@ class TestUniformity:
         # The unprotected cases deviate, bar relu, whose trace is fixed.
         assert expected[0] is (protected or kind is ActivationKind.RELU)
         assert report_of(kind, SMALL_GRID, protected) == expected
+        if not protected:
+            return
+        # The guarded array run against the scalar body, point by point, on
+        # every oracle grid; its output bits are the plain array run's, and
+        # the caller's grid is left as it was, bits and flags.
+        core = SPECS[kind].core
+        for name, grid in ORACLE_GRIDS.items():
+            before = grid.copy()
+            assert report_of(kind, grid, True) == per_point_report(kind, grid, True), name
+            guarded = core(_guarded(grid))
+            assert type(guarded) is _Guarded, name
+            assert np.array_equal(np.ndarray.view(guarded, np.ndarray).view(np.uint32),
+                                  core(grid).view(np.uint32)), name
+            assert np.array_equal(grid.view(np.uint32), before.view(np.uint32)), name
+            assert grid.flags.writeable, name
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_unprotected_reports_match_the_per_point_loop_everywhere(self, kind):
@@ -273,6 +307,244 @@ class TestUniformity:
             warnings.simplefilter("error")
             for kind in ALL_KINDS:
                 check_uniformity(kind, grid, protected=False)
+
+
+# The kernel modules, and the routes that strip a guarded array's subclass
+# on purpose, which no function a core reaches may take.
+KERNEL_MODULES = (_ops, pade, activations)
+STRIPPING_CALLS = (np.asarray, np.array, memoryview)
+STRIPPING_ATTRIBUTES = {"base", "data", "item", "tolist", "flat"}
+# A parameter a function may branch or loop on, because every call passes
+# it a constant: _burn's pad count.
+CONSTANT_COUNTS = {activations._burn: "count"}
+# The builtin route to each escape, as a kernel would take it.
+ESCAPE_ROUTES = {
+    "__bool__": bool, "__int__": int, "__float__": float, "__index__": operator.index,
+    "__complex__": complex, "__iter__": iter, "item": lambda a: a.item(),
+    "tolist": lambda a: a.tolist(), "tobytes": lambda a: a.tobytes(),
+}
+
+
+def _function_nodes():
+    """Every function of the kernel modules, nested ones too, by (file, first line)."""
+    nodes = {}
+    for module in KERNEL_MODULES:
+        path = inspect.getsourcefile(module)
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.FunctionDef):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                nodes[path, first] = node
+    return nodes
+
+
+def _lookup(name, fn):
+    """The global or builtin ``name`` refers to in ``fn``, or None."""
+    return fn.__globals__[name] if name in fn.__globals__ else getattr(builtins, name, None)
+
+
+def _resolve(expr, fn):
+    """The object a name or a dotted name in ``fn`` refers to, or None."""
+    if isinstance(expr, ast.Name):
+        return _lookup(expr.id, fn)
+    if isinstance(expr, ast.Attribute):
+        return getattr(_resolve(expr.value, fn), expr.attr, None)
+    return None
+
+
+def _functions_in(obj):
+    """The Python functions of the kernel modules that ``obj`` is or holds."""
+    if isinstance(obj, (tuple, list)):
+        return [f for item in obj for f in _functions_in(item)]
+    obj = inspect.unwrap(getattr(obj, "func", obj))  # functools.partial, functools.cache
+    modules = {module.__name__ for module in KERNEL_MODULES}
+    if inspect.isfunction(obj) and obj.__module__ in modules:
+        return [obj]
+    return []
+
+
+def reachable_functions():
+    """Each function of the kernel modules a SPECS core reaches, with its AST node.
+
+    A function reaches every function of the kernel modules that a name in
+    its body refers to, directly or through a tuple of functions, such as
+    the cast pairs _casts picks from.
+    """
+    nodes = _function_nodes()
+    todo = [spec.core for spec in SPECS.values()]
+    found = {}
+    while todo:
+        fn = todo.pop()
+        if fn in found:
+            continue
+        code = fn.__code__
+        found[fn] = node = nodes[code.co_filename, code.co_firstlineno]
+        for child in ast.walk(ast.Module(body=node.body, type_ignores=[])):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                todo.extend(_functions_in(_resolve(child, fn)))
+    return found
+
+
+def _data_names(expr) -> set:
+    """The names ``expr`` reads, outside a type test and the recorder check."""
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) and (
+            expr.func.id in ("type", "isinstance", "_active")):
+        return set()
+    if isinstance(expr, ast.Name) and isinstance(expr.ctx, ast.Load):
+        return {expr.id}
+    return set().union(*map(_data_names, ast.iter_child_nodes(expr)))
+
+
+def _branches(node):
+    """Each expression in ``node`` that Python control flow tests or loops over."""
+    for child in ast.walk(node):
+        if isinstance(child, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            yield child.test
+        elif isinstance(child, ast.BoolOp):
+            yield from child.values
+        elif isinstance(child, ast.For):
+            yield child.iter
+        elif isinstance(child, ast.comprehension):
+            yield child.iter
+            yield from child.ifs
+
+
+class TestGuardedRun:
+    @pytest.mark.parametrize("name", _ESCAPES)
+    def test_every_escape_route_raises(self, name):
+        grid = _guarded(SMALL_GRID)
+        for value in (grid, grid[3], grid.max()):
+            with pytest.raises(_ValueEscape, match=re.escape(name)):
+                ESCAPE_ROUTES[name](value)
+
+    def test_every_derived_array_stays_guarded(self):
+        g = _guarded(SMALL_GRID)
+        derived = [g * np.float32(2), abs(g), -g, g > 0, np.uint32(7) * (g > 0),
+                   g.max(), g.any(), g.sum(), g.argmax(), g.dot(g), g[3], g[1:4],
+                   g.reshape(-1), g.view(np.uint32), g.view(np.ndarray), g.astype(int),
+                   np.where(g > 0, g, 0), np.count_nonzero(g), np.array_equal(g, g),
+                   *np.frexp(g), *g.nonzero()]
+        assert all(type(a) is _Guarded for a in derived), [type(a) for a in derived]
+
+    def test_the_guarded_view_is_read_only_and_leaves_the_grid(self):
+        grid = SMALL_GRID.copy()
+        guarded = _guarded(grid)
+        with pytest.raises(ValueError, match="read-only"):
+            guarded[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            guarded.view(np.uint32)[0] = 1
+        assert grid.flags.writeable
+        assert np.array_equal(grid.view(np.uint32), SMALL_GRID.view(np.uint32))
+
+    def test_a_uniform_kernel_runs_once_and_never_point_by_point(self, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("the per-point loop ran")
+
+        monkeypatch.setattr(harness, "_per_point", no_loop)
+        for kind in ALL_KINDS:
+            spec = SPECS[kind]
+            calls = []
+
+            def counted(x, core=spec.core):
+                calls.append(x)
+                return core(x)
+
+            monkeypatch.setitem(SPECS, kind, dataclasses.replace(spec, core=counted))
+            for grid in ORACLE_GRIDS.values():
+                assert check_uniformity(kind, grid).uniform
+            assert [type(x) for x in calls] == [_Guarded] * len(ORACLE_GRIDS), kind
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_each_zoo_kernel_makes_the_guard_raise_and_gets_the_loops_report(
+            self, name, monkeypatch):
+        kernel = ZOO[name]
+        with pytest.raises(_ValueEscape):
+            kernel(_guarded(SMALL_GRID))
+        tanh = SPECS[ActivationKind.TANH]
+        monkeypatch.setitem(SPECS, ActivationKind.TANH, dataclasses.replace(tanh, core=kernel))
+        fallbacks = []
+
+        def counted(*args, per_point=harness._per_point):
+            fallbacks.append(args)
+            return per_point(*args)
+
+        monkeypatch.setattr(harness, "_per_point", counted)
+        expected = per_point_report(ActivationKind.TANH, SMALL_GRID, True)
+        assert not expected[0]
+        with recording() as outer:
+            assert report_of(ActivationKind.TANH, SMALL_GRID, True) == expected
+        assert outer == []
+        assert len(fallbacks) == 1
+
+    def test_a_plain_array_run_misses_a_branch_on_a_reduction(self):
+        # Why the guard exists: without it, the .any() kernel records one
+        # trace for the whole array, while the loop finds its deviations.
+        with recording() as ops:
+            any_branch(SMALL_GRID)
+        assert len(ops) == len(trace_eval(ActivationKind.TANH, 6.0)[0].ops) + 1
+        _, deviating = harness._per_point(any_branch, SMALL_GRID, SMALL_GRID)
+        assert [x for x, _ in deviating] == [x for x in SMALL_GRID.tolist() if abs(x) <= 4]
+
+    def test_no_warning_escapes_and_the_error_state_is_kept(self, monkeypatch):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid in ORACLE_GRIDS.values():
+                for kind in ALL_KINDS:
+                    check_uniformity(kind, grid)
+            assert np.geterr() == before
+            # The guard raises midway through a kernel, and the loop takes over.
+            tanh = SPECS[ActivationKind.TANH]
+            for kernel in ZOO.values():
+                monkeypatch.setitem(SPECS, ActivationKind.TANH,
+                                    dataclasses.replace(tanh, core=kernel))
+                for grid in ORACLE_GRIDS.values():
+                    check_uniformity(ActivationKind.TANH, grid)
+                assert np.geterr() == before
+
+    def test_no_function_a_core_reaches_branches_on_a_value(self):
+        # The guarded run speaks for the array body.  This speaks for the
+        # scalar body too: a function a core reaches may test only whether
+        # the recorder is on, a type, or a count every call passes as a
+        # constant, so no scalar call can take another path than the array
+        # run took.
+        reachable = reachable_functions()
+        assert activations._burn in reachable and _ops._casts in reachable
+        assert _ops._scalar_bits in reachable  # through the cast pair _casts picks
+        bad = []
+        for fn, node in reachable.items():
+            for test in _branches(node):
+                names = {name for name in _data_names(test) if name != CONSTANT_COUNTS.get(fn)
+                         and not isinstance(_lookup(name, fn), type)}
+                if names:
+                    bad.append((fn.__name__, test.lineno, sorted(names)))
+        assert not bad, bad
+
+    def test_constant_counts_are_passed_constants(self):
+        # Each call of a function in CONSTANT_COUNTS passes its count as an
+        # int literal or a module-level int, never a value.
+        seen = 0
+        for fn, node in reachable_functions().items():
+            for call in ast.walk(node):
+                callee = isinstance(call, ast.Call) and _resolve(call.func, fn)
+                if callee in CONSTANT_COUNTS:
+                    seen += 1
+                    arg = inspect.signature(callee).bind(
+                        *call.args, **{kw.arg: kw.value for kw in call.keywords},
+                    ).arguments[CONSTANT_COUNTS[callee]]
+                    value = arg.value if isinstance(arg, ast.Constant) else _resolve(arg, fn)
+                    assert type(value) is int, (fn.__name__, call.lineno)
+        assert seen == 4  # relu, sigmoid, tanh and swish pad; gelu does not
+
+    def test_no_function_a_core_reaches_strips_the_guard(self):
+        bad = []
+        for fn, node in reachable_functions().items():
+            for child in ast.walk(node):
+                if isinstance(child, ast.Attribute) and child.attr in STRIPPING_ATTRIBUTES:
+                    bad.append((fn.__name__, child.lineno, child.attr))
+                elif isinstance(child, ast.Call) and any(
+                        _resolve(child.func, fn) is route for route in STRIPPING_CALLS):
+                    bad.append((fn.__name__, child.lineno, ast.unparse(child.func)))
+        assert not bad, bad
 
 
 class TestMeasureHost:

@@ -183,14 +183,12 @@ def _rewrapped(name):
 
     def guarded(self, *args, **kwargs):
         return _guard(method(self, *args, **kwargs))
-    guarded.__name__ = name
     return guarded
 
 
 def _escape(name):
     def escape(self, *args, **kwargs):
         raise _ValueEscape(f"{name} on a guarded array")
-    escape.__name__ = name
     return escape
 
 

@@ -312,7 +312,7 @@ class TestUniformity:
 # The kernel modules, and the routes that strip a guarded array's subclass
 # on purpose, which no function a core reaches may take.
 KERNEL_MODULES = (_ops, pade, activations)
-STRIPPING_CALLS = (np.asarray, np.array, memoryview)
+STRIPPING_CALLS = (np.asarray, np.array, np.float32, np.uint32, memoryview)
 STRIPPING_ATTRIBUTES = {"base", "data", "item", "tolist", "flat"}
 # A parameter a function may branch or loop on, because every call passes
 # it a constant: _burn's pad count.
@@ -363,7 +363,7 @@ def _functions_in(obj):
 
 
 def reachable_functions():
-    """Each function of the kernel modules a SPECS core reaches, with its AST node.
+    """Each function of the kernel modules a SPECS core reaches, with its body's AST.
 
     A function reaches every function of the kernel modules that a name in
     its body refers to, directly or through a tuple of functions, such as
@@ -377,8 +377,9 @@ def reachable_functions():
         if fn in found:
             continue
         code = fn.__code__
-        found[fn] = node = nodes[code.co_filename, code.co_firstlineno]
-        for child in ast.walk(ast.Module(body=node.body, type_ignores=[])):
+        found[fn] = body = ast.Module(
+            body=nodes[code.co_filename, code.co_firstlineno].body, type_ignores=[])
+        for child in ast.walk(body):
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
                 todo.extend(_functions_in(_resolve(child, fn)))
     return found

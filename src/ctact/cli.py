@@ -123,11 +123,14 @@ def _kinds(default, name="kinds") -> Option:
     return Option(name, list, ",".join(kind.value for kind in default), "comma list")
 
 
+_OUTPUT = (
+    Option("out", str, None, f"output directory (default ${OUT_DIR_ENV} or .)"),
+    Option("force", bool, False, "overwrite existing output files"),
+)
 _COMMON = (
     Option("seed", int, 0, "master RNG seed", low=0),
     Option("format", str, "csv", "primary artifact format", _FORMATS),
-    Option("out", str, None, f"output directory (default ${OUT_DIR_ENV} or .)"),
-    Option("force", bool, False, "overwrite existing output files"),
+    *_OUTPUT,
 )
 _GRID = (
     Option("grid", str, None, "named grid selection", _GRIDS),
@@ -711,7 +714,7 @@ _COMMANDS = {
         *_COMMON, *_GRID, _kinds(_ALL_KINDS),
         Option("include_unprotected", bool, False, "also report unprotected reference traces"))),
     "bench": (cmd_bench, "host-process wall-time measurements", (
-        *_COMMON, *_GRID, _kinds(_ALL_KINDS),
+        *_OUTPUT, *_GRID, _kinds(_ALL_KINDS),
         Option("repetitions", int, 5, "timed passes over the grid", low=1),
         Option("protection", str, "protected", "which implementations to time", _PROTECTION))),
     "attack": (cmd_attack, "profiled Gaussian template attack", (

@@ -15,17 +15,19 @@ check_uniformity gives the traces trace_eval gives, but checks and casts
 the grid to binary32 once (grids.binary32_grid), resolves the kind once,
 and computes no reference value, since it reads only the opcodes.
 
-A protected check runs the kernel once, on a read-only guarded view of
-the whole grid, inside one recording.  The guard (_Guarded) raises on
-every route by which a value reaches Python control flow, and every array
-derived from a guarded one is guarded.  So a run that finishes recorded
-no op that depends on any element: its trace holds for every binary32
-input of the array body, not only the grid's.  A kernel that branches on
-a value makes the guard raise, and the check then runs it at every
-point, which names the deviating inputs.  The guard does not close the
-routes that strip the subclass on purpose (np.asarray, .base, the buffer
-protocol).  The tests check that no function a core reaches takes one
-or branches on a value, and hold the guarded report to a per-point loop
+A protected check runs the kernel once, on the whole grid as a guarded
+array (_Guarded), inside one recording.  The guard is default-deny: it
+offers Python's operators, plain elementwise ufunc calls and
+``view(dtype)``, wraps every result again, and raises on everything else,
+np.asarray, indexing, reductions and truth tests included.  So a run that
+finishes recorded no op that depends on any element: its trace holds for
+every binary32 input of the array body, not only the grid's.  A kernel
+that branches on a value makes the guard raise, and the check then runs
+it at every point, which names the deviating inputs.  What the guard
+cannot close is a deliberate read of its private slot and the buffer
+protocol, which raises TypeError instead.  The tests check that no
+function a core reaches names the slot, takes a stripping route or
+branches on a value, and hold the guarded report to a per-point loop
 over the scalar body.
 
 An unprotected check takes the halving counts of the whole grid in one
@@ -125,85 +127,43 @@ class _ValueEscape(Exception):
     """A value of a guarded array reached Python control flow."""
 
 
-# Every route by which a guarded array's values reach Python control flow,
-# as one tuple of names, so any other guarded type can close the same ones.
-# Each raises _ValueEscape, so a kernel that branches on a value, loops a
-# value-dependent number of times or reads a value out cannot finish a
-# guarded run.
-_ESCAPES = ("__bool__", "__int__", "__float__", "__index__", "__complex__", "__iter__",
-            "item", "tolist", "tobytes")
-
-
-def _plain(a):
-    """``a`` with every guarded array in it, nested in lists and tuples, viewed as a plain one."""
-    if isinstance(a, _Guarded):
-        return np.ndarray.view(a, np.ndarray)
-    if type(a) in (list, tuple):
-        return type(a)(map(_plain, a))
-    return a
-
-
-def _guard(result):
-    """``result`` with every array and number in it as a guarded array, 0-d for a number."""
-    if isinstance(result, np.ndarray):
-        return np.ndarray.view(result, _Guarded)
-    if isinstance(result, (np.generic, int, float, complex)):
-        return np.ndarray.view(np.asarray(result), _Guarded)
-    if type(result) in (list, tuple):
-        return type(result)(map(_guard, result))
-    return result
-
-
-class _Guarded(np.ndarray):
+class _Guarded(np.lib.mixins.NDArrayOperatorsMixin):
     """An array whose values cannot reach Python control flow.
 
-    Every route in _ESCAPES raises _ValueEscape, in the manner of ctgrind
-    (Langley, 2010), which marks secret bytes undefined so that valgrind
-    reports each branch on them.  Every array derived from a guarded one is
-    guarded too: numpy's ufuncs and array functions run on plain views and
-    their results, reductions included, are wrapped again; an index gives a
-    guarded 0-d array, never a numpy scalar; and every public method's
-    result is wrapped again, so a view keeps the guard and ``argmax`` or
-    ``dot``, which skip numpy's dispatch, cannot hand out a scalar.
+    Default-deny, in the manner of ctgrind (Langley, 2010), which marks
+    secret bytes undefined so that valgrind reports each branch on them.
+    The values sit in a private slot.  A guarded array offers Python's
+    operators, plain elementwise ufunc calls and ``view(dtype)``, and wraps
+    every result again.  Everything else raises _ValueEscape: any other
+    attribute (``np.asarray`` and numpy's other conversions ask for one),
+    a ufunc method or keyword such as ``reduce``, ``at`` or ``out=``, every
+    array function, and each protocol named below.  Python offers no hook
+    for the buffer protocol, so ``memoryview`` raises TypeError.
     """
 
+    __slots__ = ("_values",)
+
+    def __init__(self, values):
+        object.__setattr__(self, "_values", values)
+
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        kwargs = {k: _plain(v) for k, v in kwargs.items()}
-        return _guard(getattr(ufunc, method)(*map(_plain, inputs), **kwargs))
+        if method != "__call__" or kwargs:
+            raise _ValueEscape(f"{ufunc.__name__}.{method} {list(kwargs)} on a guarded array")
+        result = ufunc(*(a._values if type(a) is _Guarded else a for a in inputs))
+        return tuple(map(_Guarded, result)) if ufunc.nout > 1 else _Guarded(result)
 
-    def __array_function__(self, func, types, args, kwargs):
-        return _guard(func(*map(_plain, args), **{k: _plain(v) for k, v in kwargs.items()}))
+    def view(self, dtype):
+        return _Guarded(self._values.view(dtype))
 
-    def __getitem__(self, key):
-        return _guard(super().__getitem__(key))
+    def __getattr__(self, name):
+        raise _ValueEscape(f"{name} of a guarded array")
 
+    def _deny(self, *args, **kwargs):
+        raise _ValueEscape("a value of a guarded array")
 
-def _rewrapped(name):
-    method = getattr(np.ndarray, name)
-
-    def guarded(self, *args, **kwargs):
-        return _guard(method(self, *args, **kwargs))
-    return guarded
-
-
-def _escape(name):
-    def escape(self, *args, **kwargs):
-        raise _ValueEscape(f"{name} on a guarded array")
-    return escape
-
-
-for _name in dir(np.ndarray):
-    if not _name.startswith("_") and callable(getattr(np.ndarray, _name)):
-        setattr(_Guarded, _name, _rewrapped(_name))
-for _name in _ESCAPES:
-    setattr(_Guarded, _name, _escape(_name))
-
-
-def _guarded(values: np.ndarray) -> np.ndarray:
-    """A read-only guarded view of ``values``."""
-    guarded = np.ndarray.view(values, _Guarded)
-    guarded.flags.writeable = False
-    return guarded
+    __array_function__ = __bool__ = __float__ = __int__ = __index__ = __complex__ = _deny
+    __iter__ = __len__ = __getitem__ = __setitem__ = __setattr__ = _deny
+    __reduce_ex__ = __getstate__ = _deny
 
 
 def _per_point(core, points, values):
@@ -229,8 +189,8 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
     given (``float(x)``, not rounded to binary32), with their lengths.  The
     traces are the ones trace_eval gives, but no value is kept.
 
-    A protected kernel runs once, on a read-only guarded view of the whole
-    binary32 grid, inside one recording.  If no value reaches Python control
+    A protected kernel runs once, on the whole binary32 grid as a guarded
+    array, inside one recording.  If no value reaches Python control
     flow, no recorded op can depend on any element, so the kind is uniform
     with that run's trace length.  If one does, the guard raises, and the
     kernel runs at every point inside one recording, whose buffer is
@@ -245,7 +205,7 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
     if protected:
         try:
             with recording() as canonical:
-                spec.core(_guarded(values))
+                spec.core(_Guarded(values))
         except _ValueEscape:
             canonical, deviating = _per_point(spec.core, points, values)
     else:

@@ -4,9 +4,10 @@ Each kernel computes tanh through the real protected core and adds one
 leak: an op sequence that depends on the input through a route by which a
 value reaches Python control flow.  The per-point trace loop flags each of
 them on a grid that straddles the leak.  A guarded array run must raise on
-each, including the branch on a reduction, which a plain array run misses
-because it records one trace for the whole array.  Every kernel also runs
-on a binary32 scalar, as the per-point loop calls it.
+each, including the branches on a reduction, which a plain array run
+misses because it records one trace for the whole array, and the one that
+first strips the array to a plain one.  Every kernel also runs on a
+binary32 scalar, as the per-point loop calls it.
 """
 
 import numpy as np
@@ -58,6 +59,14 @@ def any_branch(x):
     return y
 
 
+def stripped_any(x):
+    """An extra add where any |x| > t, tested on the mask as a plain array."""
+    y = _tanh(x)
+    if np.asarray(abs(x) > _T).any():
+        f_add(y, y)
+    return y
+
+
 def float_of_max(x):
     """An extra add where float(max |x|) > t."""
     y = _tanh(x)
@@ -76,4 +85,5 @@ def iterate(x):
 
 
 ZOO = {kernel.__name__: kernel for kernel in (
-    early_exit, data_loop, element_test, scalar_truth, any_branch, float_of_max, iterate)}
+    early_exit, data_loop, element_test, scalar_truth, any_branch, stripped_any, float_of_max,
+    iterate)}

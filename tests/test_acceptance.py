@@ -369,7 +369,9 @@ _ARTIFACT_DIGESTS = {
 @pytest.mark.parametrize("name,fmt", sorted(_ARTIFACT_DIGESTS))
 def test_cli_artifact_digests(name, fmt, tmp_path, capsys):
     argv = dict(_CLI_RUNS)[name]
-    assert cli.main([*argv, "--format", fmt, "--out", str(tmp_path)]) == 0
+    if any(option.name == "format" for option in cli._COMMANDS[argv[0]][2]):
+        argv = [*argv, "--format", fmt]  # bench has none: it writes one CSV and one JSON
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     got = {p.name: _digest(p) for p in sorted(tmp_path.iterdir())}
     assert got == _ARTIFACT_DIGESTS[(name, fmt)]

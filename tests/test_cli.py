@@ -318,6 +318,8 @@ class TestUsageErrors:
         ("errors", "--grid", "dense", "--interval", "-1", "1", "--step", "0.5"),
         ("traces", "--kinds", ","),
         ("bench", "--repetitions", "0"),
+        ("bench", "--seed", "1"),  # bench draws no random numbers
+        ("bench", "--format", "json"),  # and always writes one CSV and one JSON file
         ("thresholds", "--tolerance", "0"),
         ("thresholds", "--tolerance", "-1"),
         ("attack", "--classes", "relu"),
@@ -565,6 +567,8 @@ class TestConfigFile:
         ("thresholds", {"trials": 3}),
         ("errors", {"repetitions": 2}),
         ("bench", {"tolerance": 1e-6}),
+        ("bench", {"seed": 1}),
+        ("bench", {"format": "csv"}),
     ])
     def test_a_key_the_command_does_not_read_exits_two(self, command, content, tmp_path,
                                                        capsys):
@@ -686,8 +690,7 @@ _FLAGS = {
     "errors": "--seed --format --out --force --grid --interval --step --kinds",
     "traces": "--seed --format --out --force --grid --interval --step --kinds "
               "--include-unprotected",
-    "bench": "--seed --format --out --force --grid --interval --step --kinds "
-             "--repetitions --protection",
+    "bench": "--out --force --grid --interval --step --kinds --repetitions --protection",
     "attack": "--seed --format --out --force --classes --countermeasure --n-prof --n-max "
               "--trials --delay-dist --delay-low --delay-high --delay-mean --delay-std "
               "--input-swing --history-trials --clock-hz",

@@ -50,10 +50,10 @@ rather than once per call; and a word that feeds another select or a
 saturation tail is never turned into a value in between.
 
 Each leaf body of a constant-time kernel is straight-line code: it never
-branches on a value.  The instrumented models of the unprotected references
-(``activations.SPECS``) record through ``_active`` too, but compute no
-value: they record the tags of the branchy code they model, and the only
-arithmetic they do is the argument of their exp's data-dependent loop.  Every
+branches on a value.  No model of an unprotected reference runs under the
+recorder: a reference's trace is one cached tag tuple of the branchy code
+it models (``activations.SPECS``), picked by its exp's halving count,
+``SPECS[kind].halvings(x)``.  Every
 cast is picked, scalar or array, by the operands' types, never by their
 values.  On a scalar, numpy's ``view`` and ``frombuffer`` build a
 temporary array, which costs several times a float32 multiply, so the scalar

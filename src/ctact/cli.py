@@ -506,14 +506,16 @@ def cmd_bench(cfg: argparse.Namespace) -> int:
     modes = _PROTECTION[cfg.protection]
     samples_path = _output_path(cfg, "bench_samples.csv")
     summary_path = _output_path(cfg, "bench_summary.json")
+    points = [inclusive_grid(*spec) for spec in grids]
+    # measure_host's rows are repetitions: its ravel() walks the grid once per repetition.
+    columns = [(np.tile(grid, reps), np.arange(reps).repeat(grid.size)) for grid in points]
     samples, summary = [], []
     for protected in modes:
         for kind in kinds:
-            group = [measure_host(kind, inclusive_grid(*spec), reps, protected) for spec in grids]
-            samples += [(kind.value, int(protected), [np.float32(s.input) for s in run],
-                         [s.repetition for s in run], [s.elapsed_ns for s in run])
-                        for run in group]
-            values = [s.elapsed_ns for run in group for s in run]
+            runs = [measure_host(kind, grid, reps, protected).ravel() for grid in points]
+            samples += [(kind.value, int(protected), inputs, repetition, run)
+                        for (inputs, repetition), run in zip(columns, runs)]
+            values = np.concatenate(runs).tolist()
             summary.append((kind.value, protected, len(values), min(values),
                             statistics.fmean(values), float(statistics.median(values)),
                             statistics.stdev(values) if len(values) > 1 else 0.0,
@@ -575,9 +577,12 @@ def cmd_attack(cfg: argparse.Namespace) -> int:
     if unbounded:
         raise UsageError(f"the latency of {', '.join(unbounded)} has a non-finite mean or "
                          f"variance; the clock or the delay is out of range")
-    constant = [k for k, (_, var) in moments.items() if var == 0.0]
+    # A spread lost when added to the mean, zero included, rounds the sampled
+    # latencies to a value or two around the mean: no Gaussian profile.
+    constant = [k for k, (mean, var) in moments.items() if mean + math.sqrt(var) == mean]
     if constant:
-        raise UsageError(f"the delay has zero width and the latency of {', '.join(constant)} "
+        raise UsageError(f"the delay is too narrow (zero width, or a spread lost to float64 "
+                         f"rounding at its mean) and the latency of {', '.join(constant)} "
                          f"ignores the input, so its profile would be constant")
     scores_path = _output_path(cfg, "attack_scores.csv")
     summary_path = _output_path(cfg, "attack_summary.json")

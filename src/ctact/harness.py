@@ -35,6 +35,10 @@ numpy pass and compares each distinct count's trace once.  Neither check
 sets an errstate: the kernels compute on clamped values, and a model's
 only arithmetic, its halving count, stays finite on every finite
 binary32 input.
+
+measure_host times one scalar evaluate call per grid point and
+repetition, in that sequential order, and returns the raw wall times as
+one int64 array of shape (repetitions, len(grid)).
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .grids import as_f32, binary32_grid
 
 __all__ = [
     "OpTrace",
-    "TimingSample",
     "UniformityReport",
     "WelchResult",
     "trace_eval",
@@ -72,17 +75,6 @@ class OpTrace:
     @property
     def length(self) -> int:
         return len(self.ops)
-
-
-@dataclass(frozen=True)
-class TimingSample:
-    """One raw host-process timing measurement (never aggregated here)."""
-
-    kind: ActivationKind
-    protected: bool
-    input: float
-    elapsed_ns: int
-    repetition: int
 
 
 @dataclass(frozen=True)
@@ -226,18 +218,16 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
 
 # -- host timing --------------------------------------------------------------
 
-_sink = 0.0  # results land here so the interpreter cannot drop the calls
-
-
-def measure_host(kind, grid, repetitions: int, protected: bool = True):
+def measure_host(kind, grid, repetitions: int, protected: bool = True) -> np.ndarray:
     """Time scalar evaluations with the monotonic nanosecond clock.
 
-    One warm-up pass over the grid runs untimed, then every (input,
-    repetition) pair contributes one raw :class:`TimingSample`.  Samples are
-    never aggregated here.  Host timing is noisy scheduling-wise; the trace
-    checks, not these numbers, carry the constant-time argument.
+    One warm-up pass over the grid runs untimed, then each repetition times
+    one call per grid point, in grid order.  Returns the raw wall times in
+    ns as one int64 array of shape ``(repetitions, len(grid))``: row ``r``,
+    column ``i`` is repetition ``r`` at ``grid[i]``.  Nothing is aggregated
+    here.  Host timing is noisy scheduling-wise; the trace checks, not
+    these numbers, carry the constant-time argument.
     """
-    global _sink
     kind = ActivationKind(kind)
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -245,17 +235,15 @@ def measure_host(kind, grid, repetitions: int, protected: bool = True):
     if not points:
         raise ValueError("grid must contain at least one point")
     for x in points:  # warm-up: caches, lazy imports, allocator
-        _sink += float(evaluate(kind, x, protected))
-    samples = []
+        evaluate(kind, x, protected)
+    elapsed = np.empty((repetitions, len(points)), dtype=np.int64)
     clock = time.perf_counter_ns
-    for rep in range(repetitions):
-        for x in points:
+    for row in elapsed:
+        for i, x in enumerate(points):
             begin = clock()
-            value = evaluate(kind, x, protected)
-            elapsed = clock() - begin
-            _sink += float(value)
-            samples.append(TimingSample(kind, protected, x, elapsed, rep))
-    return samples
+            evaluate(kind, x, protected)
+            row[i] = clock() - begin
+    return elapsed
 
 
 # -- leakage statistics --------------------------------------------------------

@@ -10,10 +10,11 @@ call it.
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import ctact
-from ctact import activations, analysis, attack, grids, harness, pade
+from ctact import activations, analysis, attack, cli, grids, harness, pade
 
 from reference_ops import PROTECTED_TRACE_LENGTH
 
@@ -28,7 +29,7 @@ PUBLIC_API = [
     "ErrorReport", "GELU_THRESHOLD", "GRID_DENSE", "GRID_WIDE", "GaussianTemplate",
     "GridSpec", "INPUT_RANGE", "KindSpec", "NUMERATOR_EXACT", "NUMERATOR_F32", "OpTrace",
     "SIGMOID_THRESHOLD", "SPECS", "SWISH_THRESHOLD", "TANH_THRESHOLD", "ThresholdSolution",
-    "TimingSample", "UniformityReport", "WelchResult", "__version__", "attack_experiment",
+    "UniformityReport", "WelchResult", "__version__", "attack_experiment",
     "balancing_errors", "calibrated_delay", "check_uniformity", "device_model",
     "error_metrics", "evaluate", "fit_template", "gelu_protected", "gelu_ref",
     "inclusive_grid", "measure_host", "profile_phase", "rational_tanh", "relu_protected",
@@ -83,6 +84,18 @@ def test_readme_python_examples_run():
     assert namespace["trace"].length == PROTECTED_TRACE_LENGTH
     results = namespace["results"]
     assert sum(r.success for r in results.values()) / len(results) == 1.0
+
+
+def test_readme_cli_examples_run(tmp_path):
+    # Each command of the README's Examples block, with its artifacts in a
+    # temporary directory, exits 0.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"^Examples:\n\n```\n(.*?)^```$", readme.read_text(encoding="utf-8"),
+                      re.DOTALL | re.MULTILINE).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 6 and all(argv[0] == "ctact" for argv in commands)
+    for i, argv in enumerate(commands):
+        assert cli.main([*argv[1:], "--out", str(tmp_path / str(i))]) == 0, argv
 
 
 def _defined_names(stmt) -> set:

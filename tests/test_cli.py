@@ -356,6 +356,10 @@ class TestUsageErrors:
         # scipy gives this delay a negative variance
         ("attack", "--delay-dist", "truncated-gaussian", "--delay-mean", "-1000",
          "--delay-std", "1"),
+        # delays whose spread float64 rounding erases from relu's latency
+        ("attack", "--delay-low", "0", "--delay-high", "1e-20"),
+        ("attack", "--delay-dist", "truncated-gaussian", "--delay-mean", "1e15",
+         "--delay-std", "1e-3"),
     ])
     def test_exit_code_two(self, argv, tmp_path):
         out = tmp_path / "new" / "sub"

@@ -5,6 +5,7 @@ import builtins
 import copy
 import dataclasses
 import inspect
+import itertools
 import math
 import operator
 import pickle
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -594,16 +596,23 @@ class TestGuardedRun:
 
 
 class TestMeasureHost:
-    def test_sample_accounting(self):
+    def test_sample_accounting(self, monkeypatch):
+        # One row per repetition, one column per grid point, timed in grid
+        # order.  Below, evaluate records the points it gets, and a clock
+        # that counts its own reads makes each timed call take 1 ns.
         grid = inclusive_grid(-1.0, 1.0, 0.5)
-        samples = measure_host(ActivationKind.RELU, grid, repetitions=3)
-        assert len(samples) == 3 * grid.size
-        reps = {s.repetition for s in samples}
-        assert reps == {0, 1, 2}
-        assert all(s.elapsed_ns >= 0 for s in samples)
-        assert all(s.kind == ActivationKind.RELU and s.protected for s in samples)
-        inputs = sorted({s.input for s in samples})
-        assert inputs == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        elapsed = measure_host(ActivationKind.RELU, grid, repetitions=3)
+        assert type(elapsed) is np.ndarray and elapsed.dtype == np.int64
+        assert elapsed.shape == (3, grid.size)
+        assert (elapsed >= 0).all()
+        seen = []
+        monkeypatch.setattr(harness, "evaluate", lambda kind, x, protected: seen.append(x))
+        clock = SimpleNamespace(perf_counter_ns=itertools.count().__next__)
+        monkeypatch.setattr(harness, "time", clock)
+        elapsed = measure_host(ActivationKind.RELU, [1.0, -2.0, 0.5], repetitions=2)
+        assert seen == [1.0, -2.0, 0.5] * 3  # the warm-up pass, then each repetition
+        assert all(type(x) is float for x in seen)
+        assert elapsed.tolist() == [[1, 1, 1], [1, 1, 1]]
 
     def test_bad_arguments(self):
         grid = inclusive_grid(0.0, 1.0, 1.0)

@@ -62,6 +62,7 @@ from reference_ops import (
     clamp_on_values,
     edge_values,
     model_trace,
+    random_encodings,
     saturate_on_values,
     select_above_on_values,
     sign_on_values,
@@ -83,6 +84,12 @@ def _sample() -> np.ndarray:
 
 
 SAMPLE = _sample()
+
+
+@pytest.fixture(scope="module")
+def encodings():
+    """The seeded 2**20-encoding sample, built once for the module."""
+    return random_encodings()
 
 
 def gt_mask(x, t):
@@ -304,19 +311,21 @@ class TestLeafOps:
         self.assert_same(saturate_on_values, _saturate_program, array_calls)
 
     @pytest.mark.parametrize("kind", list(ActivationKind))
-    def test_cores(self, kind):
+    def test_cores(self, kind, encodings):
         # Each kernel, its words handed between leaf ops, against its
         # padded program: at its own bound, at the sweep candidates' ends,
         # and at a negative (inverted), infinite and NaN threshold; on
         # scalars, arrays, a scalar against an array of thresholds, and
-        # arrays of both.
+        # arrays of both.  At its own bound it also runs on the 2**20
+        # random encodings: all of them as one array, 4096 as scalars.
         spec = SPECS[kind]
         a = self.A
+        calls = ([(x,) for x in a] + [(a,), (a[:1],)]
+                 + [(x,) for x in encodings[:4096]] + [(encodings,)])
         if spec.threshold is None:
-            self.assert_same(spec.core, spec.program,
-                             [(x,) for x in a] + [(a,), (a[:1],), (a[-7:],)])
+            self.assert_same(spec.core, spec.program, calls + [(a[-7:],)])
             return
-        self.assert_same(spec.core, spec.program, [(x,) for x in a] + [(a,), (a[:1],)])
+        self.assert_same(spec.core, spec.program, calls)
 
         def at(kernel):
             return lambda x, t: kernel(x, bound=_threshold_bound(t))

@@ -307,6 +307,10 @@ class GaussianTemplate:
                              f"{self.var_us2} (constant samples carry no Gaussian profile)")
 
 
+class _DegenerateProfile(ValueError):
+    """Profiling samples that are all equal: they carry no Gaussian profile."""
+
+
 def fit_template(kind, samples: Sequence[float]) -> GaussianTemplate:
     """Fit mean and unbiased (n-1) variance to profiling samples.
 
@@ -329,8 +333,8 @@ def fit_template(kind, samples: Sequence[float]) -> GaussianTemplate:
     if not math.isfinite(total) and not np.isfinite(values).all():
         raise ValueError(f"profiling samples for {kind} must be finite")
     if not values.max() > values.min():
-        raise ValueError(f"degenerate profile for {kind}: all {n} samples "
-                         f"equal (constant samples carry no Gaussian profile)")
+        raise _DegenerateProfile(f"degenerate profile for {kind}: all {n} samples "
+                                 f"equal (constant samples carry no Gaussian profile)")
     mean = total / n
     dev = values - mean
     dev *= dev

@@ -8,7 +8,8 @@ Exit codes
 2  usage error (bad flag, config value or grid, a config key the command
    does not read, a non-finite number, repeated kind, a missing delay
    parameter or one of the other distribution, a device model the attack
-   cannot profile); nothing is written
+   cannot profile, a profile whose samples all come out equal); nothing is
+   written
 3  runtime error (solver bracket failure and other unexpected conditions)
 
 Determinism: for a fixed seed and fixed config every output file is
@@ -26,6 +27,11 @@ JSON object keyed by option name; a key the command does not read is
 rejected, and every value in it is checked, also one that a flag
 overrides.  The CTACT_OUT_DIR environment variable supplies the default
 output directory.
+
+Output: every artifact is written by ``_write``, which makes the output
+directory when it first writes there.  With ``--force`` an existing
+artifact is rewritten in place and cut to its new length; it is never
+truncated first.
 
 The argparse parser is built once per process, on the first ``main`` call,
 and reused: every flag defaults to None and each parse returns a new
@@ -52,9 +58,9 @@ import numpy as np
 
 from .activations import SPECS, ActivationKind
 from .analysis import error_metrics, balancing_errors, solve_tanh_threshold, threshold_sweep
-from .attack import (_DEFAULT_HISTORY_TRIALS, _DEFAULT_SWING_CYCLES, BASE_CYCLES_DESYNC,
-                     COUNTERMEASURES, DEFAULT_CLOCK_HZ, DELAY_DISTRIBUTIONS, DelaySpec,
-                     attack_experiment, device_model)
+from .attack import (_DEFAULT_HISTORY_TRIALS, _DEFAULT_SWING_CYCLES, _DegenerateProfile,
+                     BASE_CYCLES_DESYNC, COUNTERMEASURES, DEFAULT_CLOCK_HZ, DELAY_DISTRIBUTIONS,
+                     DelaySpec, attack_experiment, device_model)
 from .grids import GRID_DENSE, GRID_WIDE, GridSpec, inclusive_grid
 from .harness import check_uniformity, measure_host
 
@@ -258,9 +264,8 @@ _CSV_BLOCK_ROWS = 512
 
 
 def _output_path(cfg: argparse.Namespace, filename: str) -> Path:
-    directory = Path(cfg.out or os.environ.get(OUT_DIR_ENV) or ".")
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / filename
+    """The artifact's path; the directory is made only when ``_write`` writes to it."""
+    path = Path(cfg.out or os.environ.get(OUT_DIR_ENV) or ".") / filename
     if path.exists() and not cfg.force:
         raise UsageError(f"refusing to overwrite {path} (use --force)")
     return path
@@ -288,12 +293,26 @@ def _block_rows(block) -> int:
     return sizes.pop()
 
 
+class _Rendered(list):
+    """A column's cells as ``_render`` rendered them; ``_cells`` slices it as it is."""
+
+    __slots__ = ()
+
+
 def _cells(column, lo: int, hi: int):
     """The rendered cells of rows lo to hi of a per-row column."""
     part = column[lo:hi]
+    if isinstance(column, _Rendered):
+        return part
     if isinstance(part, np.ndarray) and part.dtype == np.float64:
         return repr(part.tolist())[1:-1].split(", ")
     return map(str, part)
+
+
+def _render(column) -> _Rendered:
+    """Every cell of a per-row column, rendered once, for a caller that
+    writes the same column in more than one block."""
+    return _Rendered(_cells(column, 0, len(column)))
 
 
 def _csv_blocks(header, blocks):
@@ -335,6 +354,13 @@ def _expand(block):
 def _write(path: Path, payload, header=None) -> None:
     """Write one artifact; the file suffix picks CSV or JSON.
 
+    The directory is made here, so no command makes one before it writes.
+    An existing artifact is rewritten in place, from offset 0, and cut to
+    its new length when the write ends: opening it without ``O_TRUNC``
+    frees none of its blocks first, which on a filesystem mounted with
+    ``discard`` costs more than writing the bytes.  A write that raises
+    partway leaves the runs written before it and no byte of the old file.
+
     A header makes ``payload`` a table: an iterable of column blocks.  A
     block is a run of rows given as one column per header field.  A column
     is either one cell, the same on every row of the block (a ``str`` or
@@ -350,7 +376,8 @@ def _write(path: Path, payload, header=None) -> None:
     CSV renders a block column by column, never a row at a time, in runs
     of at most ``_CSV_BLOCK_ROWS`` rows: a constant cell once per block,
     merged with its constant neighbours and separators into one piece; a
-    float64 ndarray through one ``repr`` of its ``tolist()`` per run; any
+    float64 ndarray through one ``repr`` of its ``tolist()`` per run; a
+    column that ``_render`` already rendered as it is, by slicing; any
     other sequence through ``map(str, ...)``.  Each run's pieces are
     interleaved into one list by slice assignment, joined once and written
     once, so memory does not grow with the table.  ``str`` gives the bytes that
@@ -363,21 +390,26 @@ def _write(path: Path, payload, header=None) -> None:
     it raises ``ValueError`` instead of writing a malformed row.  So does
     a block whose columns disagree on its row count.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if path.suffix == ".csv":
-            for rows, pieces in _csv_blocks(header, payload):
-                text = "".join(pieces)
-                if (text.count("\n") != rows
-                        or text.count(",") != rows * (len(header) - 1)
-                        or '"' in text or "\r" in text):
-                    raise ValueError(f"{path.name}: a cell holds a comma, quote or line "
-                                     f"break, which CSV would have to quote")
-                fh.write(text)
-        else:
-            rows = ([dict(zip(header, row)) for block in payload for row in _expand(block)]
-                    if header else payload)
-            json.dump(rows, fh, indent=2, sort_keys=True, default=_f32_json)
-            fh.write("\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="",
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            if path.suffix == ".csv":
+                for rows, pieces in _csv_blocks(header, payload):
+                    text = "".join(pieces)
+                    if (text.count("\n") != rows
+                            or text.count(",") != rows * (len(header) - 1)
+                            or '"' in text or "\r" in text):
+                        raise ValueError(f"{path.name}: a cell holds a comma, quote or line "
+                                         f"break, which CSV would have to quote")
+                    fh.write(text)
+            else:
+                rows = ([dict(zip(header, row)) for block in payload for row in _expand(block)]
+                        if header else payload)
+                json.dump(rows, fh, indent=2, sort_keys=True, default=_f32_json)
+                fh.write("\n")
+        finally:
+            fh.truncate()
 
 
 # -- errors -------------------------------------------------------------------
@@ -439,8 +471,8 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
     for spec in grid_specs:
         grid = inclusive_grid(*spec)
         # The input cells, rendered once per grid by the writer's own renderer
-        # and shared by all the grid's reports.
-        inputs = list(_cells(grid, 0, len(grid))) if cfg.format == "csv" else ()
+        # and shared by all the grid's reports, which the writer slices as they are.
+        inputs = _render(grid) if cfg.format == "csv" else ()
         values = grid.tolist()
         reports = []
         lengths = set()
@@ -587,10 +619,16 @@ def cmd_attack(cfg: argparse.Namespace) -> int:
     scores_path = _output_path(cfg, "attack_scores.csv")
     summary_path = _output_path(cfg, "attack_summary.json")
 
-    results = attack_experiment(
-        model, classes, int(cfg.n_prof), int(cfg.n_attack_max),
-        int(cfg.trials), int(cfg.seed), keep_history_trials=int(cfg.history_trials),
-    )
+    try:
+        results = attack_experiment(
+            model, classes, int(cfg.n_prof), int(cfg.n_attack_max),
+            int(cfg.trials), int(cfg.seed), keep_history_trials=int(cfg.history_trials),
+        )
+    except _DegenerateProfile as exc:
+        # A delay narrower than a latency's ulp leaves a swinging class only
+        # its few swing latencies, and --n-prof draws of them can all be equal.
+        raise UsageError(f"{exc}; the delay is too narrow for this device to be "
+                         f"profiled with --n-prof {cfg.n_prof}") from exc
 
     table = ((true_kind.value, trial, range(1, result.n_measurements + 1), kind.value,
               result.score_history[kind])

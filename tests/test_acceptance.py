@@ -371,10 +371,12 @@ def test_cli_artifact_digests(name, fmt, tmp_path, capsys):
     argv = dict(_CLI_RUNS)[name]
     if any(option.name == "format" for option in cli._COMMANDS[argv[0]][2]):
         argv = [*argv, "--format", fmt]  # bench has none: it writes one CSV and one JSON
-    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    got = {p.name: _digest(p) for p in sorted(tmp_path.iterdir())}
-    assert got == _ARTIFACT_DIGESTS[(name, fmt)]
+    # The --force rerun rewrites the first run's files in place.
+    for rerun in ((), ("--force",)):
+        assert cli.main([*argv, "--out", str(tmp_path), *rerun]) == 0
+        capsys.readouterr()
+        got = {p.name: _digest(p) for p in sorted(tmp_path.iterdir())}
+        assert got == _ARTIFACT_DIGESTS[(name, fmt)]
 
 
 def test_criterion_10_cli_determinism(tmp_path, capsys):

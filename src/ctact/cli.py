@@ -473,7 +473,6 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
         # The input cells, rendered once per grid by the writer's own renderer
         # and shared by all the grid's reports, which the writer slices as they are.
         inputs = _render(grid) if cfg.format == "csv" else ()
-        values = grid.tolist()
         reports = []
         lengths = set()
         for protected in ((True, False) if cfg.include_unprotected else (True,)):
@@ -483,24 +482,20 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
                 if protected and report.uniform:
                     lengths.add(report.canonical_length)
                 if cfg.format == "csv":
-                    # Per-input lengths reconstruct exactly from the report:
-                    # everything off the deviating list matched the canonical
-                    # trace, so no second tracing pass is needed, and a
-                    # uniform report's length is one cell for all its rows.
-                    deviating = dict(report.deviating_inputs)
-                    n = report.canonical_length
-                    trace_len = list(map(deviating.get, values, repeat(n))) if deviating else n
+                    # A uniform report's length is one cell for all its rows.
+                    trace_len = (report.trace_lengths.tolist() if not report.uniform
+                                 else report.canonical_length)
                     table.append((kind.value, int(protected), *spec, inputs, trace_len))
         aligned = len(lengths) == 1 and all(r.uniform for r in reports if r.protected)
         ok = ok and aligned
         label = f"[{spec.lo}, {spec.hi}] step {spec.step}"
         for r in reports:
-            state = "uniform" if r.uniform else f"NON-UNIFORM ({len(r.deviating_inputs)} deviating)"
+            state = "uniform" if r.uniform else f"NON-UNIFORM ({len(r.deviating_at)} deviating)"
             mode = "protected" if r.protected else "unprotected"
             print(f"{label} {r.kind.value:8s} {mode:11s} length {r.canonical_length:3d}  {state}")
             if r.protected and not r.uniform:
-                for x, length in r.deviating_inputs[:20]:
-                    print(f"    deviates at {x!r}: length {length}")
+                for i in r.deviating_at[:20].tolist():
+                    print(f"    deviates at {float(grid[i])!r}: length {r.trace_lengths[i]}")
         print(f"{label} protected kinds aligned: {aligned}")
         if cfg.format == "json":
             grid_payloads.append({
@@ -510,8 +505,9 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
                 "reports": [
                     {"kind": r.kind.value, "protected": r.protected,
                      "uniform": r.uniform, "canonical_length": r.canonical_length,
-                     "n_deviating": len(r.deviating_inputs),
-                     "deviating_inputs": [[np.float32(x), n] for x, n in r.deviating_inputs[:20]]}
+                     "n_deviating": len(r.deviating_at),
+                     "deviating_inputs": [[grid[i], int(r.trace_lengths[i])]
+                                          for i in r.deviating_at[:20].tolist()]}
                     for r in reports
                 ],
             })

@@ -31,7 +31,12 @@ branches on a value, and hold the guarded report to a per-point loop
 over the scalar body.
 
 An unprotected check takes the halving counts of the whole grid in one
-numpy pass and compares each distinct count's trace once.  Neither check
+numpy pass and compares each distinct count's trace once, into a table of
+each count's trace length and whether its trace differs; indexing that
+table with the counts gives every point's length and the deviating
+positions.  Each check returns its per-point lengths and deviating
+positions as int arrays, and the report derives its deviating inputs from
+them only when they are read.  Neither check
 sets an errstate: the kernels compute on clamped values, and a model's
 only arithmetic, its halving count, stays finite on every finite
 binary32 input.
@@ -44,7 +49,7 @@ one int64 array of shape (repetitions, len(grid)).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -77,13 +82,43 @@ class OpTrace:
         return len(self.ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformityReport:
+    """One kind's trace check over a grid.
+
+    ``trace_lengths`` holds every grid point's trace length and
+    ``deviating_at`` the positions of the points whose trace differs from
+    the canonical one, the first point's, by its ops and not only by its
+    length: two int arrays in grid order.  ``points`` is the grid as given.
+    ``uniform`` and ``deviating_inputs``, the ``(float(x), length)`` pair
+    of each deviating point, are derived when read, and two reports are
+    equal when their kind, mode, canonical length and deviating inputs are.
+    """
+
     kind: ActivationKind
     protected: bool
-    uniform: bool
     canonical_length: int
-    deviating_inputs: tuple  # (input, trace_length) pairs
+    trace_lengths: np.ndarray
+    deviating_at: np.ndarray
+    points: Sequence = field(repr=False)
+
+    @property
+    def uniform(self) -> bool:
+        return not len(self.deviating_at)
+
+    @property
+    def deviating_inputs(self) -> tuple:
+        return tuple((float(self.points[i]), int(self.trace_lengths[i]))
+                     for i in self.deviating_at.tolist())
+
+    def _key(self):
+        return self.kind, self.protected, self.canonical_length, self.deviating_inputs
+
+    def __eq__(self, other):
+        return type(other) is UniformityReport and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -158,26 +193,30 @@ class _Guarded(np.lib.mixins.NDArrayOperatorsMixin):
     __reduce_ex__ = __getstate__ = _deny
 
 
-def _per_point(core, points, values):
-    """Trace ``core`` at every point inside one recording: (canonical trace, deviating)."""
-    canonical = None
-    deviating = []
+def _per_point(core, values):
+    """Trace ``core`` at every point inside one recording: the canonical
+    trace, every point's trace length and the positions of the deviating
+    points."""
+    lengths, deviating = [], []
     with recording() as ops:
         for i, v in enumerate(values):
             core(v)
-            if canonical is None:
+            if not i:
                 canonical = ops.copy()
             elif ops != canonical:
-                deviating.append((float(points[i]), len(ops)))
+                deviating.append(i)
+            lengths.append(len(ops))
             ops.clear()
-    return canonical, deviating
+    return canonical, np.array(lengths), np.array(deviating, dtype=np.intp)
 
 
 def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
     """Trace ``kind`` at every grid point and compare against the first trace.
 
-    A kind is uniform when all traces match opcode-for-opcode.  Inputs whose
-    trace differs from the canonical one are reported, in grid order and as
+    A kind is uniform when all traces match opcode-for-opcode.  The report
+    holds every point's trace length and the positions of the points whose
+    trace differs from the canonical one, in ops and not only in length, as
+    int arrays in grid order; its ``deviating_inputs`` gives those points as
     given (``float(x)``, not rounded to binary32), with their lengths.  The
     traces are the ones trace_eval gives, but no value is kept.
 
@@ -187,33 +226,32 @@ def check_uniformity(kind, grid, protected: bool = True) -> UniformityReport:
     with that run's trace length.  If one does, the guard raises, and the
     kernel runs at every point inside one recording, whose buffer is
     cleared after each point.  An unprotected model never runs: one numpy
-    pass gives every point's halving count, and each distinct count's trace
-    is built, or read from its cache, and compared once.
+    pass gives every point's halving count, each distinct count's trace is
+    built, or read from its cache, and compared once, and indexing a
+    per-count table with the counts gives the lengths and the positions.
     """
     kind = ActivationKind(kind)
     points, values = binary32_grid(grid)
     spec = SPECS[kind]
-    deviating: list = []
     if protected:
         try:
             with recording() as canonical:
                 spec.core(_Guarded(values))
         except _ValueEscape:
-            canonical, deviating = _per_point(spec.core, points, values)
+            canonical, lengths, deviating = _per_point(spec.core, values)
+        else:
+            lengths, deviating = np.full(len(values), len(canonical)), np.empty(0, np.intp)
     else:
-        counts = spec.halvings(values).tolist()
-        traces = {h: spec.model_ops(h) for h in set(counts)}
-        canonical = traces[counts[0]]
-        lengths = {h: len(ops) for h, ops in traces.items() if ops != canonical}
-        if lengths:
-            deviating = [(float(x), lengths[h]) for x, h in zip(points, counts) if h in lengths]
-    return UniformityReport(
-        kind=kind,
-        protected=protected,
-        uniform=not deviating,
-        canonical_length=len(canonical),
-        deviating_inputs=tuple(deviating),
-    )
+        counts = spec.halvings(values)
+        traces = {h: spec.model_ops(h) for h in set(counts.tolist())}
+        canonical = traces[int(counts[0])]
+        # Per distinct count: its trace length, and whether its trace differs.
+        table = np.zeros((2, max(traces) + 1), dtype=np.int64)
+        for h, ops in traces.items():
+            table[:, h] = len(ops), ops != canonical
+        lengths, differs = table[:, counts]
+        deviating = np.flatnonzero(differs)
+    return UniformityReport(kind, protected, len(canonical), lengths, deviating, points)
 
 
 # -- host timing --------------------------------------------------------------

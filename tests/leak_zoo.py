@@ -6,8 +6,10 @@ value reaches Python control flow.  The per-point trace loop flags each of
 them on a grid that straddles the leak.  A guarded array run must raise on
 each, including the branches on a reduction, which a plain array run
 misses because it records one trace for the whole array, and the one that
-first strips the array to a plain one.  Every kernel also runs on a
-binary32 scalar, as the per-point loop calls it.
+first strips the array to a plain one.  One, swapped_op, keeps the trace
+length and changes only an opcode, so a check that compared lengths alone
+would miss it.  Every kernel also runs on a binary32 scalar, as the
+per-point loop calls it.
 """
 
 import numpy as np
@@ -75,6 +77,16 @@ def float_of_max(x):
     return y
 
 
+def swapped_op(x):
+    """A multiply where x > 0 and an add elsewhere: the same length on every input."""
+    y = _tanh(x)
+    if x > 0:
+        f_mul(y, y)
+    else:
+        f_add(y, y)
+    return y
+
+
 def iterate(x):
     """An extra add for each negative element, met by iterating over x."""
     y = _tanh(x)
@@ -86,4 +98,4 @@ def iterate(x):
 
 ZOO = {kernel.__name__: kernel for kernel in (
     early_exit, data_loop, element_test, scalar_truth, any_branch, stripped_any, float_of_max,
-    iterate)}
+    swapped_op, iterate)}

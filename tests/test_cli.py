@@ -21,6 +21,7 @@ from ctact.analysis import error_metrics
 from ctact.attack import attack_experiment, device_model
 from ctact.activations import SPECS, ActivationKind
 
+from leak_zoo import swapped_op
 from reference_ops import PROTECTED_TRACE_LENGTH
 
 
@@ -159,6 +160,22 @@ class TestTracesCommand:
             longer = row["kind"] == "tanh" and float(row["input"]) > 0
             length = PROTECTED_TRACE_LENGTH + 1 if longer else PROTECTED_TRACE_LENGTH
             assert row["trace_len"] == str(length), row
+
+    def test_a_leak_that_keeps_the_length_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # swapped_op runs a multiply where x > 0 and an add elsewhere: every
+        # trace has the canonical length, yet the positive inputs deviate.
+        tanh = SPECS[ActivationKind.TANH]
+        monkeypatch.setitem(SPECS, ActivationKind.TANH, dataclasses.replace(tanh, core=swapped_op))
+        for fmt in ("csv", "json"):
+            assert run("traces", "--kinds", "tanh", "--interval", "-2", "2", "--step", "0.25",
+                       "--format", fmt, "--out", str(tmp_path)) == 1
+            assert "protected kinds aligned: False" in capsys.readouterr().out
+        (report,) = read_json(tmp_path / "traces.json")["grids"][0]["reports"]
+        assert report["canonical_length"] == PROTECTED_TRACE_LENGTH + 1
+        assert report["n_deviating"] == 8  # 0.25, 0.5, ..., 2.0
+        rows = read_csv(tmp_path / "traces.csv")
+        assert len(rows) == 17
+        assert {row["trace_len"] for row in rows} == {str(report["canonical_length"])}
 
 
 class TestBenchCommand:

@@ -12,6 +12,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -49,16 +50,19 @@ ORACLE_GRIDS = {
 
 
 def per_point_report(kind, grid, protected):
-    """(uniform, canonical length, deviating inputs) from a trace_eval loop."""
+    """(uniform, canonical length, deviating inputs, every point's trace
+    length) from a trace_eval loop."""
     traces = [trace_eval(kind, x, protected)[0].ops for x in grid]
     deviating = tuple((float(x), len(ops)) for x, ops in zip(grid, traces)
                       if ops != traces[0])
-    return not deviating, len(traces[0]), deviating
+    return not deviating, len(traces[0]), deviating, [len(ops) for ops in traces]
 
 
 def report_of(kind, grid, protected):
     report = check_uniformity(kind, grid, protected)
-    return report.uniform, report.canonical_length, report.deviating_inputs
+    assert report.trace_lengths.dtype.kind == "i"
+    return (report.uniform, report.canonical_length, report.deviating_inputs,
+            report.trace_lengths.tolist())
 
 
 def edge_grid() -> np.ndarray:
@@ -233,11 +237,49 @@ class TestUniformity:
         points = [1.0, 0.1, 1e-40, 2**100]
         assert float(np.float32(0.1)) != 0.1 and float(np.float32(1e-40)) != 1e-40
         for grid in (points, np.array(points, dtype=np.float64)):
-            uniform, length, deviating = report_of(ActivationKind.SIGMOID, grid, protected)
+            uniform, length, deviating, lengths = report_of(ActivationKind.SIGMOID, grid,
+                                                            protected)
             assert [x for x, _ in deviating] == [0.1, 1e-40, 2.0**100]
             assert all(type(x) is float for x, _ in deviating)
-            assert (uniform, length, deviating) == per_point_report(
+            assert (uniform, length, deviating, lengths) == per_point_report(
                 ActivationKind.SIGMOID, points, protected)
+
+    def test_the_unprotected_check_holds_no_object_per_grid_point(self):
+        # The blocks a check still holds once it returns, its report
+        # included, are as many on a grid a hundred times larger.  Each
+        # grid is checked once untraced first, so the cached model traces
+        # already exist.
+        held = []
+        for step in (0.01, 0.0001):
+            grid = inclusive_grid(-8.0, 8.0, step)
+            check_uniformity(ActivationKind.TANH, grid, protected=False)
+            tracemalloc.start()
+            try:
+                report = check_uniformity(ActivationKind.TANH, grid, protected=False)
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            assert not report.uniform
+            held.append(sum(stat.count for stat in snapshot.statistics("filename")))
+        assert held[1] <= held[0] < 100, held
+
+    def test_reports_compare_and_hash_by_value(self):
+        # Equal when kind, mode, uniformity, canonical length and deviating
+        # inputs are: the same check twice, or two uniform checks on
+        # different grids.  Different deviating inputs make reports unequal,
+        # also at the same positions.
+        tanh = ActivationKind.TANH
+        report = check_uniformity(tanh, SMALL_GRID, protected=False)
+        again = check_uniformity(tanh, SMALL_GRID.copy(), protected=False)
+        assert report == again and hash(report) == hash(again) and len({report, again}) == 1
+        assert check_uniformity(tanh, SMALL_GRID) == check_uniformity(tanh, SMALL_GRID[::2])
+        others = [check_uniformity(tanh, SMALL_GRID[::2], protected=False),
+                  check_uniformity(tanh, SMALL_GRID * np.float32(0.5), protected=False),
+                  check_uniformity(ActivationKind.SIGMOID, SMALL_GRID, protected=False),
+                  check_uniformity(tanh, SMALL_GRID)]
+        for other in others:
+            assert report != other and not report == other
+        assert report != report.deviating_inputs
 
     @pytest.mark.parametrize("protected", [True, False])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e39, "1.0", b"1"],
@@ -527,8 +569,8 @@ class TestGuardedRun:
         with recording() as ops:
             any_branch(SMALL_GRID)
         assert len(ops) == len(trace_eval(ActivationKind.TANH, 6.0)[0].ops) + 1
-        _, deviating = harness._per_point(any_branch, SMALL_GRID, SMALL_GRID)
-        assert [x for x, _ in deviating] == [x for x in SMALL_GRID.tolist() if abs(x) <= 4]
+        _, _, deviating = harness._per_point(any_branch, SMALL_GRID)
+        assert SMALL_GRID[deviating].tolist() == [x for x in SMALL_GRID.tolist() if abs(x) <= 4]
 
     def test_no_warning_escapes_and_the_error_state_is_kept(self, monkeypatch):
         before = np.geterr()

@@ -483,8 +483,8 @@ def cmd_traces(cfg: argparse.Namespace) -> int:
                     lengths.add(report.canonical_length)
                 if cfg.format == "csv":
                     # A uniform report's length is one cell for all its rows.
-                    trace_len = (report.trace_lengths.tolist() if not report.uniform
-                                 else report.canonical_length)
+                    trace_len = (report.canonical_length if report.uniform
+                                 else report.trace_lengths.tolist())
                     table.append((kind.value, int(protected), *spec, inputs, trace_len))
         aligned = len(lengths) == 1 and all(r.uniform for r in reports if r.protected)
         ok = ok and aligned

@@ -21,16 +21,21 @@ Saturation thresholds:
   the max-abs error; analysis.threshold_sweep reproduces the sweep.
 
 Each threshold t enters its kernel as a Bound, the interval [-t, t] with
-the encodings of both ends, built once at import (the sweep builds one per
-candidate), so no call casts a constant.
+the encodings of both ends, built once at import (the sweep builds one
+whose ends are a column, one row per candidate), so no call casts a
+constant.
 
 The unprotected references compute with double-precision libm and round the
 result to binary32 once.  Each kind's reference is defined once, here, as a
-binary64 function of a Python float (math.tanh for tanh, _logistic for
-sigmoid, _gelu64, _swish64 and _relu64) and stored in SPECS.  The scalar
-*_ref functions round its value with np.float32; analysis maps it over a
-grid and rounds the grid with one astype, the same cast.  relu_ref, and
-relu_protected, return +0.0 for every non-positive input, including -0.0.
+binary64 function of a Python float or a float64 array (_tanh64, _logistic
+for sigmoid, _gelu64, _swish64 and _relu64) and stored in SPECS.  Only the
+libm call (math.tanh, math.exp, math.erf) runs once per array element; the
+arithmetic around it runs as numpy float64 ops in the order of the Python
+expression, so an array gives the bits of its elements as floats.  The
+scalar *_ref functions round the value with np.float32; analysis runs it on
+a whole grid and rounds the grid with one astype, the same cast.  relu_ref,
+and relu_protected, return +0.0 for every non-positive input, including
+-0.0.
 
 A libm call has no op sequence to record, so each reference comes with a
 small model of how such a function executes: an argument-reduction
@@ -353,23 +358,45 @@ def swish_protected(x) -> np.float32:
 
 
 # -- unprotected references (double-precision libm, rounded once) -----------
+#
+# numpy's float64 add, multiply and divide round as Python's float ops do and
+# are never fused, so written in the same order, an array's elements get the
+# bits their floats get.
 
-def _relu64(v: float) -> float:
-    return v if v > 0 else 0.0
-
-
-def _logistic(v: float) -> float:
-    if v >= 0.0:
-        return 1.0 / (1.0 + math.exp(-v))
-    e = math.exp(v)  # stable form for large negative arguments
-    return e / (1.0 + e)
-
-
-def _gelu64(v: float) -> float:
-    return 0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0)))
+def _libm(f, v):
+    """The math-module function f at a float, or at each element of a 1-D array."""
+    if isinstance(v, np.ndarray):
+        return np.fromiter(map(f, v.tolist()), np.float64, v.size)
+    return f(v)
 
 
-def _swish64(v: float) -> float:
+def _where(condition, a, b):
+    """a where condition holds, else b: np.where on an array, a ternary on a bool."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, a, b)
+    return a if condition else b
+
+
+def _relu64(v):
+    return _where(v > 0, v, 0.0)
+
+
+def _tanh64(v):
+    return _libm(math.tanh, v)
+
+
+def _logistic(v):
+    # e = exp(-|v|) never overflows: the logistic is 1 / (1 + e) for v >= 0
+    # and e / (1 + e) for v < 0.
+    e = _libm(math.exp, -abs(v))
+    return _where(v >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _gelu64(v):
+    return 0.5 * v * (1.0 + _libm(math.erf, v / math.sqrt(2.0)))
+
+
+def _swish64(v):
     return v * _logistic(v)
 
 
@@ -382,7 +409,7 @@ def sigmoid_ref(x) -> np.float32:
 
 
 def tanh_ref(x) -> np.float32:
-    return np.float32(math.tanh(float(as_f32(x))))
+    return np.float32(_tanh64(float(as_f32(x))))
 
 
 def gelu_ref(x) -> np.float32:
@@ -510,7 +537,8 @@ class KindSpec:
     defaults to the bound of ``threshold`` built at import.  ``program``,
     the kernel one op at a time and padded, takes what ``core`` takes.
     ``reference`` is the libm reference in binary64, a function of a Python
-    float that the caller rounds to binary32 once.  Its trace model comes
+    float or of a float64 array, elementwise with the same bits, whose
+    result the caller rounds to binary32 once.  Its trace model comes
     in two parts: ``halvings`` maps binary32 x, a scalar or an array, to
     the halving count of the model's exp, an int array (0-d for a scalar)
     that is all of the trace that depends on x, and ``model_ops`` maps a
@@ -536,7 +564,7 @@ SPECS = {
     ActivationKind.SIGMOID: KindSpec(_sigmoid_core, partial(_sigmoid_program, pad=_SIGMOID_PAD),
                                      _logistic, _halvings, _sigmoid_ops, SIGMOID_THRESHOLD),
     ActivationKind.TANH: KindSpec(_tanh_core, partial(_tanh_program, pad=_TANH_PAD),
-                                  math.tanh, _halvings, _tanh_ops, TANH_THRESHOLD),
+                                  _tanh64, _halvings, _tanh_ops, TANH_THRESHOLD),
     ActivationKind.GELU: KindSpec(
         _gelu_core, partial(_gelu_program, pad=_GELU_PAD), _gelu64, _exp_of_erf, _gelu_ops,
         GELU_THRESHOLD,

@@ -7,9 +7,9 @@ results are bit-reproducible run to run), and the reported MSE/RMSE/max-abs
 are doubles.
 
 The libm references are the binary64 functions of activations.SPECS.  Each
-runs on every grid point as a Python float, and the grid of results is
-rounded to binary32 once, with one astype: the same cast, bit for bit, as
-the np.float32 of the scalar *_ref functions.
+runs on the whole grid as one float64 array, with only its libm call made
+once per point, and the grid of results is rounded to binary32 once, with
+one astype: the same bits as the np.float32 of the scalar *_ref functions.
 
 The tanh saturation threshold is not a tuned constant: it is the point
 where the rational core's approximation error meets the saturation error
@@ -71,14 +71,15 @@ class ThresholdSolution:
 def _reference_f32(spec, grid: np.ndarray) -> np.ndarray:
     """The libm reference at every point of a binary32 grid, in binary32.
 
-    The binary64 reference runs on each point as a Python float and the
-    results are rounded to binary32 with one astype: the same C cast, and so
-    the same bits, as the scalar *_ref functions' np.float32.  numpy's own
-    vector tanh and exp are not the platform libm and may differ in the last
-    bit, so they are not used here.
+    The binary64 reference takes the grid widened to float64 and makes its
+    libm call on each point as a Python float; the arithmetic around that
+    call gives the bits it gives on Python floats.  The results are rounded
+    to binary32 with one astype: the same C cast, and so the same bits, as
+    the scalar *_ref functions' np.float32.  numpy's own vector tanh and exp
+    are not the platform libm and may differ in the last bit, so they are
+    not used here.
     """
-    exact = np.fromiter(map(spec.reference, grid.tolist()), np.float64, grid.size)
-    return exact.astype(np.float32)
+    return spec.reference(grid.astype(np.float64)).astype(np.float32)
 
 
 def error_metrics(kind, lo: float, hi: float, step: float) -> ErrorReport:
@@ -195,12 +196,19 @@ def threshold_sweep(kind, candidates: Sequence[float],
         sweepable = " and ".join(k.value for k, other in SPECS.items() if other.sweep)
         raise ValueError(f"threshold sweep applies to {sweepable}, not {kind}")
     grid = inclusive_grid(lo, hi, step)
-    reference = _reference_f32(spec, grid).astype(np.float64)
-    results = []
+    thresholds = []
     for candidate in candidates:
         t32 = as_f32(candidate)
         if not t32 > 0:
             raise ValueError(f"candidate threshold must be positive, got {candidate}")
-        values = spec.core(grid, bound=_threshold_bound(t32)).astype(np.float64)
-        results.append((float(t32), float(np.max(np.abs(values - reference)))))
-    return results
+        thresholds.append(t32)
+    if not thresholds:
+        return []
+    # One kernel run for all candidates: a (C, 1) column of bounds against
+    # the (N,) grid broadcasts to one (C, N) row per candidate, each the
+    # bits of that candidate's own run.
+    column = np.array(thresholds, dtype=np.float32)[:, None]
+    values = spec.core(grid, bound=_threshold_bound(column)).astype(np.float64)
+    reference = _reference_f32(spec, grid).astype(np.float64)
+    worst = np.max(np.abs(values - reference), axis=1)
+    return list(zip(column.ravel().tolist(), worst.tolist()))

@@ -98,8 +98,9 @@ class TestRegistry:
     def test_clamp_bounds_are_ordered(self, monkeypatch):
         # A kernel clamps with _saturate on its bound's own ends, which is
         # the clamp only on an ordered bound.  Each default bound, relu's
-        # dummy bound and every bound threshold_sweep builds must be [-t, t]
-        # with t > 0, holding the words of both ends.
+        # dummy bound and every row of the (C, 1) bound threshold_sweep
+        # builds, one row per candidate, must be [-t, t] with t > 0,
+        # holding the words of both ends.
         built = []
 
         def recorded(threshold):
@@ -110,11 +111,15 @@ class TestRegistry:
         for kind, spec in SPECS.items():
             if spec.sweep:
                 threshold_sweep(kind, spec.sweep, -1.0, 1.0, 1.0)
-        assert len(built) == sum(len(spec.sweep) for spec in SPECS.values())
+        assert len(built) == sum(1 for spec in SPECS.values() if spec.sweep)
+        assert all(end.shape == (len(bound.hi), 1) for bound in built for end in bound)
+        rows = [Bound(*(end[i, 0] for end in bound))
+                for bound in built for i in range(len(bound.hi))]
+        assert len(rows) == sum(len(spec.sweep) for spec in SPECS.values()) == 28
         defaults = [spec.core.__defaults__[0] for spec in SPECS.values()
                     if spec.threshold is not None]
         assert Bound._fields == ("lo", "hi", "lo_bits", "hi_bits")
-        for lo, hi, lo_bits, hi_bits in defaults + [_TANH_BOUND] + built:
+        for lo, hi, lo_bits, hi_bits in defaults + [_TANH_BOUND] + rows:
             assert lo == -hi < hi
             assert (lo_bits, hi_bits) == (bits(lo), bits(hi))
             assert lo_bits == hi_bits | 0x80000000

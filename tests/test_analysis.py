@@ -6,12 +6,15 @@ the comparisons use tolerances far tighter than the acceptance bounds, so a
 regression in the kernels cannot hide behind the tolerance.
 """
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from ctact import activations
+from ctact._ops import recording
 from ctact.activations import (
     GELU_THRESHOLD,
     SIGMOID_THRESHOLD,
@@ -20,6 +23,7 @@ from ctact.activations import (
     TANH_THRESHOLD,
     ActivationKind,
 )
+from ctact.activations import _threshold_bound, relu_ref
 from ctact.analysis import (
     _reference_f32,
     balancing_errors,
@@ -27,7 +31,9 @@ from ctact.analysis import (
     solve_tanh_threshold,
     threshold_sweep,
 )
-from ctact.grids import GRID_DENSE, GRID_WIDE, inclusive_grid
+from ctact.grids import GRID_DENSE, GRID_WIDE, as_f32, inclusive_grid
+
+from reference_ops import FLT_MAX, SMALLEST_SUBNORMAL, random_encodings
 
 K = ActivationKind
 
@@ -161,12 +167,72 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep(K.GELU, [0.0], -8.0, 8.0, 0.01)
 
+    @staticmethod
+    def per_candidate(kind, candidates, lo, hi, step):
+        # The oracle: one kernel run per candidate, on that candidate's own
+        # scalar bound.
+        spec = SPECS[kind]
+        grid = inclusive_grid(lo, hi, step)
+        reference = _reference_f32(spec, grid).astype(np.float64)
+        results = []
+        for candidate in candidates:
+            t32 = as_f32(candidate)
+            values = spec.core(grid, bound=_threshold_bound(t32)).astype(np.float64)
+            results.append((float(t32), float(np.max(np.abs(values - reference)))))
+        return results
+
+    @staticmethod
+    def counted_core(monkeypatch, kind):
+        calls = []
+        spec = SPECS[kind]
+
+        def core(x, bound):
+            calls.append(bound)
+            return spec.core(x, bound=bound)
+
+        monkeypatch.setitem(SPECS, kind, dataclasses.replace(spec, core=core))
+        return calls
+
+    @pytest.mark.parametrize("kind", [K.GELU, K.SWISH])
+    @pytest.mark.parametrize("grid", [GRID_DENSE, GRID_WIDE], ids=["dense", "wide"])
+    def test_one_kernel_run_gives_each_candidates_own_result(self, kind, grid, monkeypatch):
+        candidates = SPECS[kind].sweep
+        expected = self.per_candidate(kind, candidates, *grid)
+        calls = self.counted_core(monkeypatch, kind)
+        got = threshold_sweep(kind, candidates, *grid)
+        assert got == expected
+        assert [tuple(map(type, pair)) for pair in got] == [(float, float)] * len(candidates)
+        [bound] = calls
+        assert bound.hi.shape == (len(candidates), 1)
+
+    @pytest.mark.parametrize("kind", [K.GELU, K.SWISH])
+    def test_the_batched_run_records_a_single_candidates_tags(self, kind):
+        candidates = SPECS[kind].sweep
+        with recording() as single:
+            threshold_sweep(kind, candidates[:1], *GRID_WIDE)
+        with recording() as batched:
+            threshold_sweep(kind, candidates, *GRID_WIDE)
+        assert single and batched == single
+
+    def test_no_candidates_no_kernel_run(self, monkeypatch):
+        calls = self.counted_core(monkeypatch, K.GELU)
+        assert threshold_sweep(K.GELU, [], *GRID_DENSE) == []
+        assert calls == []
+
+    def test_candidates_are_checked_in_order_before_the_kernel_runs(self, monkeypatch):
+        calls = self.counted_core(monkeypatch, K.SWISH)
+        with pytest.raises(ValueError, match="must be positive, got -1.0"):
+            threshold_sweep(K.SWISH, [3.0, -1.0, "x"], *GRID_WIDE)
+        with pytest.raises(TypeError, match="must be a number"):
+            threshold_sweep(K.SWISH, [3.0, "x", -1.0], *GRID_WIDE)
+        assert calls == []
+
     @pytest.mark.parametrize("kind", [K.GELU, K.SWISH])
     @pytest.mark.parametrize("grid", [GRID_DENSE, GRID_WIDE], ids=["dense", "wide"])
     def test_default_threshold_matches_error_metrics(self, kind, grid):
-        # The sweep builds its bound per candidate; the kernel's default
-        # bound is built once at import.  At the default threshold both
-        # must give the same kernel output, so the same max-abs.
+        # The sweep builds its bound from the candidates; the kernel's
+        # default bound is built once at import.  At the default threshold
+        # both must give the same kernel output, so the same max-abs.
         [(threshold, max_abs)] = threshold_sweep(kind, [THRESHOLD_OF[kind]], *grid)
         assert threshold == THRESHOLD_OF[kind]
         assert max_abs == error_metrics(kind, *grid).max_abs
@@ -199,3 +265,44 @@ class TestGridReferences:
         evaluated = np.array([activations.evaluate(kind, v, protected=False) for v in x[::97]],
                              dtype=np.float32)
         assert np.array_equal(evaluated.view(np.uint32), scalar[::97].view(np.uint32))
+
+
+class TestArrayReferences:
+    """Each reference on a float64 array is the reference on each point as a
+    Python float, bit for bit."""
+
+    @staticmethod
+    def inputs() -> np.ndarray:
+        edges = np.array([
+            0.0, SMALLEST_SUBNORMAL, 5e-324, FLT_MAX, sys.float_info.max,
+            # The logistic's exp(-|x|) underflows to a subnormal, then to 0.
+            700.0, 745.0, 746.0, 800.0, 1e30,
+            # erf(x / sqrt 2) rounds to +-1 from |x| of about 8.4 on.
+            8.0, 8.5, 9.0, 12.0, 40.0, 1e5,
+        ])
+        points = np.concatenate([inclusive_grid(*GRID_DENSE), inclusive_grid(*GRID_WIDE),
+                                 random_encodings()[::64], edges])
+        return np.concatenate([points, -points]).astype(np.float64)
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_array_and_float_references_agree(self, kind):
+        x = self.inputs()
+        reference = SPECS[kind].reference
+        array = reference(x)
+        scalar = np.array([reference(v) for v in x.tolist()], dtype=np.float64)
+        assert array.dtype == np.float64 and array.shape == x.shape
+        assert np.array_equal(array.view(np.uint64), scalar.view(np.uint64))
+
+    def test_the_edges_reach_the_saturated_ranges(self):
+        x = self.inputs()
+        assert {0x0000000000000000, 0x8000000000000000} <= set(x.view(np.uint64).tolist())
+        sigmoid = SPECS[K.SIGMOID].reference(x)
+        assert ((0.0 < sigmoid) & (sigmoid < sys.float_info.min)).any()  # exp(-|x|) subnormal
+        assert (sigmoid == 0.0).any()  # and underflowed to 0
+        erf = activations._libm(math.erf, x / math.sqrt(2.0))
+        assert (erf == 1.0).any() and (erf == -1.0).any()
+
+    def test_relu_of_negative_zero_is_positive_zero(self):
+        for out in (relu_ref(-0.0), relu_ref(np.float32(-0.0)), SPECS[K.RELU].reference(-0.0),
+                    SPECS[K.RELU].reference(np.array([-0.0]))[0]):
+            assert out == 0.0 and math.copysign(1.0, out) == 1.0
